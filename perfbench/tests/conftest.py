@@ -1,0 +1,6 @@
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
