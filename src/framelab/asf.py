@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedExponent,
 )
 from .frames import Frame
-from .spectral import general_spectrum
+from .spectral import ball_displacements, general_spectrum, pnorm
 
 SPECTRUM_REALITY_TOL = 1e-9
 INVERTIBILITY_FLOOR = 1e-12
@@ -32,19 +32,9 @@ def dual_exponent(p):
     return p / (p - 1.0)
 
 
-def pnorm(x, p):
-    x = np.asarray(x, dtype=float)
-    if p == math.inf:
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    if p == 1:
-        return float(np.sum(np.abs(x)))
-    if p == 2:
-        return float(np.linalg.norm(x))
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
-
-
 def norming_functional(u, p):
-    """A dual vector of q-norm 1 pairing to 1 with the unit-p-norm u.
+    """A dual vector of q-norm 1 pairing to 1 with the unit-p-norm u, or
+    one such vector per row of an (n, d) array.
 
     For 1 < p < inf the map is sign(u_i)|u_i|^{p-1}; at the endpoints the
     sign vector (p = 1) and the signed peak coordinate (p = inf) work.
@@ -53,9 +43,11 @@ def norming_functional(u, p):
     if p == 1:
         return np.sign(u) + (u == 0)  # any entry of modulus <= 1 works at zeros
     if p == math.inf:
+        i = np.argmax(np.abs(u), axis=-1)[..., None]
+        peak = np.take_along_axis(u, i, axis=-1)
         out = np.zeros_like(u)
-        i = int(np.argmax(np.abs(u)))
-        out[i] = np.sign(u[i]) if u[i] != 0 else 1.0
+        np.put_along_axis(out, i, np.where(peak != 0, np.sign(peak), 1.0),
+                          axis=-1)
         return out
     return np.sign(u) * np.abs(u) ** (p - 1.0)
 
@@ -171,8 +163,8 @@ def analyze_asf(asf, tol=1e-8):
         if dev < 1.0:
             eps_parseval = dev
 
-    norms_p_sq = np.array([pnorm(asf.vectors[j], p) ** 2 for j in range(n)])
-    norms_q_sq = np.array([pnorm(asf.functionals[j], q) ** 2 for j in range(n)])
+    norms_p_sq = pnorm(asf.vectors, p) ** 2
+    norms_q_sq = pnorm(asf.functionals, q) ** 2
     pairings = np.einsum("ij,ij->i", asf.functionals, asf.vectors)
     triple = np.stack([norms_p_sq, pairings, norms_q_sq])
     norm_triple_defect = float(np.max(triple.max(axis=0) - triple.min(axis=0)))
@@ -225,10 +217,8 @@ def asf_dist(a, b, variant="default"):
     """
     _check_compatible(a, b)
     p, q = a.space.p, a.space.q
-    dv = [pnorm(a.vectors[j] - b.vectors[j], p) for j in range(a.n)]
-    df = [pnorm(a.functionals[j] - b.functionals[j], q) for j in range(a.n)]
-    dv = np.array(dv)
-    df = np.array(df)
+    dv = pnorm(a.vectors - b.vectors, p)
+    df = pnorm(a.functionals - b.functionals, q)
     if variant == "default":
         return float(np.sqrt(np.sum(0.5 * (dv ** 2 + df ** 2))))
     if variant == "star":
@@ -289,22 +279,10 @@ def generate_asf(kind, space, n=None, seed=0, base=None, delta=None):
         if base is None or delta is None or delta < 0:
             raise ShapeMismatch("perturb needs a base ASF and delta >= 0")
         rng = np.random.default_rng(seed)
-        dv = pball_displacements(rng, base.n, d, delta, space.p)
-        df = pball_displacements(rng, base.n, d, delta, space.q)
+        dv = ball_displacements(rng, base.n, d, delta, space.p)
+        df = ball_displacements(rng, base.n, d, delta, space.q)
         return ASF(space=space,
                    functionals=base.functionals + df,
                    vectors=base.vectors + dv)
     raise ShapeMismatch(f"unknown kind {kind!r}")
 
-
-def pball_displacements(rng, n, d, radius, p):
-    """n independent draws from the radius-ball of the p-norm."""
-    if radius == 0:
-        return np.zeros((n, d))
-    g = rng.standard_normal((n, d))
-    out = np.empty((n, d))
-    for j in range(n):
-        nrm = pnorm(g[j], p)
-        u = g[j] / nrm if nrm > 0 else np.zeros(d)
-        out[j] = radius * rng.random() ** (1.0 / d) * u
-    return out

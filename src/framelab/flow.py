@@ -17,6 +17,8 @@ from .frames import Frame
 
 UNIT_TOL_STEP = 1e-9
 UNIT_TOL_FINAL = 1e-9
+# a vector whose |omega_j| is at or below this is left unchanged by a step
+ZERO_THRESHOLD = 1e-14
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class FlowConfig:
     step_t: float
     max_iters: int = 100_000
     stop_defect: float = 1e-6
-    zero_threshold: float = 1e-14
     renorm_every: int = 0
 
 
@@ -79,17 +80,22 @@ def _check_step(config, n):
             f"step_t {config.step_t} outside (0, 1/(2n)) = (0, {1.0 / (2 * n)})")
 
 
+def _omegas(v, s):
+    """Rows S tau_j - <S tau_j, tau_j> tau_j, given S = v^T v."""
+    vs = v @ s
+    ip = np.einsum("ij,ij->i", vs, v)
+    return vs - ip[:, None] * v
+
+
 def tangent_family(frame):
     _require_unit(frame)
     v = frame.vectors
-    vs = v @ (v.T @ v)
-    ip = np.einsum("ij,ij->i", vs, v)
-    return TangentFamily(omegas=vs - ip[:, None] * v)
+    return TangentFamily(omegas=_omegas(v, v.T @ v))
 
 
-def _rotate(v, omegas, t, zero_threshold):
+def _rotate(v, omegas, t):
     wn = np.linalg.norm(omegas, axis=1)
-    moving = wn > zero_threshold
+    moving = wn > ZERO_THRESHOLD
     out = v.copy()
     if np.any(moving):
         th = wn[moving] * t
@@ -100,13 +106,12 @@ def _rotate(v, omegas, t, zero_threshold):
 
 
 def flow_step(frame, config):
-    """One rotation update; vectors with |omega_j| at or below the zero
-    threshold are left unchanged."""
+    """One rotation update; vectors with |omega_j| at or below
+    ZERO_THRESHOLD are left unchanged."""
     _check_step(config, frame.n)
     _require_unit(frame)
-    omegas = tangent_family(frame).omegas
-    return Frame(_rotate(frame.vectors, omegas, config.step_t,
-                         config.zero_threshold))
+    v = frame.vectors
+    return Frame(_rotate(v, _omegas(v, v.T @ v), config.step_t))
 
 
 def run_flow(frame, config):
@@ -132,9 +137,7 @@ def run_flow(frame, config):
     while True:
         s = v.T @ v
         defect = float(np.linalg.norm(s - target * eye))
-        vs = v @ s
-        ip = np.einsum("ij,ij->i", vs, v)
-        omegas = vs - ip[:, None] * v
+        omegas = _omegas(v, s)
         wn = np.linalg.norm(omegas, axis=1)
 
         trace.iters.append(k)
@@ -149,7 +152,7 @@ def run_flow(frame, config):
             trace.termination = "max_iters"
             break
 
-        v = _rotate(v, omegas, config.step_t, config.zero_threshold)
+        v = _rotate(v, omegas, config.step_t)
         k += 1
         if config.renorm_every and k % config.renorm_every == 0:
             v = v / np.linalg.norm(v, axis=1)[:, None]

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedShape,
     ZeroVector,
 )
-from .spectral import PSD_FLOOR, inv_sqrt_psd, sym_eig
+from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_psd, sym_eig
 
 ZERO_NORM_FLOOR = 1e-300
 
@@ -140,17 +140,26 @@ def closest_equal_norm(frame, target=None):
     input norms. The construction divides by each |tau_j|, so zero vectors
     are rejected.
     """
-    v = frame.vectors
+    w, norms, c = rescale_rows(frame.vectors, target)
+    dist_sq = float(np.sum((norms - c) ** 2))
+    return Frame(w), dist_sq
+
+
+def rescale_rows(v, c=None):
+    """Rows of v rescaled to the common norm c, by default their mean norm.
+
+    Returns (rescaled rows, input row norms, c). Raises ZeroVector for the
+    first row whose norm is at or below ZERO_NORM_FLOOR, then ShapeMismatch
+    for a c that is not positive.
+    """
     norms = np.linalg.norm(v, axis=1)
     small = np.nonzero(norms <= ZERO_NORM_FLOOR)[0]
     if small.size:
         raise ZeroVector(int(small[0]))
-    if target is not None and not target > 0:
-        raise ShapeMismatch(f"target norm must be positive, got {target}")
-    c = float(target) if target is not None else float(np.mean(norms))
-    w = (c / norms)[:, None] * v
-    dist_sq = float(np.sum((norms - c) ** 2))
-    return Frame(w), dist_sq
+    if c is not None and not c > 0:
+        raise ShapeMismatch(f"target norm must be positive, got {c}")
+    c = float(np.mean(norms)) if c is None else float(c)
+    return (c / norms)[:, None] * v, norms, c
 
 
 def naimark_complement(frame, tol=1e-8):
@@ -245,13 +254,3 @@ def generate(kind, d=None, n=None, seed=0, base=None, delta=None, eps=None):
         return Frame(np.sqrt(1.0 + eps) * base.vectors)
     raise ShapeMismatch(f"unknown kind {kind!r}")
 
-
-def ball_displacements(rng, n, d, radius):
-    """n independent draws from the radius-ball of the Euclidean norm."""
-    if radius == 0:
-        return np.zeros((n, d))
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    r = radius * rng.random(n) ** (1.0 / d)
-    return (r / norms)[:, None] * g

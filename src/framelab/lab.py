@@ -39,10 +39,9 @@ from .errors import (
     SingularOperator,
     UnsupportedExponent,
     UnsupportedShape,
-    ZeroVector,
 )
-from .frames import Frame, analyze_frame, frame_dist, generate
-from .spectral import PSD_FLOOR, sym_eig
+from .frames import Frame, analyze_frame, frame_dist, generate, rescale_rows
+from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_from_eig, sym_eig
 
 HILBERT_KINDS = ("perturbed_enp", "scaled_enp")
 ASF_KINDS = ("perturbed_asf",)
@@ -61,6 +60,14 @@ MERIT_GROWTH = 4.0
 CONVERGED = 1e-13
 STATIONARY_TOL = 1e-10
 SAME_POINT = 1e-9
+
+# Penalized Banach search (see nearest_enp_asf_search): mu runs from MU0 up
+# by MU_FACTOR per outer round while it stays at most MU_MAX.
+MU0 = 1.0
+MU_FACTOR = 10.0
+MU_MAX = 1e13
+SEARCH_POLISH_ROUNDS = 4
+SEARCH_MAX_ITERS = 400
 
 
 def default_certify_tol():
@@ -157,13 +164,6 @@ def _gen_scaled_enp(spec):
                           eps_equal_norm=rep.eps_equal_norm)
 
 
-def _sample_pball(rng, d, p, radius):
-    g = rng.standard_normal(d)
-    nrm = pnorm(g, p)
-    g = g / (nrm if nrm > 0 else 1.0)
-    return radius * rng.random() ** (1.0 / d) * g
-
-
 def _gen_perturbed_asf(spec):
     """Perturbed repeated-basis ASF with the norm triple preserved exactly.
 
@@ -182,8 +182,7 @@ def _gen_perturbed_asf(spec):
     space = PNormSpace(dim=d, p=p)
 
     base_tau = r0 * base_dirs
-    base_f = r0 * np.stack([norming_functional(base_dirs[j], p)
-                            for j in range(n)])
+    base_f = r0 * norming_functional(base_dirs, p)
     base = ASF(space=space, functionals=base_f, vectors=base_tau)
 
     for bump in range(MAX_SEED_BUMPS):
@@ -192,15 +191,15 @@ def _gen_perturbed_asf(spec):
         rho_scale = eps / 2.5
         for _ in range(MAX_RETUNES):
             rng = np.random.default_rng(eff_seed)
-            u = np.empty((n, d))
-            for j in range(n):
-                w = base_dirs[j] + _sample_pball(rng, d, p, delta)
-                u[j] = w / pnorm(w, p)
+            # one draw per row keeps the direction and radius draws of
+            # each row adjacent in the stream
+            w = base_dirs + np.concatenate(
+                [ball_displacements(rng, 1, d, delta, p) for _ in range(n)])
+            u = w / pnorm(w, p)[:, None]
             rho = rng.uniform(-rho_scale, rho_scale, size=n)
             r = r0 * np.sqrt(1.0 + rho)
             tau = r[:, None] * u
-            f = r[:, None] * np.stack([norming_functional(u[j], p)
-                                       for j in range(n)])
+            f = r[:, None] * norming_functional(u, p)
             inst = ASF(space=space, functionals=f, vectors=tau)
             rep = analyze_asf(inst, tol=CHAIN_TOL)
             if not rep.spectrum_real:
@@ -387,24 +386,9 @@ def nearest_enp_alternating(frame, certify_tol=None, max_rounds=100_000):
             if best is not None and best[2] >= 2:
                 return Frame(best[0]), best[1], rounds
             next_polish = max(POLISH_FIRST_ROUND, 2 * next_polish)
-        qm = dec.eigenvectors
-        w = v @ ((qm * lam ** -0.5) @ qm.T)
-        norms = np.linalg.norm(w, axis=1)
-        small = np.nonzero(norms <= 1e-300)[0]
-        if small.size:
-            raise ZeroVector(int(small[0]))
-        v = (target / norms)[:, None] * w
+        w = v @ inv_sqrt_from_eig(lam, dec.eigenvectors)
+        v, _, _ = rescale_rows(w, target)
         rounds += 1
-
-
-@dataclass(frozen=True)
-class PenaltySchedule:
-    """Outer-loop schedule of the penalized search."""
-
-    mu0: float = 1.0
-    factor: float = 10.0
-    mu_max: float = 1e13
-    polish_rounds: int = 4
 
 
 def _asf_residual_sq(f, tau, p, q, d, n):
@@ -426,13 +410,12 @@ def _asf_dist_part(f_in, tau_in, f, tau, p, q):
     return s
 
 
-def nearest_enp_asf_search(asf, certify_tol=1e-6, max_iters=400,
-                           penalty_schedule=None):
+def nearest_enp_asf_search(asf, certify_tol=1e-6):
     """Penalized local search for the nearest equal-norm Parseval ASF.
 
     Minimizes squared distance plus mu times the feasibility residual with
-    central finite-difference gradients, mu increasing by the schedule
-    factor per outer round; a few polish rounds continue past the first
+    central finite-difference gradients, mu increasing by MU_FACTOR per
+    outer round; SEARCH_POLISH_ROUNDS more rounds continue past the first
     certified point and the best certified point wins. Returns
     (asf, dist_sq, certified, rounds).
     """
@@ -446,7 +429,6 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6, max_iters=400,
         raise Infeasible(f"equal-norm Parseval target needs d | n, "
                          f"got d = {d}, n = {n}")
     q = asf.space.q
-    sched = penalty_schedule or PenaltySchedule()
     f_in = asf.functionals
     tau_in = asf.vectors
 
@@ -472,13 +454,13 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6, max_iters=400,
     z = np.concatenate([f_in.ravel(), tau_in.ravel()])
     best_cert = None
     best_resid = (math.inf, z.copy())
-    mu = sched.mu0
+    mu = MU0
     rounds = 0
-    polish_left = sched.polish_rounds
-    while mu <= sched.mu_max:
+    polish_left = SEARCH_POLISH_ROUNDS
+    while mu <= MU_MAX:
         res = minimize(objective, z, args=(mu,), jac=fd_grad,
                        method="L-BFGS-B",
-                       options={"maxiter": max_iters,
+                       options={"maxiter": SEARCH_MAX_ITERS,
                                 "ftol": 1e-15, "gtol": 1e-12})
         z = res.x
         f, tau = unpack(z)
@@ -492,7 +474,7 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6, max_iters=400,
             polish_left -= 1
         if resid < best_resid[0]:
             best_resid = (resid, z.copy())
-        mu *= sched.factor
+        mu *= MU_FACTOR
         rounds += 1
 
     certified = best_cert is not None
@@ -560,7 +542,7 @@ class SummaryRow:
     max_ratio_bc: float
 
 
-def _solve_one(bundle, certify_tol, max_rounds, asf_schedule):
+def _solve_one(bundle, certify_tol, max_rounds):
     """Solver output guarded by the base point as a feasible competitor."""
     base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
@@ -571,15 +553,13 @@ def _solve_one(bundle, certify_tol, max_rounds, asf_schedule):
             return base_ds, True, exc.rounds
         return min(ds, base_ds), True, rounds
     _, ds, certified, rounds = nearest_enp_asf_search(
-        bundle.instance, certify_tol=max(certify_tol, 1e-6),
-        penalty_schedule=asf_schedule)
+        bundle.instance, certify_tol=max(certify_tol, 1e-6))
     if not certified or base_ds < ds:
         return base_ds, True, rounds
     return ds, True, rounds
 
 
-def estimate_paulsen(grid, trials, certify_tol=None, max_rounds=1000,
-                     asf_schedule=None):
+def estimate_paulsen(grid, trials, certify_tol=None, max_rounds=1000):
     """Solve every grid spec for each trial and aggregate per (d, n, eps).
 
     Per-trial seeds are spec.seed + trial index. Certified Hilbert records
@@ -598,8 +578,7 @@ def estimate_paulsen(grid, trials, certify_tol=None, max_rounds=1000,
             t_spec = replace(spec, seed=spec.seed + trial)
             bundle = generate_instance(t_spec)
             t0 = time.perf_counter()
-            ds, certified, rounds = _solve_one(bundle, tol, max_rounds,
-                                               asf_schedule)
+            ds, certified, rounds = _solve_one(bundle, tol, max_rounds)
             wall = time.perf_counter() - t0
             bound_hm, bound_bc, lower_ref = _bounds_for(
                 t_spec, bundle.eps_parseval, bundle.eps_equal_norm)

@@ -65,12 +65,13 @@ class AuerbachSystem:
                 f"need {d} basis vectors and {d} functionals of length {d}")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(z))):
             raise InvalidSystem("entries must be finite")
-        p, q = self.space.p, self.space.q
-        for k in range(d):
-            if abs(pnorm(u[k], p) - 1.0) > AUERBACH_TOL:
+        bad_u = np.abs(pnorm(u, self.space.p) - 1.0) > AUERBACH_TOL
+        bad_z = np.abs(pnorm(z, self.space.q) - 1.0) > AUERBACH_TOL
+        if np.any(bad_u | bad_z):
+            k = int(np.argmax(bad_u | bad_z))
+            if bad_u[k]:
                 raise InvalidSystem(f"basis vector {k} is not unit in the p-norm")
-            if abs(pnorm(z[k], q) - 1.0) > AUERBACH_TOL:
-                raise InvalidSystem(f"functional {k} is not unit in the dual norm")
+            raise InvalidSystem(f"functional {k} is not unit in the dual norm")
         gram = z @ u.T
         if np.max(np.abs(gram - np.eye(d))) > AUERBACH_TOL:
             raise InvalidSystem("pairing zeta_j(u_k) is not the identity")
@@ -164,27 +165,20 @@ def balance_epsilon_banach(proj, sys, tol=1e-8):
     pm = proj.matrix
     n = proj.rank
 
-    failures = []
-    a_vals = np.empty(d)
-    worst = 0.0
-    for k in range(d):
-        pu = pm @ sys.basis_vectors[k]
-        zp = pm.T @ sys.dual_functionals[k]
-        a = pnorm(pu, p) ** 2
-        b = pnorm(zp, q) ** 2
-        c = abs(float(sys.dual_functionals[k] @ pu))
-        spread = max(a, b, c) - min(a, b, c)
-        worst = max(worst, spread)
-        a_vals[k] = a
-        if spread > tol:
-            failures.append(
-                (k, f"index {k}: |Pu|_p^2 = {a:.6g}, |zP|_q^2 = {b:.6g}, "
-                    f"|z(Pu)| = {c:.6g}"))
+    pu = sys.basis_vectors @ pm.T
+    zp = sys.dual_functionals @ pm
+    chain = np.stack([pnorm(pu, p) ** 2, pnorm(zp, q) ** 2,
+                      np.abs(np.einsum("kj,kj->k", sys.dual_functionals, pu))])
+    spread = chain.max(axis=0) - chain.min(axis=0)
+    worst = float(np.max(spread))
+    failures = tuple(
+        (k, f"index {k}: |Pu|_p^2 = {a:.6g}, |zP|_q^2 = {b:.6g}, "
+            f"|z(Pu)| = {c:.6g}")
+        for k, (a, b, c) in enumerate(chain.T) if spread[k] > tol)
 
     if failures:
-        return BanachBalance(eps=None, chain_defect=worst,
-                             failures=tuple(failures))
-    dev = float(np.max(np.abs((d / n) * a_vals - 1.0)))
+        return BanachBalance(eps=None, chain_defect=worst, failures=failures)
+    dev = float(np.max(np.abs((d / n) * chain[0] - 1.0)))
     eps = dev if dev < 1.0 else None
     return BanachBalance(eps=eps, chain_defect=worst, failures=())
 
@@ -194,13 +188,10 @@ def projection_pair_distance(proj_a, proj_b, sys):
     if proj_a.dim != proj_b.dim or sys.space.dim != proj_a.dim:
         raise ShapeMismatch("projections and system must share a dimension")
     p, q = sys.space.p, sys.space.q
-    pa, pb = proj_a.matrix, proj_b.matrix
-    total = 0.0
-    for k in range(proj_a.dim):
-        du = (pa - pb) @ sys.basis_vectors[k]
-        dz = (pa - pb).T @ sys.dual_functionals[k]
-        total += 0.5 * (pnorm(du, p) ** 2 + pnorm(dz, q) ** 2)
-    return float(total)
+    diff = proj_a.matrix - proj_b.matrix
+    du = sys.basis_vectors @ diff.T
+    dz = sys.dual_functionals @ diff
+    return float(np.sum(0.5 * (pnorm(du, p) ** 2 + pnorm(dz, q) ** 2)))
 
 
 def chordal_distance(proj_a, proj_b, tol=1e-10):

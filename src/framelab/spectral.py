@@ -1,9 +1,12 @@
-"""Dense small-matrix spectral kernel shared by the rest of the package.
+"""Dense small-matrix kernels shared by the rest of the package.
 
 All matrices are real ndarrays. Eigenvalues of symmetric matrices are
-returned ascending so downstream reports are deterministic.
+returned ascending so downstream reports are deterministic. The row-wise
+p-norm and the p-ball sampler live here too, where both frames and asf can
+import them (asf imports frames, so frames cannot import asf).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,40 +25,16 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self):
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
-
-@dataclass(frozen=True)
-class MatrixFunctionals:
-    hs_norm: float
-    trace: float | None
-    op_norm_sym: float | None
-
-
-def _as_matrix(a):
+def _require_square(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim {a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ShapeMismatch("matrix entries must be finite")
-    return a
-
-
-def _require_square(a):
-    a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
     return a
-
-
-def is_symmetric(a, tol=SYM_TOL):
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    scale = max(1.0, float(np.linalg.norm(a)))
-    return float(np.linalg.norm(a - a.T)) <= tol * scale
 
 
 def sym_eig(a, tol=SYM_TOL):
@@ -87,7 +66,12 @@ def inv_sqrt_psd(a, floor=PSD_FLOOR, tol=SYM_TOL):
     if lam[0] <= floor:
         raise SingularOperator(
             f"smallest eigenvalue {lam[0]:.3e} is at or below floor {floor:g}")
-    q = dec.eigenvectors
+    return inv_sqrt_from_eig(lam, dec.eigenvectors)
+
+
+def inv_sqrt_from_eig(lam, q):
+    """S^{-1/2} from an eigendecomposition of S: positive eigenvalues lam
+    and orthonormal eigenvector columns q."""
     return (q * lam ** -0.5) @ q.T
 
 
@@ -97,19 +81,35 @@ def general_spectrum(a):
     return np.linalg.eigvals(a)
 
 
-def matrix_functionals(a):
-    """Hilbert-Schmidt norm, trace, and (symmetric case) operator norm.
+def pnorm(x, p):
+    """p-norm over the last axis; p = math.inf is the max norm.
 
-    trace is absent for nonsquare input; op_norm_sym is absent unless the
-    matrix is symmetric within the default tolerance.
+    A vector gives a float, an (n, d) array the array of its n row norms.
     """
-    a = _as_matrix(a)
-    hs = float(np.sqrt(np.sum(a * a)))
-    trace = None
-    op_norm = None
-    if a.shape[0] == a.shape[1]:
-        trace = float(np.trace(a))
-        if is_symmetric(a):
-            lam = sym_eig(a).eigenvalues
-            op_norm = float(np.max(np.abs(lam)))
-    return MatrixFunctionals(hs_norm=hs, trace=trace, op_norm_sym=op_norm)
+    x = np.asarray(x, dtype=float)
+    if p == math.inf:
+        out = np.max(np.abs(x), axis=-1, initial=0.0)
+    elif p == 1:
+        out = np.sum(np.abs(x), axis=-1)
+    elif p == 2:
+        # a vector keeps np.linalg.norm's dot product, which can differ in
+        # the last bit from the row-wise reduction
+        out = np.linalg.norm(x, axis=-1 if x.ndim > 1 else None)
+    else:
+        out = np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
+    return float(out) if out.ndim == 0 else out
+
+
+def ball_displacements(rng, n, d, radius, p=2.0):
+    """n independent draws from the radius-ball of the p-norm.
+
+    Each draw is a Gaussian direction scaled to p-norm radius * U^(1/d),
+    with U uniform on [0, 1); radius 0 returns zeros without drawing.
+    """
+    if radius == 0:
+        return np.zeros((n, d))
+    g = rng.standard_normal((n, d))
+    norms = pnorm(g, p)
+    norms[norms == 0] = 1.0
+    r = radius * rng.random(n) ** (1.0 / d)
+    return (r / norms)[:, None] * g

@@ -5,24 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import (
+from framelab.asf import (
     ASF,
-    Frame,
-    IndivisibleRepeat,
     PNormSpace,
-    ShapeMismatch,
-    UnsupportedExponent,
     analyze_asf,
-    analyze_frame,
     asf_dist,
     asf_operator,
     dual_exponent,
     dual_norm,
     from_hilbert,
     generate_asf,
-    pnorm,
+    norming_functional,
     to_hilbert,
 )
+from framelab.errors import (
+    IndivisibleRepeat,
+    ShapeMismatch,
+    UnsupportedExponent,
+)
+from framelab.frames import Frame, analyze_frame
+from framelab.spectral import pnorm
 from conftest import random_frame
 
 
@@ -59,6 +61,23 @@ class TestSpaces:
         assert all(a >= b - 1e-12 for a, b in zip(primal, primal[1:]))
         duals = [dual_norm(PNormSpace(4, r), x) for r in ps]
         assert all(a <= b + 1e-12 for a, b in zip(duals, duals[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+           d=st.integers(1, 8),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    def test_norming_functional_rows(self, seed, n, d, p):
+        # unit rows, some with zero coordinates
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
+        u[np.arange(n), rng.integers(0, d, n)] = rng.choice([-1.0, 1.0], n)
+        u /= pnorm(u, p)[:, None]
+        f = norming_functional(u, p)
+        assert np.array_equal(
+            f, np.stack([norming_functional(row, p) for row in u]))
+        assert np.allclose(pnorm(f, dual_exponent(p)), 1.0,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(np.sum(f * u, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_dual_norm_pinned(self):
         assert dual_norm(PNormSpace(2, 1.0), np.array([0.5, 0.5])) == 0.5

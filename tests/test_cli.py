@@ -4,18 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from framelab import (
-    PNormSpace,
-    canonical_auerbach,
-    from_hilbert,
+from framelab.asf import PNormSpace, from_hilbert
+from framelab.cli import run_cli
+from framelab.documents import (
+    SWEEP_COLUMNS,
     read_frame_doc,
     write_asf_doc,
     write_auerbach_doc,
     write_frame_doc,
     write_projection_doc,
 )
-from framelab.cli import run_cli
-from framelab.documents import SWEEP_COLUMNS
+from framelab.projections import canonical_auerbach
 from conftest import ROOT3
 
 

@@ -4,14 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from framelab import (
-    ASF,
-    DocumentError,
-    Frame,
-    PNormSpace,
+from framelab.asf import ASF, PNormSpace
+from framelab.documents import (
+    FLOW_TRACE_COLUMNS,
     SWEEP_COLUMNS,
-    canonical_auerbach,
-    certify_projection,
     read_asf_doc,
     read_auerbach_doc,
     read_frame_doc,
@@ -24,7 +20,9 @@ from framelab import (
     write_projection_doc,
     write_sweep_csv,
 )
-from framelab.documents import FLOW_TRACE_COLUMNS
+from framelab.errors import DocumentError
+from framelab.frames import Frame
+from framelab.projections import canonical_auerbach, certify_projection
 
 
 class TestFrameDocs:

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import (
-    FlowConfig,
-    Frame,
-    NotUnitNorm,
-    StepTooLarge,
-    flow_step,
-    frame_operator,
-    generate,
-    run_flow,
-    tangent_family,
-)
+from framelab.errors import NotUnitNorm, StepTooLarge
+from framelab.flow import FlowConfig, flow_step, run_flow, tangent_family
+from framelab.frames import Frame, frame_operator, generate
 
 
 def unit_rows(v):

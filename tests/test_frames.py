@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import (
-    Frame,
+from framelab.errors import (
     NoComplement,
     NotParseval,
     ShapeMismatch,
     SingularOperator,
     UnsupportedShape,
     ZeroVector,
+)
+from framelab.frames import (
+    Frame,
     analysis,
     analyze_frame,
     closest_equal_norm,

@@ -5,28 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import (
-    Frame,
+from framelab.asf import PNormSpace, analyze_asf, generate_asf
+from framelab.documents import SWEEP_COLUMNS
+from framelab.errors import (
     Infeasible,
-    InstanceSpec,
     NoConvergence,
-    PNormSpace,
     ShapeMismatch,
     UnsupportedExponent,
-    analyze_asf,
-    analyze_frame,
+)
+from framelab.frames import Frame, analyze_frame, frame_dist, generate
+from framelab.lab import (
+    InstanceSpec,
     default_certify_tol,
     estimate_paulsen,
-    frame_dist,
-    generate,
-    generate_asf,
     generate_instance,
     nearest_enp_alternating,
     nearest_enp_asf_search,
     record_to_row,
     summarize_records,
 )
-from framelab.documents import SWEEP_COLUMNS
 from conftest import random_frame
 
 

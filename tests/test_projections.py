@@ -5,23 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import (
-    AuerbachSystem,
+from framelab.asf import PNormSpace
+from framelab.errors import (
     InvalidSystem,
     NegativeChordal,
     NotIdempotent,
     NotSelfAdjoint,
-    PNormSpace,
     RankMismatch,
     ZeroRank,
+)
+from framelab.projections import (
+    AuerbachSystem,
     balance_epsilon_banach,
     balance_epsilon_hilbert,
     canonical_auerbach,
     certify_projection,
     chordal_distance,
-    pnorm,
     projection_pair_distance,
 )
+from framelab.spectral import pnorm
 
 
 def random_orthogonal_projection(rng, d, rank):
@@ -193,6 +195,25 @@ class TestBanachBalance:
             assert b.eps == pytest.approx(h, abs=1e-10)
             assert b.chain_defect <= 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(2, 5),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    def test_rows_match_per_index_loop(self, seed, d, p):
+        rng = np.random.default_rng(seed)
+        sys = canonical_auerbach(PNormSpace(d, p))
+        proj = random_oblique_projection(rng, d, int(rng.integers(1, d)))
+        m, q = proj.matrix, sys.space.q
+        chain = np.array([[pnorm(m @ u, p) ** 2, pnorm(m.T @ z, q) ** 2,
+                           abs(float(z @ m @ u))]
+                          for u, z in zip(sys.basis_vectors,
+                                          sys.dual_functionals)])
+        spread = chain.max(axis=1) - chain.min(axis=1)
+        bal = balance_epsilon_banach(proj, sys, tol=1e-8)
+        assert bal.chain_defect == pytest.approx(np.max(spread), rel=1e-12,
+                                                 abs=1e-12)
+        assert [k for k, _ in bal.failures] == \
+            [k for k in range(d) if spread[k] > 1e-8]
+
 
 def bal_eps_absent(bal):
     return bal.eps is None
@@ -228,6 +249,20 @@ class TestPairDistance:
         ba = projection_pair_distance(pb, pa, sys)
         assert ab == pytest.approx(ba, abs=1e-12)
         assert ab > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(2, 5),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    def test_rows_match_per_index_loop(self, seed, d, p):
+        rng = np.random.default_rng(seed)
+        sys = canonical_auerbach(PNormSpace(d, p))
+        pa = random_oblique_projection(rng, d, int(rng.integers(1, d)))
+        pb = random_oblique_projection(rng, d, int(rng.integers(1, d)))
+        diff, q = pa.matrix - pb.matrix, sys.space.q
+        loop = sum(0.5 * (pnorm(diff @ u, p) ** 2 + pnorm(diff.T @ z, q) ** 2)
+                   for u, z in zip(sys.basis_vectors, sys.dual_functionals))
+        assert projection_pair_distance(pa, pb, sys) == \
+            pytest.approx(loop, rel=1e-13)
 
 
 class TestChordal:

@@ -1,18 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import (
-    AsymmetricInput,
-    ShapeMismatch,
-    SingularOperator,
+from framelab.errors import AsymmetricInput, ShapeMismatch, SingularOperator
+from framelab.spectral import (
+    ball_displacements,
     general_spectrum,
     inv_sqrt_psd,
-    is_symmetric,
-    matrix_functionals,
+    pnorm,
     sym_eig,
 )
+
+EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
 
 
 def rand_sym(seed, d):
@@ -48,9 +50,9 @@ class TestSymEig:
         a = rand_sym(seed, d)
         dec = sym_eig(a)
         scale = max(1.0, np.linalg.norm(a))
-        assert np.linalg.norm(dec.reconstruct() - a) <= 1e-10 * scale
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-        q = dec.eigenvectors
+        q, lam = dec.eigenvectors, dec.eigenvalues
+        assert np.linalg.norm((q * lam) @ q.T - a) <= 1e-10 * scale
+        assert np.all(np.diff(lam) >= 0)
         assert np.linalg.norm(q.T @ q - np.eye(d)) <= 1e-10 * d
 
 
@@ -122,27 +124,45 @@ class TestGeneralSpectrum:
                            atol=1e-9)
 
 
-class TestMatrixFunctionals:
-    def test_identity(self):
-        f = matrix_functionals(np.eye(3))
-        assert f.hs_norm == pytest.approx(np.sqrt(3.0))
-        assert f.trace == pytest.approx(3.0)
+def rows_with_zeros(seed, n, d):
+    """Gaussian rows over several magnitudes, about a quarter of them zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    x[rng.random(n) < 0.25] = 0.0
+    return x
 
-    def test_diagonal(self):
-        f = matrix_functionals(np.diag([-1.5, 1.5]))
-        assert f.hs_norm == pytest.approx(1.5 * np.sqrt(2.0))
-        assert f.trace == pytest.approx(0.0)
-        assert f.op_norm_sym == pytest.approx(1.5)
 
-    def test_dense(self):
-        f = matrix_functionals(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert f.hs_norm == pytest.approx(np.sqrt(30.0))
-        assert f.trace == pytest.approx(5.0)
-        assert f.op_norm_sym is None
+class TestRowKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+           d=st.integers(1, 8), p=st.sampled_from(EXPONENTS))
+    def test_pnorm_rows_match_vector_calls(self, seed, n, d, p):
+        x = rows_with_zeros(seed, n, d)
+        rows = pnorm(x, p)
+        stacked = np.array([pnorm(r, p) for r in x])
+        assert rows.shape == (n,)
+        assert all(isinstance(v, float) for v in stacked)
+        assert np.all(np.abs(rows - stacked) <= 4 * np.spacing(stacked))
 
-    def test_is_symmetric_relative_tolerance(self):
-        assert is_symmetric(np.eye(2))
-        assert not is_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+           d=st.integers(1, 8), p=st.sampled_from(EXPONENTS),
+           radius=st.floats(1e-6, 10.0))
+    def test_ball_draws_stay_inside(self, seed, n, d, p, radius):
+        rng = np.random.default_rng(seed)
+        x = ball_displacements(rng, n, d, radius, p)
+        assert x.shape == (n, d)
+        assert np.all(pnorm(x, p) <= radius * (1.0 + 1e-12))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+           d=st.integers(1, 8), p=st.sampled_from(EXPONENTS))
+    def test_zero_radius_draws_nothing(self, seed, n, d, p):
+        rng = np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        assert np.array_equal(ball_displacements(rng, n, d, 0.0, p),
+                              np.zeros((n, d)))
+        assert rng.bit_generator.state == before
 
 
 @settings(max_examples=50, deadline=None)
