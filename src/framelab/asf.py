@@ -105,7 +105,8 @@ class ASFReport:
     """Certified quantities of an ASF.
 
     eps_parseval follows the spectral definition (all eigenvalues real
-    within the reality tolerance and inside (0, 2) around 1); the parseval
+    within the reality tolerance and inside (0, 2) around 1, and S
+    invertible: sigma_min above INVERTIBILITY_FLOOR); the parseval
     flag is the stronger operator condition |S - I| <= tol, kept separate
     because a nonnormal S can have unit spectrum far from the identity.
     eps_equal_norm requires the norm triple |tau|_p^2 = f(tau) = |f|_q^2 to
@@ -158,7 +159,7 @@ def analyze_asf(asf, tol=1e-8):
     spec = general_spectrum(s)
     spectrum_real = bool(np.max(np.abs(spec.imag)) <= SPECTRUM_REALITY_TOL)
     eps_parseval = None
-    if spectrum_real:
+    if spectrum_real and invertible:
         dev = float(np.max(np.abs(spec.real - 1.0)))
         if dev < 1.0:
             eps_parseval = dev

@@ -93,8 +93,8 @@ def tangent_family(frame):
     return TangentFamily(omegas=_omegas(v, v.T @ v))
 
 
-def _rotate(v, omegas, t):
-    wn = np.linalg.norm(omegas, axis=1)
+def _rotate(v, omegas, wn, t):
+    """Rotate each row of v against its omega, given the omega norms wn."""
     moving = wn > ZERO_THRESHOLD
     out = v.copy()
     if np.any(moving):
@@ -111,7 +111,9 @@ def flow_step(frame, config):
     _check_step(config, frame.n)
     _require_unit(frame)
     v = frame.vectors
-    return Frame(_rotate(v, _omegas(v, v.T @ v), config.step_t))
+    omegas = _omegas(v, v.T @ v)
+    return Frame(_rotate(v, omegas, np.linalg.norm(omegas, axis=1),
+                         config.step_t))
 
 
 def run_flow(frame, config):
@@ -152,7 +154,7 @@ def run_flow(frame, config):
             trace.termination = "max_iters"
             break
 
-        v = _rotate(v, omegas, config.step_t)
+        v = _rotate(v, omegas, wn, config.step_t)
         k += 1
         if config.renorm_every and k % config.renorm_every == 0:
             v = v / np.linalg.norm(v, axis=1)[:, None]

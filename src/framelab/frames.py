@@ -54,7 +54,8 @@ class FrameReport:
     """Certified nearness quantities of a frame.
 
     eps_parseval is present iff the spectrum of S sits inside (0, 2) around
-    1, i.e. max(1 - a, b - 1) < 1; eps_equal_norm is present iff every
+    1, i.e. max(1 - a, b - 1) < 1, and a is above PSD_FLOOR (a numerically
+    singular S has none); eps_equal_norm is present iff every
     (n/d)|tau_j|^2 deviates from 1 by less than 1.
     """
 
@@ -99,7 +100,7 @@ def analyze_frame(frame):
     norms_sq = np.sum(v * v, axis=1)
 
     dev_p = max(1.0 - a, b - 1.0)
-    eps_parseval = dev_p if dev_p < 1.0 else None
+    eps_parseval = dev_p if dev_p < 1.0 and a > PSD_FLOOR else None
 
     dev_e = float(np.max(np.abs((n / d) * norms_sq - 1.0)))
     eps_equal_norm = dev_e if dev_e < 1.0 else None

@@ -10,7 +10,9 @@ The Hilbert solver returns a certified equal-norm Parseval frame that is a
 KKT point of the nearest-point problem (locally nearest, not globally),
 found by a Newton polish warm-started from alternating projections; see
 nearest_enp_alternating for when it is also no farther than the
-alternating limit.
+alternating limit. The Banach search is a penalized local search by
+L-BFGS-B on the exact gradient of one row-vectorized kernel; its output
+certifies only to the feasibility residual it is given (1e-6 by default).
 """
 
 import math
@@ -391,33 +393,49 @@ def nearest_enp_alternating(frame, certify_tol=None, max_rounds=100_000):
         rounds += 1
 
 
-def _asf_residual_sq(f, tau, p, q, d, n):
-    s = tau.T @ f
+def _sq_pnorm_rows(x, p):
+    """Squared row p-norms of x and their gradient
+    2 |x|_p^(2-p) sign(x) |x|^(p-1), which is 0 on a zero row."""
+    norms = pnorm(x, p)
+    scale = 2.0 * np.where(norms > 0.0, norms, 1.0) ** (2.0 - p)
+    return norms ** 2, scale[:, None] * np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def _search_terms(z, mu, f_in, tau_in, p, q):
+    """Distance part, feasibility residual and the exact gradient of
+    dist + mu * resid_sq at z = (f, tau), all row-vectorized.
+
+    dist = sum_j (|tau_j - tau_in_j|_p^2 + |f_j - f_in_j|_q^2) / 2 and
+    resid_sq = |G|^2 + sum_j (a_j^2 + b_j^2 + c_j^2) with G = tau^T f - I,
+    a_j = |tau_j|_p^2 - d/n, b_j = |f_j|_q^2 - d/n, c_j = f_j tau_j - d/n.
+    """
+    n, d = f_in.shape
     t = d / n
-    r = float(np.sum((s - np.eye(d)) ** 2))
-    for j in range(n):
-        r += (pnorm(tau[j], p) ** 2 - t) ** 2
-        r += (pnorm(f[j], q) ** 2 - t) ** 2
-        r += (float(f[j] @ tau[j]) - t) ** 2
-    return r
-
-
-def _asf_dist_part(f_in, tau_in, f, tau, p, q):
-    s = 0.0
-    for j in range(tau.shape[0]):
-        s += 0.5 * (pnorm(tau[j] - tau_in[j], p) ** 2
-                    + pnorm(f[j] - f_in[j], q) ** 2)
-    return s
+    f, tau = z[: n * d].reshape(n, d), z[n * d:].reshape(n, d)
+    dt_sq, dt_grad = _sq_pnorm_rows(tau - tau_in, p)
+    df_sq, df_grad = _sq_pnorm_rows(f - f_in, q)
+    nt_sq, nt_grad = _sq_pnorm_rows(tau, p)
+    nf_sq, nf_grad = _sq_pnorm_rows(f, q)
+    g = tau.T @ f - np.eye(d)
+    a, b = nt_sq - t, nf_sq - t
+    c = np.einsum("ij,ij->i", f, tau) - t
+    dist = 0.5 * float(np.sum(dt_sq + df_sq))
+    resid_sq = float(np.sum(g * g) + a @ a + b @ b + c @ c)
+    grad_f = 0.5 * df_grad + 2.0 * mu * (
+        tau @ g + b[:, None] * nf_grad + c[:, None] * tau)
+    grad_tau = 0.5 * dt_grad + 2.0 * mu * (
+        f @ g.T + a[:, None] * nt_grad + c[:, None] * f)
+    return dist, resid_sq, np.concatenate([grad_f.ravel(), grad_tau.ravel()])
 
 
 def nearest_enp_asf_search(asf, certify_tol=1e-6):
     """Penalized local search for the nearest equal-norm Parseval ASF.
 
-    Minimizes squared distance plus mu times the feasibility residual with
-    central finite-difference gradients, mu increasing by MU_FACTOR per
-    outer round; SEARCH_POLISH_ROUNDS more rounds continue past the first
-    certified point and the best certified point wins. Returns
-    (asf, dist_sq, certified, rounds).
+    Minimizes squared distance plus mu times the feasibility residual by
+    L-BFGS-B on the exact gradient of _search_terms, mu increasing by
+    MU_FACTOR per outer round; SEARCH_POLISH_ROUNDS more rounds continue
+    past the first certified point and the best certified point wins.
+    Returns (asf, dist_sq, certified, rounds).
     """
     p = asf.space.p
     if p == 1 or p == math.inf:
@@ -429,43 +447,26 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6):
         raise Infeasible(f"equal-norm Parseval target needs d | n, "
                          f"got d = {d}, n = {n}")
     q = asf.space.q
-    f_in = asf.functionals
-    tau_in = asf.vectors
-
-    def unpack(z):
-        return z[: n * d].reshape(n, d), z[n * d:].reshape(n, d)
+    f_in, tau_in = asf.functionals, asf.vectors
 
     def objective(z, mu):
-        f, tau = unpack(z)
-        return (_asf_dist_part(f_in, tau_in, f, tau, p, q)
-                + mu * _asf_residual_sq(f, tau, p, q, d, n))
-
-    def fd_grad(z, mu):
-        # Central differences; the objective is smooth but has no cheap
-        # closed-form gradient across generic p.
-        g = np.empty_like(z)
-        for i in range(z.size):
-            h = 1e-6 * max(1.0, abs(z[i]))
-            zp = z.copy(); zp[i] += h
-            zm = z.copy(); zm[i] -= h
-            g[i] = (objective(zp, mu) - objective(zm, mu)) / (2.0 * h)
-        return g
+        dist, resid_sq, grad = _search_terms(z, mu, f_in, tau_in, p, q)
+        return dist + mu * resid_sq, grad
 
     z = np.concatenate([f_in.ravel(), tau_in.ravel()])
-    best_cert = None
-    best_resid = (math.inf, z.copy())
+    best_cert = None  # (dist_sq, z)
+    best_resid = (math.inf, 0.0, z.copy())  # (resid, dist_sq, z)
     mu = MU0
     rounds = 0
     polish_left = SEARCH_POLISH_ROUNDS
     while mu <= MU_MAX:
-        res = minimize(objective, z, args=(mu,), jac=fd_grad,
+        res = minimize(objective, z, args=(mu,), jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": SEARCH_MAX_ITERS,
                                 "ftol": 1e-15, "gtol": 1e-12})
         z = res.x
-        f, tau = unpack(z)
-        resid = math.sqrt(_asf_residual_sq(f, tau, p, q, d, n))
-        ds = _asf_dist_part(f_in, tau_in, f, tau, p, q)
+        ds, resid_sq, _ = _search_terms(z, 0.0, f_in, tau_in, p, q)
+        resid = math.sqrt(resid_sq)
         if resid <= certify_tol:
             if best_cert is None or ds < best_cert[0]:
                 best_cert = (ds, z.copy())
@@ -473,15 +474,14 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6):
                 break
             polish_left -= 1
         if resid < best_resid[0]:
-            best_resid = (resid, z.copy())
+            best_resid = (resid, ds, z.copy())
         mu *= MU_FACTOR
         rounds += 1
 
     certified = best_cert is not None
-    z_out = best_cert[1] if certified else best_resid[1]
-    f, tau = unpack(z_out)
-    out = ASF(space=asf.space, functionals=f, vectors=tau)
-    ds = _asf_dist_part(f_in, tau_in, f, tau, p, q)
+    ds, z_out = best_cert if certified else best_resid[1:]
+    out = ASF(space=asf.space, functionals=z_out[: n * d].reshape(n, d),
+              vectors=z_out[n * d:].reshape(n, d))
     return out, ds, certified, rounds
 
 

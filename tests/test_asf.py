@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab.asf import (
@@ -179,9 +179,12 @@ class TestHilbertReduction:
     def test_round_trip(self, mb):
         assert np.array_equal(to_hilbert(from_hilbert(mb)).vectors, mb.vectors)
 
+    # at the example S has rank 1 and a computed eigenvalue of 1.8e-16:
+    # singular, so neither side reports eps_parseval
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 4),
            n=st.integers(1, 6))
+    @example(seed=475711, d=3, n=1)
     def test_certificates_match(self, seed, d, n):
         frame = random_frame(seed, d, n)
         h = analyze_frame(frame)

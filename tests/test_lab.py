@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab.asf import PNormSpace, analyze_asf, generate_asf
+from framelab.asf import PNormSpace, analyze_asf, dual_exponent, generate_asf
 from framelab.documents import SWEEP_COLUMNS
 from framelab.errors import (
     Infeasible,
@@ -16,6 +16,7 @@ from framelab.errors import (
 from framelab.frames import Frame, analyze_frame, frame_dist, generate
 from framelab.lab import (
     InstanceSpec,
+    _search_terms,
     default_certify_tol,
     estimate_paulsen,
     generate_instance,
@@ -219,9 +220,61 @@ class TestNearestPolish:
         assert dist_sq == pytest.approx(scale ** 2, rel=1e-12)
 
 
+# Central differences with step GRAD_STEP err by about GRAD_STEP^2 times
+# the third derivative (truncation) plus eps |F| / GRAD_STEP (rounding).
+# The draws keep every entry of f, tau and their displacements at least
+# 0.05 away from 0, where |x|^p has a bounded third derivative, or exactly
+# at 0, where it is even in x; so the error stays a small multiple of that
+# sum times the scale of the objective, while a wrong sign or transpose is
+# off by order 1.
+GRAD_STEP = 1e-5
+GRAD_TOL = 1e4 * (GRAD_STEP ** 2 + np.finfo(float).eps / GRAD_STEP)
+
+
+def _away_from_zero(rng, shape, low, high):
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(low, high, shape)
+
+
+class TestSearchGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           p=st.sampled_from([1.25, 1.5, 2.0, 3.0, 5.0]),
+           d=st.integers(1, 4), k=st.integers(1, 3),
+           mu=st.sampled_from([0.0, 1.0, 100.0]),
+           zero_tau=st.booleans(), zero_f=st.booleans())
+    def test_matches_central_differences(self, seed, p, d, k, mu,
+                                         zero_tau, zero_f):
+        n = k * d
+        rng = np.random.default_rng(seed)
+        f, tau = (_away_from_zero(rng, (n, d), 0.2, 1.0) for _ in range(2))
+        df, dtau = (_away_from_zero(rng, (n, d), 0.05, 0.5) for _ in range(2))
+        j = int(rng.integers(n))
+        if zero_tau:
+            dtau[j] = 0.0
+        if zero_f:
+            df[j] = 0.0
+        f_in, tau_in = f - df, tau - dtau
+        q = dual_exponent(p)
+        z = np.concatenate([f.ravel(), tau.ravel()])
+
+        def value(x):
+            dist, resid_sq, _ = _search_terms(x, mu, f_in, tau_in, p, q)
+            return dist + mu * resid_sq
+
+        grad = _search_terms(z, mu, f_in, tau_in, p, q)[2]
+        central = np.array([(value(z + e) - value(z - e)) / (2 * GRAD_STEP)
+                            for e in GRAD_STEP * np.eye(z.size)])
+        assert np.all(np.isfinite(grad))
+        scale = max(1.0, abs(value(z)), float(np.max(np.abs(grad))))
+        assert np.max(np.abs(grad - central)) <= GRAD_TOL * scale
+
+
 class TestASFSearch:
-    def test_fixed_point(self):
-        asf = generate_asf("repeated_basis", PNormSpace(2, 1.5), n=4)
+    # a fixed point starts at zero displacement, where the norm gradient
+    # needs its zero-row guard (0 * inf at p = 3)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_fixed_point(self, p):
+        asf = generate_asf("repeated_basis", PNormSpace(2, p), n=4)
         out, dist_sq, certified, rounds = nearest_enp_asf_search(asf)
         assert certified
         assert dist_sq <= 1e-12
