@@ -4,7 +4,13 @@ Each step rotates tau_j against the tangential component of S tau_j inside
 the plane they span, by the angle t |omega_j|. The rotation preserves norms
 exactly in exact arithmetic; in floating point the radial direction is
 unstable (per-step error growth factor about 1 + 1/(2d)), so long runs need
-the periodic maintenance renormalization offered by FlowConfig.
+the periodic maintenance renormalization offered by FlowConfig. A row whose
+|omega_j| is at or below ZERO_THRESHOLD is left bit-unchanged by a step.
+
+A step works on arrays of a few dozen entries, so its cost is numpy call
+overhead, not arithmetic: _rotate handles all rows at once, and run_flow's
+loop calls the ufuncs and reductions behind np.linalg.norm, np.sum and
+np.max directly, which gives the same bits without their Python wrappers.
 """
 
 import math
@@ -45,7 +51,7 @@ class TangentFamily:
 
     @property
     def norms(self):
-        return np.linalg.norm(self.omegas, axis=1)
+        return _row_norms(self.omegas)
 
 
 @dataclass
@@ -68,8 +74,13 @@ class FlowTrace:
                    self.max_tangent_norm)
 
 
+def _row_norms(x):
+    """Euclidean row norms, the arithmetic of np.linalg.norm(x, axis=1)."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _require_unit(frame, tol=UNIT_TOL_STEP):
-    dev = float(np.max(np.abs(np.linalg.norm(frame.vectors, axis=1) - 1.0)))
+    dev = float(np.max(np.abs(_row_norms(frame.vectors) - 1.0)))
     if dev > tol:
         raise NotUnitNorm(f"norms deviate from 1 by {dev:.3e} (tol {tol:g})")
 
@@ -94,15 +105,18 @@ def tangent_family(frame):
 
 
 def _rotate(v, omegas, wn, t):
-    """Rotate each row of v against its omega, given the omega norms wn."""
+    """Rotate each row of v against its omega by the angle t |omega_j|,
+    given the omega norms wn. Rows with |omega_j| at or below
+    ZERO_THRESHOLD are returned bit-unchanged; the others get the same
+    bits as rotating them one by one."""
     moving = wn > ZERO_THRESHOLD
-    out = v.copy()
-    if np.any(moving):
-        th = wn[moving] * t
-        unit = omegas[moving] / wn[moving][:, None]
-        out[moving] = (np.cos(th)[:, None] * v[moving]
-                       - np.sin(th)[:, None] * unit)
-    return out
+    every = moving.all()
+    if not every:
+        # a safe divisor; these rows take v below, whatever their angle
+        wn = np.where(moving, wn, 1.0)
+    th = (wn * t)[:, None]
+    out = np.cos(th) * v - np.sin(th) * (omegas / wn[:, None])
+    return out if every else np.where(moving[:, None], out, v)
 
 
 def flow_step(frame, config):
@@ -112,8 +126,7 @@ def flow_step(frame, config):
     _require_unit(frame)
     v = frame.vectors
     omegas = _omegas(v, v.T @ v)
-    return Frame(_rotate(v, omegas, np.linalg.norm(omegas, axis=1),
-                         config.step_t))
+    return Frame(_rotate(v, omegas, _row_norms(omegas), config.step_t))
 
 
 def run_flow(frame, config):
@@ -123,13 +136,12 @@ def run_flow(frame, config):
     _check_step(config, frame.n)
     _require_unit(frame)
     n, d = frame.n, frame.dim
-    target = n / d
-    eye = np.eye(d)
+    target_eye = (n / d) * np.eye(d)
     v = frame.vectors.copy()
 
     trace = FlowTrace(gcd_nd=math.gcd(n, d))
     s0 = v.T @ v
-    initial_defect = float(np.linalg.norm(s0 - target * eye))
+    initial_defect = float(np.linalg.norm(s0 - target_eye))
     trace.initial_defect_sq_ok = initial_defect ** 2 <= 2.0 / d ** 3
     trace.displacement_bound = (
         4.0 * d ** 20 * n ** 8.5 / (1.0 - 2 * n * config.step_t)
@@ -138,14 +150,15 @@ def run_flow(frame, config):
     k = 0
     while True:
         s = v.T @ v
-        defect = float(np.linalg.norm(s - target * eye))
+        x = (s - target_eye).ravel()
+        defect = math.sqrt(x.dot(x))
         omegas = _omegas(v, s)
-        wn = np.linalg.norm(omegas, axis=1)
+        wn = _row_norms(omegas)
 
         trace.iters.append(k)
         trace.unit_defect_hs.append(defect)
-        trace.frame_potential.append(float(np.sum(s * s)))
-        trace.max_tangent_norm.append(float(np.max(wn)) if wn.size else 0.0)
+        trace.frame_potential.append(float(np.add.reduce(s * s, axis=None)))
+        trace.max_tangent_norm.append(float(wn.max()))
 
         if defect <= config.stop_defect:
             trace.termination = "converged"
@@ -157,11 +170,11 @@ def run_flow(frame, config):
         v = _rotate(v, omegas, wn, config.step_t)
         k += 1
         if config.renorm_every and k % config.renorm_every == 0:
-            v = v / np.linalg.norm(v, axis=1)[:, None]
+            v = v / _row_norms(v)[:, None]
 
     trace.final_index = k
     trace.displacement_hs = float(np.linalg.norm(v.T @ v - s0))
-    dev = float(np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)))
+    dev = float(np.max(np.abs(_row_norms(v) - 1.0)))
     if dev > UNIT_TOL_FINAL:
         raise NotUnitNorm(
             f"cumulative norm drift {dev:.3e} exceeds {UNIT_TOL_FINAL:g}; "

@@ -256,21 +256,24 @@ def _kkt_polish(v0, v, tol):
     rows, cols = np.triu_indices(d)
     m = rows.size
     nd, k = n * d, m + n - 1
-    basis = np.zeros((m, d, d))
-    basis[np.arange(m), rows, cols] = 1.0
-    basis[np.arange(m), cols, rows] = 1.0
+    upper = np.arange(m)
     half = np.where(rows == cols, 0.5, 1.0)
-    en_rows = np.arange(nd - d)
-    en_cols = m + en_rows // d
-    blocks = np.arange(n)
+    en = np.arange(n - 1)  # the rows with an equal-norm constraint
     eye_d = np.eye(d)
-    hess = np.zeros((n, d, n, d))
+    # (row, column) indices of the n diagonal d x d blocks of the Hessian;
+    # the blocks off the diagonal are zero and stay so in kkt
+    block = np.arange(nd).reshape(n, d)
+    block_rows, block_cols = block[:, :, None], block[:, None, :]
     kkt = np.zeros((nd + k, nd + k))
 
     def residual(v, mult):
-        a = np.zeros((nd, k))
-        a[:, :m] = np.einsum("jc,kcb->jbk", v, basis).reshape(nd, m)
-        a[en_rows, en_cols] = v[:-1].ravel()
+        # column i < m is the gradient V E_i: v[:, rows[i]] in column
+        # cols[i] of each row's block and v[:, cols[i]] in column rows[i]
+        a = np.zeros((n, d, k))
+        a[:, cols, upper] = v[:, rows]
+        a[:, rows, upper] = v[:, cols]
+        a[en, :, m + en] = v[:-1]
+        a = a.reshape(nd, k)
         gram = v.T @ v - eye_d
         c = np.concatenate([half * gram[rows, cols],
                             0.5 * (np.sum(v[:-1] ** 2, axis=1) - d / n)])
@@ -278,13 +281,13 @@ def _kkt_polish(v0, v, tol):
         return r, c, a, math.sqrt(r @ r + c @ c)
 
     mult = np.zeros(k)
+    lam = np.zeros((d, d))
     r, c, a, f_norm = residual(v, mult)
     for _ in range(POLISH_STEPS):
         # Hessian of the Lagrangian: block j is (1 - mu_j) I - Lambda
-        lam = np.tensordot(mult[:m], basis, axes=1)
+        lam[rows, cols] = lam[cols, rows] = mult[:m]
         mu = np.append(mult[m:], 0.0)
-        hess[blocks, :, blocks, :] = (1.0 - mu)[:, None, None] * eye_d - lam
-        kkt[:nd, :nd] = hess.reshape(nd, nd)
+        kkt[block_rows, block_cols] = (1.0 - mu)[:, None, None] * eye_d - lam
         kkt[:nd, nd:] = -a
         kkt[nd:, :nd] = a.T
         try:

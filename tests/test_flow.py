@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab.errors import NotUnitNorm, StepTooLarge
-from framelab.flow import FlowConfig, flow_step, run_flow, tangent_family
+from framelab.flow import (ZERO_THRESHOLD, FlowConfig, _omegas, _rotate,
+                           flow_step, run_flow, tangent_family)
 from framelab.frames import Frame, frame_operator, generate
 
 
@@ -46,6 +47,54 @@ class TestTangentFamily:
         fam = tangent_family(frame)
         inner = np.einsum("ij,ij->i", fam.omegas, frame.vectors)
         assert np.max(np.abs(inner)) <= 1e-12
+
+
+def masked_rotate(v, omegas, wn, t):
+    """The per-row rotation by boolean-mask gathers and scatters, kept as the
+    reference that _rotate must match bit for bit."""
+    moving = wn > ZERO_THRESHOLD
+    out = v.copy()
+    if np.any(moving):
+        th = wn[moving] * t
+        unit = omegas[moving] / wn[moving][:, None]
+        out[moving] = (np.cos(th)[:, None] * v[moving]
+                       - np.sin(th)[:, None] * unit)
+    return out
+
+
+@st.composite
+def frames_with_fixed_rows(draw):
+    """A unit frame whose rows include standard basis vectors e_i on
+    coordinates no other row touches, so S e_i = e_i and omega_i = 0
+    exactly; some rows' omegas are then replaced by ones of norm exactly
+    ZERO_THRESHOLD (fixed) or twice it (moving)."""
+    d = draw(st.integers(1, 6))
+    fixed = draw(st.integers(0, d))
+    free = d - fixed
+    n_free = draw(st.integers(1, 16 - fixed)) if free else 0
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    v = np.zeros((n_free + fixed, d))
+    v[:n_free, :free] = unit_rows(rng.standard_normal((n_free, free)))
+    v[n_free:, free:] = np.eye(fixed)
+    v = v[rng.permutation(len(v))]
+    omegas = _omegas(v, v.T @ v)
+    for j in draw(st.lists(st.integers(0, len(v) - 1), max_size=3)):
+        omegas[j] = 0.0
+        omegas[j, 0] = draw(st.sampled_from([1.0, 2.0])) * ZERO_THRESHOLD
+    return v, omegas
+
+
+class TestRotate:
+    @settings(max_examples=200, deadline=None)
+    @given(case=frames_with_fixed_rows(), k=st.integers(3, 40))
+    def test_matches_masked_rotation_bitwise(self, case, k):
+        v, omegas = case
+        wn = np.linalg.norm(omegas, axis=1)
+        t = 1.0 / (2 * len(v) + k)
+        out = _rotate(v, omegas, wn, t)
+        assert out.tobytes() == masked_rotate(v, omegas, wn, t).tobytes()
+        still = wn <= ZERO_THRESHOLD
+        assert out[still].tobytes() == v[still].tobytes()
 
 
 class TestFlowStep:
@@ -133,6 +182,32 @@ class TestRunFlow:
             renorm_every=25))
         pot = np.array(trace.frame_potential)
         assert np.max(np.diff(pot)) <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(2, 6),
+           extra=st.integers(1, 10), steps=st.integers(0, 12))
+    def test_matches_stepping_by_hand(self, seed, d, extra, steps):
+        n = d + extra
+        rng = np.random.default_rng(seed)
+        frame = Frame(unit_rows(rng.standard_normal((n, d))))
+        config = FlowConfig(step_t=1.0 / (4 * n), max_iters=steps,
+                            stop_defect=0.0, renorm_every=0)
+        final, trace = run_flow(frame, config)
+        assert trace.termination == "max_iters"
+        assert trace.iters == list(range(steps + 1))
+        current = frame
+        for k in range(steps + 1):
+            v = current.vectors
+            s = v.T @ v
+            omegas = tangent_family(current).omegas
+            assert trace.unit_defect_hs[k] == \
+                float(np.linalg.norm(s - (n / d) * np.eye(d)))
+            assert trace.frame_potential[k] == float(np.sum(s * s))
+            assert trace.max_tangent_norm[k] == \
+                np.max(np.linalg.norm(omegas, axis=1))
+            if k < steps:
+                current = flow_step(current, config)
+        assert final.vectors.tobytes() == current.vectors.tobytes()
 
     def test_unmaintained_long_run_raises_on_drift(self):
         # radial rounding noise grows multiplicatively without maintenance;
