@@ -7,10 +7,14 @@ competitor, so reported distances are upper bounds either way).
 """
 
 import argparse
+import os
 import sys
 import time
 
-from framelab import (
+# one BLAS thread for these tiny matrices, unless the caller chose
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from framelab import (  # noqa: E402
     InstanceSpec,
     analyze_asf,
     generate_instance,

@@ -8,11 +8,21 @@ Prints a short trace and the displacement diagnostics.
 
 import argparse
 import math
+import os
 import sys
 
-import numpy as np
+# one BLAS thread for these tiny matrices, unless the caller chose
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from framelab import FlowConfig, Frame, generate, run_flow, write_flow_trace_csv
+import numpy as np  # noqa: E402
+
+from framelab import (  # noqa: E402
+    FlowConfig,
+    Frame,
+    generate,
+    run_flow,
+    write_flow_trace_csv,
+)
 
 
 def perturbed_unit_frame(d, n, delta, seed):

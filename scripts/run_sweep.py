@@ -6,10 +6,14 @@ and non-coprime pairs with d <= 5, n <= 10, four eps levels, 20 trials.
 """
 
 import argparse
+import os
 import sys
 import time
 
-from framelab import (
+# one BLAS thread for these tiny matrices, unless the caller chose
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from framelab import (  # noqa: E402
     InstanceSpec,
     estimate_paulsen,
     record_to_row,

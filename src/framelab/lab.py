@@ -3,16 +3,17 @@ solvers, and the empirical ceiling study.
 
 Reported distances are valid upper bounds on the true infima: every
 perturbed or scaled instance remembers the equal-norm Parseval base it came
-from, and that base competes with the solver output, so a stalled solver
-degrades a record to the base distance instead of poisoning the sweep.
+from, and that base competes with the solver output; a stalled solve
+reports the base distance, uncertified, instead of poisoning the sweep.
 
 The Hilbert solver returns a certified equal-norm Parseval frame that is a
 KKT point of the nearest-point problem (locally nearest, not globally),
 found by a Newton polish warm-started from alternating projections; see
 nearest_enp_alternating for when it is also no farther than the
 alternating limit. The Banach search is a penalized local search by
-L-BFGS-B on the exact gradient of one row-vectorized kernel; its output
-certifies only to the feasibility residual it is given (1e-6 by default).
+L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
+its first certified penalty round (later rounds only trade distance for
+feasibility); it certifies to the residual it is given (1e-6 by default).
 """
 
 import math
@@ -64,11 +65,10 @@ STATIONARY_TOL = 1e-10
 SAME_POINT = 1e-9
 
 # Penalized Banach search (see nearest_enp_asf_search): mu runs from MU0 up
-# by MU_FACTOR per outer round while it stays at most MU_MAX.
+# by MU_FACTOR per outer round until a round certifies or mu passes MU_MAX.
 MU0 = 1.0
 MU_FACTOR = 10.0
 MU_MAX = 1e13
-SEARCH_POLISH_ROUNDS = 4
 SEARCH_MAX_ITERS = 400
 
 
@@ -411,23 +411,23 @@ def _search_terms(z, mu, f_in, tau_in, p, q):
     dist = sum_j (|tau_j - tau_in_j|_p^2 + |f_j - f_in_j|_q^2) / 2 and
     resid_sq = |G|^2 + sum_j (a_j^2 + b_j^2 + c_j^2) with G = tau^T f - I,
     a_j = |tau_j|_p^2 - d/n, b_j = |f_j|_q^2 - d/n, c_j = f_j tau_j - d/n.
+    Each exponent takes one row-wise norm pass over stacked rows.
     """
     n, d = f_in.shape
     t = d / n
     f, tau = z[: n * d].reshape(n, d), z[n * d:].reshape(n, d)
-    dt_sq, dt_grad = _sq_pnorm_rows(tau - tau_in, p)
-    df_sq, df_grad = _sq_pnorm_rows(f - f_in, q)
-    nt_sq, nt_grad = _sq_pnorm_rows(tau, p)
-    nf_sq, nf_grad = _sq_pnorm_rows(f, q)
-    g = tau.T @ f - np.eye(d)
-    a, b = nt_sq - t, nf_sq - t
+    tau_sq, tau_grad = _sq_pnorm_rows(np.concatenate([tau - tau_in, tau]), p)
+    f_sq, f_grad = _sq_pnorm_rows(np.concatenate([f - f_in, f]), q)
+    g = tau.T @ f
+    g.ravel()[:: d + 1] -= 1.0  # minus I in place, without building np.eye
+    a, b = tau_sq[n:] - t, f_sq[n:] - t
     c = np.einsum("ij,ij->i", f, tau) - t
-    dist = 0.5 * float(np.sum(dt_sq + df_sq))
+    dist = 0.5 * float(np.sum(tau_sq[:n] + f_sq[:n]))
     resid_sq = float(np.sum(g * g) + a @ a + b @ b + c @ c)
-    grad_f = 0.5 * df_grad + 2.0 * mu * (
-        tau @ g + b[:, None] * nf_grad + c[:, None] * tau)
-    grad_tau = 0.5 * dt_grad + 2.0 * mu * (
-        f @ g.T + a[:, None] * nt_grad + c[:, None] * f)
+    grad_f = 0.5 * f_grad[:n] + 2.0 * mu * (
+        tau @ g + b[:, None] * f_grad[n:] + c[:, None] * tau)
+    grad_tau = 0.5 * tau_grad[:n] + 2.0 * mu * (
+        f @ g.T + a[:, None] * tau_grad[n:] + c[:, None] * f)
     return dist, resid_sq, np.concatenate([grad_f.ravel(), grad_tau.ravel()])
 
 
@@ -436,9 +436,12 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6):
 
     Minimizes squared distance plus mu times the feasibility residual by
     L-BFGS-B on the exact gradient of _search_terms, mu increasing by
-    MU_FACTOR per outer round; SEARCH_POLISH_ROUNDS more rounds continue
-    past the first certified point and the best certified point wins.
-    Returns (asf, dist_sq, certified, rounds).
+    MU_FACTOR per outer round, up to the first round whose residual is at
+    most certify_tol: as mu grows the distance part of the penalty
+    minimizer does not fall (Nocedal-Wright, Numerical Optimization 17.1),
+    so later rounds are no nearer. Failing that by MU_MAX, the most
+    feasible round comes back uncertified. Returns (asf, dist_sq,
+    certified, rounds), rounds counting the outer rounds before the stop.
     """
     p = asf.space.p
     if p == 1 or p == math.inf:
@@ -457,11 +460,9 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6):
         return dist + mu * resid_sq, grad
 
     z = np.concatenate([f_in.ravel(), tau_in.ravel()])
-    best_cert = None  # (dist_sq, z)
-    best_resid = (math.inf, 0.0, z.copy())  # (resid, dist_sq, z)
+    best = (math.inf, 0.0, z)  # (resid, dist_sq, z) of the most feasible round
     mu = MU0
     rounds = 0
-    polish_left = SEARCH_POLISH_ROUNDS
     while mu <= MU_MAX:
         res = minimize(objective, z, args=(mu,), jac=True,
                        method="L-BFGS-B",
@@ -470,22 +471,17 @@ def nearest_enp_asf_search(asf, certify_tol=1e-6):
         z = res.x
         ds, resid_sq, _ = _search_terms(z, 0.0, f_in, tau_in, p, q)
         resid = math.sqrt(resid_sq)
+        if resid < best[0]:
+            best = (resid, ds, z)
         if resid <= certify_tol:
-            if best_cert is None or ds < best_cert[0]:
-                best_cert = (ds, z.copy())
-            if polish_left == 0:
-                break
-            polish_left -= 1
-        if resid < best_resid[0]:
-            best_resid = (resid, ds, z.copy())
+            break
         mu *= MU_FACTOR
         rounds += 1
 
-    certified = best_cert is not None
-    ds, z_out = best_cert if certified else best_resid[1:]
-    out = ASF(space=asf.space, functionals=z_out[: n * d].reshape(n, d),
-              vectors=z_out[n * d:].reshape(n, d))
-    return out, ds, certified, rounds
+    resid, ds, z = best
+    out = ASF(space=asf.space, functionals=z[: n * d].reshape(n, d),
+              vectors=z[n * d:].reshape(n, d))
+    return out, ds, resid <= certify_tol, rounds
 
 
 @dataclass(frozen=True)
@@ -546,20 +542,19 @@ class SummaryRow:
 
 
 def _solve_one(bundle, certify_tol, max_rounds):
-    """Solver output guarded by the base point as a feasible competitor."""
+    """Solver output guarded by the base point as a feasible competitor;
+    a stalled solve reports the base distance uncertified."""
     base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
         try:
             _, ds, rounds = nearest_enp_alternating(
                 bundle.instance, certify_tol, max_rounds)
         except NoConvergence as exc:
-            return base_ds, True, exc.rounds
+            return base_ds, False, exc.rounds
         return min(ds, base_ds), True, rounds
     _, ds, certified, rounds = nearest_enp_asf_search(
         bundle.instance, certify_tol=max(certify_tol, 1e-6))
-    if not certified or base_ds < ds:
-        return base_ds, True, rounds
-    return ds, True, rounds
+    return (min(ds, base_ds) if certified else base_ds), certified, rounds
 
 
 def estimate_paulsen(grid, trials, certify_tol=None, max_rounds=1000):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from framelab import lab
 from framelab.asf import PNormSpace, analyze_asf, dual_exponent, generate_asf
 from framelab.documents import SWEEP_COLUMNS
 from framelab.errors import (
@@ -17,6 +19,7 @@ from framelab.frames import Frame, analyze_frame, frame_dist, generate
 from framelab.lab import (
     InstanceSpec,
     _search_terms,
+    _sq_pnorm_rows,
     default_certify_tol,
     estimate_paulsen,
     generate_instance,
@@ -269,6 +272,60 @@ class TestSearchGradient:
         assert np.max(np.abs(grad - central)) <= GRAD_TOL * scale
 
 
+def _four_pass_terms(z, mu, f_in, tau_in, p, q):
+    """_search_terms with one norm pass per row family (tau - tau_in, f -
+    f_in, tau, f) instead of one per exponent over stacked rows."""
+    n, d = f_in.shape
+    t = d / n
+    f, tau = z[: n * d].reshape(n, d), z[n * d:].reshape(n, d)
+    dt_sq, dt_grad = _sq_pnorm_rows(tau - tau_in, p)
+    df_sq, df_grad = _sq_pnorm_rows(f - f_in, q)
+    nt_sq, nt_grad = _sq_pnorm_rows(tau, p)
+    nf_sq, nf_grad = _sq_pnorm_rows(f, q)
+    g = tau.T @ f - np.eye(d)
+    a, b = nt_sq - t, nf_sq - t
+    c = np.einsum("ij,ij->i", f, tau) - t
+    dist = 0.5 * float(np.sum(dt_sq + df_sq))
+    resid_sq = float(np.sum(g * g) + a @ a + b @ b + c @ c)
+    grad_f = 0.5 * df_grad + 2.0 * mu * (
+        tau @ g + b[:, None] * nf_grad + c[:, None] * tau)
+    grad_tau = 0.5 * dt_grad + 2.0 * mu * (
+        f @ g.T + a[:, None] * nt_grad + c[:, None] * f)
+    return dist, resid_sq, np.concatenate([grad_f.ravel(), grad_tau.ravel()])
+
+
+class TestSearchTermsStacking:
+    # row-wise norms do not depend on how many rows are stacked, so the
+    # one-pass-per-exponent kernel must agree with the four-pass one bit
+    # for bit, zero rows (the gradient's guard) included
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           p=st.sampled_from([1.25, 1.5, 2.0, 3.0, 5.0]),
+           d=st.integers(1, 4), k=st.integers(1, 3),
+           mu=st.sampled_from([0.0, 1.0, 1e8]),
+           zeros=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_matches_four_passes_bitwise(self, seed, p, d, k, mu, zeros):
+        n = k * d
+        rng = np.random.default_rng(seed)
+        f, tau = rng.standard_normal((2, n, d))
+        f_in, tau_in = np.stack([f, tau]) - rng.standard_normal((2, n, d))
+        j = rng.integers(n, size=4)
+        if zeros[0]:
+            tau_in[j[0]] = tau[j[0]]
+        if zeros[1]:
+            tau[j[1]] = 0.0
+        if zeros[2]:
+            f_in[j[2]] = f[j[2]]
+        if zeros[3]:
+            f[j[3]] = 0.0
+        q = dual_exponent(p)
+        z = np.concatenate([f.ravel(), tau.ravel()])
+        got = _search_terms(z, mu, f_in, tau_in, p, q)
+        want = _four_pass_terms(z, mu, f_in, tau_in, p, q)
+        assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
 class TestASFSearch:
     # a fixed point starts at zero displacement, where the norm gradient
     # needs its zero-row guard (0 * inf at p = 3)
@@ -278,6 +335,35 @@ class TestASFSearch:
         out, dist_sq, certified, rounds = nearest_enp_asf_search(asf)
         assert certified
         assert dist_sq <= 1e-12
+
+    # a later penalty round is no nearer than the first certified one
+    # (the distance part of the penalty minimizer does not fall as mu
+    # grows), so the search returns that round and runs no further
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_stops_at_first_certified_round(self, monkeypatch, p):
+        spec = InstanceSpec(kind="perturbed_asf", d=2, n=2,
+                            epsilon_target=0.05, p=p, seed=7)
+        asf = generate_instance(spec).instance
+        iterates = []
+
+        def recording_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            iterates.append(res.x)
+            return res
+
+        monkeypatch.setattr(lab, "minimize", recording_minimize)
+        tol = 1e-6
+        out, _, certified, rounds = nearest_enp_asf_search(
+            asf, certify_tol=tol)
+        assert certified
+        assert len(iterates) == rounds + 1
+        resid = [math.sqrt(_search_terms(z, 0.0, asf.functionals, asf.vectors,
+                                         p, asf.space.q)[1])
+                 for z in iterates]
+        assert resid[-1] <= tol
+        assert all(r > tol for r in resid[:-1])
+        nd = asf.n * asf.space.dim
+        assert np.array_equal(out.vectors, iterates[-1][nd:].reshape(2, 2))
 
     def test_rejects_endpoint_exponents(self):
         for p in (1.0, math.inf):
@@ -301,6 +387,17 @@ class TestEstimate:
         assert all(r.achieved_dist_sq <= 0.1 * 20.0 * 4.0 for r in records)
         assert len(summary) == 1
         assert summary[0].frac_certified == 1.0
+
+    def test_stalled_solve_is_uncertified(self):
+        # the instance TestAlternating drives into NoConvergence
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
+                            epsilon_target=0.1, seed=0)
+        records, summary = estimate_paulsen([spec], trials=1, max_rounds=1)
+        assert not records[0].certified
+        assert records[0].iterations == 1
+        assert records[0].achieved_dist_sq == \
+            generate_instance(spec).base_dist_sq
+        assert summary[0].frac_certified == 0.0
 
     def test_scaled_achieved_matches_closed_form(self):
         spec = InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.2)
