@@ -128,14 +128,6 @@ class ASFReport:
     pairings: np.ndarray
 
 
-def dual_norm(space, f):
-    """Norm of the functional represented by f, i.e. the q-norm of f."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.dim,):
-        raise ShapeMismatch(f"expected a vector of length {space.dim}")
-    return pnorm(f, space.q)
-
-
 def asf_operator(asf):
     """S = sum_j tau_j f_j^T, acting as S x = sum_j (f_j . x) tau_j."""
     return asf.vectors.T @ asf.functionals

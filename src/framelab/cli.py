@@ -6,6 +6,7 @@ usage, matching the hypothesis gate of the update rule.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 
 from .asf import analyze_asf
 from .documents import (
+    frame_doc_text,
     read_asf_doc,
     read_auerbach_doc,
     read_frame_doc,
@@ -54,19 +56,16 @@ def _print_json(doc):
     print(json.dumps({k: _jsonable(v) for k, v in doc.items()}, indent=2))
 
 
+def _report_fields(rep):
+    """A report dataclass's fields, in declaration order."""
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+
+
 def _cmd_check(args):
-    frame = read_frame_doc(args.file)
-    rep = analyze_frame(frame)
-    _print_json({
-        "frame_bounds": list(rep.frame_bounds),
-        "is_frame": rep.is_frame,
-        "eps_parseval": rep.eps_parseval,
-        "eps_equal_norm": rep.eps_equal_norm,
-        "tightness_defect_hs": rep.tightness_defect_hs,
-        "unit_defect_hs": rep.unit_defect_hs,
-        "frame_potential": rep.frame_potential,
-        "norms_sq": rep.norms_sq,
-    })
+    rep = analyze_frame(read_frame_doc(args.file))
+    fields = _report_fields(rep)
+    _print_json({"frame_bounds": fields.pop("frame_bounds"),
+                 "is_frame": rep.is_frame, **fields})
     return 0
 
 
@@ -115,8 +114,7 @@ def _cmd_naimark(args):
     if args.out:
         write_frame_doc(comp, args.out)
     else:
-        print(json.dumps({"kind": "hilbert_frame", "dim": comp.dim,
-                          "vectors": _jsonable(comp.vectors)}, indent=2))
+        print(frame_doc_text(comp), end="")
     return 0
 
 
@@ -129,22 +127,7 @@ def _cmd_chordal(args):
 
 def _cmd_asf_check(args):
     asf = read_asf_doc(args.file)
-    rep = analyze_asf(asf, tol=default_certify_tol())
-    _print_json({
-        "S": rep.S,
-        "sigma_min": rep.sigma_min,
-        "invertible": rep.invertible,
-        "tight_lambda": rep.tight_lambda,
-        "parseval": rep.parseval,
-        "funtf": rep.funtf,
-        "eps_parseval": rep.eps_parseval,
-        "spectrum_real": rep.spectrum_real,
-        "eps_equal_norm": rep.eps_equal_norm,
-        "norm_triple_defect": rep.norm_triple_defect,
-        "norms_p_sq": rep.norms_p_sq,
-        "norms_q_sq": rep.norms_q_sq,
-        "pairings": rep.pairings,
-    })
+    _print_json(_report_fields(analyze_asf(asf, tol=default_certify_tol())))
     return 0
 
 

@@ -44,10 +44,13 @@ def _load_json(path):
     return doc
 
 
+def _json_text(doc):
+    return json.dumps(doc, allow_nan=False, indent=2) + "\n"
+
+
 def _dump_json(doc, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(doc))
 
 
 def _require_kind(doc, kind, path):
@@ -72,11 +75,11 @@ def _as_count(doc, key, path):
     return v
 
 
-def _as_rows(doc, key, dim, path, min_rows=1):
+def _as_rows(doc, key, dim, path):
     rows = doc.get(key)
-    if not isinstance(rows, list) or len(rows) < min_rows:
+    if not isinstance(rows, list) or not rows:
         raise DocumentError(
-            f"{path}: {key!r} must be a list of at least {min_rows} row(s)")
+            f"{path}: {key!r} must be a list of at least 1 row(s)")
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
@@ -109,9 +112,15 @@ def _decode_p(raw, path):
     return v
 
 
+def frame_doc_text(frame):
+    """The hilbert_frame document of frame, as write_frame_doc writes it."""
+    return _json_text({"kind": "hilbert_frame", "dim": frame.dim,
+                       "vectors": _matrix_to_lists(frame.vectors)})
+
+
 def write_frame_doc(frame, path):
-    _dump_json({"kind": "hilbert_frame", "dim": frame.dim,
-                "vectors": _matrix_to_lists(frame.vectors)}, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(frame_doc_text(frame))
 
 
 def read_frame_doc(path):

@@ -66,7 +66,6 @@ class FlowTrace:
     final_index: int = 0
     displacement_hs: float = 0.0
     displacement_bound: float = 0.0
-    initial_defect_sq_ok: bool = False
     gcd_nd: int = 0
 
     def rows(self):
@@ -79,10 +78,11 @@ def _row_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def _require_unit(frame, tol=UNIT_TOL_STEP):
+def _require_unit(frame):
     dev = float(np.max(np.abs(_row_norms(frame.vectors) - 1.0)))
-    if dev > tol:
-        raise NotUnitNorm(f"norms deviate from 1 by {dev:.3e} (tol {tol:g})")
+    if dev > UNIT_TOL_STEP:
+        raise NotUnitNorm(
+            f"norms deviate from 1 by {dev:.3e} (tol {UNIT_TOL_STEP:g})")
 
 
 def _check_step(config, n):
@@ -142,7 +142,6 @@ def run_flow(frame, config):
     trace = FlowTrace(gcd_nd=math.gcd(n, d))
     s0 = v.T @ v
     initial_defect = float(np.linalg.norm(s0 - target_eye))
-    trace.initial_defect_sq_ok = initial_defect ** 2 <= 2.0 / d ** 3
     trace.displacement_bound = (
         4.0 * d ** 20 * n ** 8.5 / (1.0 - 2 * n * config.step_t)
     ) * initial_defect

@@ -1,10 +1,9 @@
 """Finite frames in real inner-product spaces.
 
-A frame is stored as an (n, d) array whose rows are the vectors tau_j.
-The analysis operator maps x to the n inner products <x, tau_j>, synthesis
-is its adjoint, and the frame operator S = sum_j tau_j tau_j^T is their
-composition. Nearness reports, the two closest-point constructions, the
-Naimark complement, and the seeded generators live here.
+A frame is stored as an (n, d) array whose rows are the vectors tau_j,
+and its frame operator is S = sum_j tau_j tau_j^T. Nearness reports and
+their certificate kernel, the two closest-point constructions, the Naimark
+complement, and the seeded generators live here.
 """
 
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from .errors import (
 from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_psd, sym_eig
 
 ZERO_NORM_FLOOR = 1e-300
+NAIMARK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,23 +72,19 @@ class FrameReport:
         return self.frame_bounds[0] > 0.0
 
 
-def analysis(frame, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (frame.dim,):
-        raise ShapeMismatch(f"expected a vector of length {frame.dim}")
-    return frame.vectors @ x
-
-
-def synthesis(frame, c):
-    c = np.asarray(c, dtype=float)
-    if c.shape != (frame.n,):
-        raise ShapeMismatch(f"expected coefficients of length {frame.n}")
-    return frame.vectors.T @ c
-
-
 def frame_operator(frame):
     v = frame.vectors
     return v.T @ v
+
+
+def enp_defects(lam, norms_sq):
+    """Parseval and equal-norm deviations of n vectors in R^d, given the
+    ascending eigenvalues lam of their frame operator and their squared
+    norms: max(1 - lam_min, lam_max - 1) and max_j |(n/d)|v_j|^2 - 1|."""
+    n, d = norms_sq.size, lam.size
+    dev_p = max(1.0 - float(lam[0]), float(lam[-1]) - 1.0)
+    dev_e = float(np.max(np.abs((n / d) * norms_sq - 1.0)))
+    return dev_p, dev_e
 
 
 def analyze_frame(frame):
@@ -99,10 +95,8 @@ def analyze_frame(frame):
     a, b = float(lam[0]), float(lam[-1])
     norms_sq = np.sum(v * v, axis=1)
 
-    dev_p = max(1.0 - a, b - 1.0)
+    dev_p, dev_e = enp_defects(lam, norms_sq)
     eps_parseval = dev_p if dev_p < 1.0 and a > PSD_FLOOR else None
-
-    dev_e = float(np.max(np.abs((n / d) * norms_sq - 1.0)))
     eps_equal_norm = dev_e if dev_e < 1.0 else None
 
     center = float(np.trace(s)) / d
@@ -125,10 +119,10 @@ def frame_dist(a, b):
     return float(np.sqrt(np.sum((a.vectors - b.vectors) ** 2)))
 
 
-def closest_parseval(frame, floor=PSD_FLOOR):
+def closest_parseval(frame):
     """Nearest Parseval frame S^{-1/2} tau_j and its squared distance."""
     v = frame.vectors
-    root = inv_sqrt_psd(v.T @ v, floor=floor)
+    root = inv_sqrt_psd(v.T @ v)
     w = v @ root
     dist_sq = float(np.sum((w - v) ** 2))
     return Frame(w), dist_sq
@@ -163,17 +157,17 @@ def rescale_rows(v, c=None):
     return (c / norms)[:, None] * v, norms, c
 
 
-def naimark_complement(frame, tol=1e-8):
+def naimark_complement(frame):
     """Parseval frame for R^{n-d} whose Gram projection completes the input's.
 
     The analysis matrix is re-orthonormalized through S^{-1/2} before the
     orthogonal completion, so the Gram identity holds to machine precision
-    for any input that is Parseval within tol.
+    for any input that is Parseval within NAIMARK_TOL.
     """
     report = analyze_frame(frame)
-    if report.eps_parseval is None or report.eps_parseval > tol:
-        raise NotParseval(
-            f"eps_parseval {report.eps_parseval} exceeds tol {tol:g}")
+    if report.eps_parseval is None or report.eps_parseval > NAIMARK_TOL:
+        raise NotParseval(f"eps_parseval {report.eps_parseval} exceeds "
+                          f"tol {NAIMARK_TOL:g}")
     n, d = frame.n, frame.dim
     if n == d:
         raise NoComplement("n = d leaves a zero-dimensional complement")

@@ -13,13 +13,13 @@ nearest_enp_alternating for when it is also no farther than the
 alternating limit. The Banach search is a penalized local search by
 L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
 its first certified penalty round (later rounds only trade distance for
-feasibility); it certifies to the residual it is given (1e-6 by default).
+feasibility); it certifies to the residual it is given
+(SEARCH_CERTIFY_TOL by default).
 """
 
 import math
 import os
 import statistics
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +43,14 @@ from .errors import (
     UnsupportedExponent,
     UnsupportedShape,
 )
-from .frames import Frame, analyze_frame, frame_dist, generate, rescale_rows
+from .frames import (
+    Frame,
+    analyze_frame,
+    enp_defects,
+    frame_dist,
+    generate,
+    rescale_rows,
+)
 from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_from_eig, sym_eig
 
 HILBERT_KINDS = ("perturbed_enp", "scaled_enp")
@@ -70,6 +77,9 @@ MU0 = 1.0
 MU_FACTOR = 10.0
 MU_MAX = 1e13
 SEARCH_MAX_ITERS = 400
+# the residual a Banach search certifies to, and the floor of the
+# tolerance estimate_paulsen certifies perturbed_asf records at
+SEARCH_CERTIFY_TOL = 1e-6
 
 
 def default_certify_tol():
@@ -129,7 +139,6 @@ class InstanceBundle:
     base: object
     eps_parseval: float
     eps_equal_norm: float
-    delta: float | None = None
 
     @property
     def base_dist_sq(self):
@@ -150,8 +159,7 @@ def _gen_perturbed_enp(spec):
                 and rep.eps_equal_norm <= eps):
             return InstanceBundle(spec=spec, instance=inst, base=base,
                                   eps_parseval=rep.eps_parseval,
-                                  eps_equal_norm=rep.eps_equal_norm,
-                                  delta=delta)
+                                  eps_equal_norm=rep.eps_equal_norm)
         delta *= 0.5
     raise Infeasible(
         f"could not tune a perturbation below epsilon = {eps} for {spec}")
@@ -213,8 +221,7 @@ def _gen_perturbed_asf(spec):
                     and rep.norm_triple_defect <= CHAIN_TOL):
                 return InstanceBundle(spec=spec, instance=inst, base=base,
                                       eps_parseval=rep.eps_parseval,
-                                      eps_equal_norm=rep.eps_equal_norm,
-                                      delta=delta)
+                                      eps_equal_norm=rep.eps_equal_norm)
             delta *= 0.5
             rho_scale *= 0.5
     raise Infeasible(
@@ -227,15 +234,6 @@ def generate_instance(spec):
     if spec.kind == "scaled_enp":
         return _gen_scaled_enp(spec)
     return _gen_perturbed_asf(spec)
-
-
-def _enp_defects(lam, v):
-    """Parseval and equal-norm certificates of v, given the ascending
-    eigenvalues lam of its frame operator."""
-    n, d = v.shape
-    eps_p = max(1.0 - lam[0], lam[-1] - 1.0)
-    dev_en = float(np.max(np.abs((n / d) * np.sum(v * v, axis=1) - 1.0)))
-    return eps_p, dev_en
 
 
 def _kkt_polish(v0, v, tol):
@@ -306,14 +304,15 @@ def _kkt_polish(v0, v, tol):
         r, c, a, f_norm = trial
         if f_norm <= CONVERGED * np.linalg.norm(v - v0):
             break
-    eps_p, dev_en = _enp_defects(np.linalg.eigvalsh(v.T @ v), v)
+    eps_p, dev_en = enp_defects(np.linalg.eigvalsh(v.T @ v),
+                                np.sum(v * v, axis=1))
     if (eps_p <= tol and dev_en <= tol
             and np.linalg.norm(r) <= STATIONARY_TOL * np.linalg.norm(v - v0)):
         return v
     return None
 
 
-def nearest_enp_alternating(frame, certify_tol=None, max_rounds=100_000):
+def nearest_enp_alternating(frame, max_rounds=100_000):
     """Nearest equal-norm Parseval (ENP) frame: alternating rounds warm-start
     a Newton polish.
 
@@ -330,8 +329,9 @@ def nearest_enp_alternating(frame, certify_tol=None, max_rounds=100_000):
     farther than the certified iterate (by more than its tol residual
     allows); then the iterate itself is returned.
 
-    The returned frame holds both certificates at tol. Unless it is that
-    last fallback, it is a KKT point of min |V - V0| over the ENP set:
+    The returned frame holds both certificates at tol, which is
+    default_certify_tol() (FRAMELAB_TOL). Unless it is that last fallback,
+    it is a KKT point of min |V - V0| over the ENP set:
     V - V0 = V Lambda + diag(mu) V with Lambda symmetric, to a relative
     STATIONARY_TOL. That makes it locally, not globally, nearest; when the
     alternating iterate certifies first it is also no farther than the
@@ -340,7 +340,7 @@ def nearest_enp_alternating(frame, certify_tol=None, max_rounds=100_000):
     alternating rounds; raises NoConvergence carrying the alternating
     iterate when the budget runs out before either return.
     """
-    tol = default_certify_tol() if certify_tol is None else certify_tol
+    tol = default_certify_tol()
     v0 = frame.vectors
     n, d = v0.shape
     if n < d:
@@ -366,7 +366,7 @@ def nearest_enp_alternating(frame, certify_tol=None, max_rounds=100_000):
     while True:
         dec = sym_eig(v.T @ v)
         lam = dec.eigenvalues
-        eps_p, dev_en = _enp_defects(lam, v)
+        eps_p, dev_en = enp_defects(lam, np.sum(v * v, axis=1))
         if eps_p <= tol and dev_en <= tol:
             ds = float(np.sum((v - v0) ** 2))
             if rounds == 0:
@@ -431,7 +431,7 @@ def _search_terms(z, mu, f_in, tau_in, p, q):
     return dist, resid_sq, np.concatenate([grad_f.ravel(), grad_tau.ravel()])
 
 
-def nearest_enp_asf_search(asf, certify_tol=1e-6):
+def nearest_enp_asf_search(asf, certify_tol=SEARCH_CERTIFY_TOL):
     """Penalized local search for the nearest equal-norm Parseval ASF.
 
     Minimizes squared distance plus mu times the feasibility residual by
@@ -497,7 +497,6 @@ class ExperimentRecord:
     bound_hm: float
     bound_bc: float
     lower_ref: float
-    wall_time: float
 
 
 def _bounds_for(spec, eps_p, eps_en):
@@ -541,43 +540,44 @@ class SummaryRow:
     max_ratio_bc: float
 
 
-def _solve_one(bundle, certify_tol, max_rounds):
+def _solve_one(bundle, max_rounds):
     """Solver output guarded by the base point as a feasible competitor;
     a stalled solve reports the base distance uncertified."""
     base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
         try:
-            _, ds, rounds = nearest_enp_alternating(
-                bundle.instance, certify_tol, max_rounds)
+            _, ds, rounds = nearest_enp_alternating(bundle.instance,
+                                                    max_rounds)
         except NoConvergence as exc:
             return base_ds, False, exc.rounds
         return min(ds, base_ds), True, rounds
     _, ds, certified, rounds = nearest_enp_asf_search(
-        bundle.instance, certify_tol=max(certify_tol, 1e-6))
+        bundle.instance,
+        certify_tol=max(default_certify_tol(), SEARCH_CERTIFY_TOL))
     return (min(ds, base_ds) if certified else base_ds), certified, rounds
 
 
-def estimate_paulsen(grid, trials, certify_tol=None, max_rounds=1000):
+def estimate_paulsen(grid, trials, max_rounds=1000):
     """Solve every grid spec for each trial and aggregate per (d, n, eps).
 
-    Per-trial seeds are spec.seed + trial index. Certified Hilbert records
-    are asserted against the 20 eps d^2 ceiling. Returns (records, summary).
+    Per-trial seeds are spec.seed + trial index. Hilbert records are
+    certified at default_certify_tol (FRAMELAB_TOL), perturbed_asf records
+    at max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so never below 1e-6.
+    Certified Hilbert records are asserted against the 20 eps d^2 ceiling.
+    Returns (records, summary).
     """
     grid = list(grid)
     if not grid:
         raise ShapeMismatch("grid must contain at least one spec")
     if trials < 1:
         raise ShapeMismatch(f"trials must be positive, got {trials}")
-    tol = default_certify_tol() if certify_tol is None else certify_tol
 
     records = []
     for spec in grid:
         for trial in range(trials):
             t_spec = replace(spec, seed=spec.seed + trial)
             bundle = generate_instance(t_spec)
-            t0 = time.perf_counter()
-            ds, certified, rounds = _solve_one(bundle, tol, max_rounds)
-            wall = time.perf_counter() - t0
+            ds, certified, rounds = _solve_one(bundle, max_rounds)
             bound_hm, bound_bc, lower_ref = _bounds_for(
                 t_spec, bundle.eps_parseval, bundle.eps_equal_norm)
             if certified and t_spec.kind in HILBERT_KINDS and ds > bound_hm:
@@ -594,7 +594,6 @@ def estimate_paulsen(grid, trials, certify_tol=None, max_rounds=1000):
                 bound_hm=bound_hm,
                 bound_bc=bound_bc,
                 lower_ref=lower_ref,
-                wall_time=wall,
             ))
 
     summary = summarize_records(records)

@@ -24,8 +24,10 @@ from .errors import (
 )
 from .spectral import general_spectrum
 
+PROJ_TOL = 1e-8
 RANK_EIG_TOL = 1e-8
 AUERBACH_TOL = 1e-10
+CHORDAL_TOL = 1e-10
 # Nonzero singular values of an idempotent are >= 1, so 0.5 separates
 # the rank cluster from the kernel cluster with a wide margin.
 RANK_SV_SPLIT = 0.5
@@ -86,7 +88,7 @@ def canonical_auerbach(space):
     return AuerbachSystem(space=space, basis_vectors=eye, dual_functionals=eye)
 
 
-def certify_projection(m, orthogonal_required=False, proj_tol=1e-8):
+def certify_projection(m, orthogonal_required=False):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -95,14 +97,14 @@ def certify_projection(m, orthogonal_required=False, proj_tol=1e-8):
     d = m.shape[0]
 
     defect = float(np.linalg.norm(m @ m - m))
-    if defect > proj_tol:
+    if defect > PROJ_TOL:
         raise NotIdempotent(
-            f"idempotency defect {defect:.3e} exceeds {proj_tol:.3e}")
+            f"idempotency defect {defect:.3e} exceeds {PROJ_TOL:.3e}")
 
     sym_defect = float(np.linalg.norm(m - m.T))
-    if orthogonal_required and sym_defect > proj_tol:
+    if orthogonal_required and sym_defect > PROJ_TOL:
         raise NotSelfAdjoint(
-            f"asymmetry {sym_defect:.3e} exceeds {proj_tol:.3e}")
+            f"asymmetry {sym_defect:.3e} exceeds {PROJ_TOL:.3e}")
 
     spec = general_spectrum(m)
     rank_eig = int(np.sum(np.abs(spec - 1.0) <= RANK_EIG_TOL))
@@ -194,13 +196,13 @@ def projection_pair_distance(proj_a, proj_b, sys):
     return float(np.sum(0.5 * (pnorm(du, p) ** 2 + pnorm(dz, q) ** 2)))
 
 
-def chordal_distance(proj_a, proj_b, tol=1e-10):
+def chordal_distance(proj_a, proj_b):
     """sqrt(m - trace(PQ)) for equal certified ranks m.
 
-    The radicand can dip below zero for oblique pairs; within tol of zero
-    (either side, so identical projections land exactly on 0 despite
-    rounding in the trace) it is clamped, below -tol NegativeChordal
-    carries the value out.
+    The radicand can dip below zero for oblique pairs; within CHORDAL_TOL
+    of zero (either side, so identical projections land exactly on 0
+    despite rounding in the trace) it is clamped, below -CHORDAL_TOL
+    NegativeChordal carries the value out.
     """
     if proj_a.dim != proj_b.dim:
         raise ShapeMismatch(
@@ -213,8 +215,8 @@ def chordal_distance(proj_a, proj_b, tol=1e-10):
     # Symmetrized so the result is bitwise invariant under swapping arguments.
     t = 0.5 * (float(np.sum(pa * pb.T)) + float(np.sum(pb * pa.T)))
     s = proj_a.rank - t
-    if s < -tol:
+    if s < -CHORDAL_TOL:
         raise NegativeChordal(s)
-    if s <= tol:
+    if s <= CHORDAL_TOL:
         return 0.0
     return float(np.sqrt(s))

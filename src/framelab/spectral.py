@@ -37,35 +37,36 @@ def _require_square(a):
     return a
 
 
-def sym_eig(a, tol=SYM_TOL):
+def sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
-    The input may deviate from exact symmetry by tol (relative); it is
+    The input may deviate from exact symmetry by SYM_TOL (relative); it is
     symmetrized before factorization so the decomposition is exact for
     (A + A^T)/2.
     """
     a = _require_square(a)
     scale = max(1.0, float(np.linalg.norm(a)))
-    if float(np.linalg.norm(a - a.T)) > tol * scale:
+    if float(np.linalg.norm(a - a.T)) > SYM_TOL * scale:
         raise AsymmetricInput(
-            f"asymmetry {np.linalg.norm(a - a.T):.3e} exceeds tol {tol:g}"
+            f"asymmetry {np.linalg.norm(a - a.T):.3e} exceeds tol {SYM_TOL:g}"
             f" (relative to {scale:.3g})")
     sym = 0.5 * (a + a.T)
     lam, q = scipy.linalg.eigh(sym)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
 
 
-def inv_sqrt_psd(a, floor=PSD_FLOOR, tol=SYM_TOL):
+def inv_sqrt_psd(a):
     """Inverse square root of a symmetric positive definite matrix.
 
     Raises SingularOperator when the smallest eigenvalue is at or below
-    floor: the operator is numerically not invertible.
+    PSD_FLOOR: the operator is numerically not invertible.
     """
-    dec = sym_eig(a, tol=tol)
+    dec = sym_eig(a)
     lam = dec.eigenvalues
-    if lam[0] <= floor:
+    if lam[0] <= PSD_FLOOR:
         raise SingularOperator(
-            f"smallest eigenvalue {lam[0]:.3e} is at or below floor {floor:g}")
+            f"smallest eigenvalue {lam[0]:.3e} is at or below floor "
+            f"{PSD_FLOOR:g}")
     return inv_sqrt_from_eig(lam, dec.eigenvectors)
 
 

@@ -12,7 +12,6 @@ from framelab.asf import (
     asf_dist,
     asf_operator,
     dual_exponent,
-    dual_norm,
     from_hilbert,
     generate_asf,
     norming_functional,
@@ -59,7 +58,7 @@ class TestSpaces:
         ps = [1.0, 1.5, 2.0, 3.0, math.inf]
         primal = [pnorm(x, r) for r in ps]
         assert all(a >= b - 1e-12 for a, b in zip(primal, primal[1:]))
-        duals = [dual_norm(PNormSpace(4, r), x) for r in ps]
+        duals = [pnorm(x, dual_exponent(r)) for r in ps]
         assert all(a <= b + 1e-12 for a, b in zip(duals, duals[1:]))
 
     @settings(max_examples=100, deadline=None)
@@ -80,9 +79,10 @@ class TestSpaces:
         assert np.allclose(np.sum(f * u, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_dual_norm_pinned(self):
-        assert dual_norm(PNormSpace(2, 1.0), np.array([0.5, 0.5])) == 0.5
-        assert dual_norm(PNormSpace(2, 2.0), np.array([3.0, 4.0])) == 5.0
-        assert dual_norm(PNormSpace(2, math.inf), np.array([1.0, -1.0])) == 2.0
+        # the dual norm of l^p is the q-norm, q = dual_exponent(p)
+        assert pnorm(np.array([0.5, 0.5]), dual_exponent(1.0)) == 0.5
+        assert pnorm(np.array([3.0, 4.0]), dual_exponent(2.0)) == 5.0
+        assert pnorm(np.array([1.0, -1.0]), dual_exponent(math.inf)) == 2.0
 
 
 class TestAnalyzeASF:

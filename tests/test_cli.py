@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from framelab.asf import PNormSpace, from_hilbert
+from framelab.asf import ASFReport, PNormSpace, from_hilbert
 from framelab.cli import run_cli
 from framelab.documents import (
     SWEEP_COLUMNS,
@@ -14,6 +15,7 @@ from framelab.documents import (
     write_frame_doc,
     write_projection_doc,
 )
+from framelab.frames import FrameReport, naimark_complement
 from framelab.projections import canonical_auerbach
 from conftest import ROOT3
 
@@ -40,6 +42,13 @@ class TestCheck:
         assert doc["is_frame"] is True
         assert doc["eps_parseval"] == pytest.approx(0.5)
         assert doc["frame_potential"] == pytest.approx(4.5)
+
+    def test_key_layout(self, capsys, mb_doc):
+        # frame_bounds, is_frame, then the other report fields in order
+        _, out, _ = run(capsys, "check", mb_doc)
+        fields = [f.name for f in dataclasses.fields(FrameReport)]
+        assert fields[0] == "frame_bounds"
+        assert list(json.loads(out)) == [fields[0], "is_frame", *fields[1:]]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
@@ -114,6 +123,16 @@ class TestNaimark:
         assert [abs(row[0]) for row in doc["vectors"]] == pytest.approx(
             [1.0 / ROOT3] * 3)
 
+    def test_stdout_is_the_frame_doc(self, capsys, tmp_path, mb):
+        from framelab import Frame
+        frame = Frame(math.sqrt(2.0 / 3.0) * mb.vectors)
+        path = tmp_path / "p.json"
+        write_frame_doc(frame, path)
+        _, out, _ = run(capsys, "naimark", str(path))
+        doc_path = tmp_path / "comp.json"
+        write_frame_doc(naimark_complement(frame), doc_path)
+        assert out == doc_path.read_text(encoding="utf-8")
+
     def test_non_parseval_rejected(self, capsys, mb_doc):
         code, _, err = run(capsys, "naimark", mb_doc)
         assert code == 1
@@ -151,6 +170,13 @@ class TestASFCheck:
         assert doc["eps_parseval"] == pytest.approx(0.5)
         assert doc["tight_lambda"] == pytest.approx(1.5)
         assert doc["norm_triple_defect"] <= 1e-12
+
+    def test_key_layout(self, capsys, tmp_path, mb):
+        path = tmp_path / "asf.json"
+        write_asf_doc(from_hilbert(mb), path)
+        _, out, _ = run(capsys, "asf", "check", str(path))
+        assert list(json.loads(out)) == [
+            f.name for f in dataclasses.fields(ASFReport)]
 
 
 class TestProjectionBalance:

@@ -13,7 +13,6 @@ from framelab.errors import (
 )
 from framelab.frames import (
     Frame,
-    analysis,
     analyze_frame,
     closest_equal_norm,
     closest_parseval,
@@ -21,11 +20,8 @@ from framelab.frames import (
     frame_operator,
     generate,
     naimark_complement,
-    synthesis,
 )
 from conftest import random_frame
-
-ROOT3 = np.sqrt(3.0)
 
 
 class TestFrameType:
@@ -43,23 +39,6 @@ class TestFrameType:
 
 
 class TestOperators:
-    def test_analysis_mb(self, mb):
-        assert np.allclose(analysis(mb, np.array([1.0, 0.0])),
-                           [0.0, -ROOT3 / 2.0, ROOT3 / 2.0])
-
-    def test_analysis_zero(self, mb):
-        assert np.allclose(analysis(mb, np.zeros(2)), 0.0)
-
-    def test_analysis_basis(self):
-        basis = Frame(np.eye(2))
-        assert np.allclose(analysis(basis, np.array([3.0, 4.0])), [3.0, 4.0])
-
-    def test_synthesis_mb_ones(self, mb):
-        assert np.allclose(synthesis(mb, np.ones(3)), 0.0, atol=1e-15)
-
-    def test_synthesis_zero(self, mb):
-        assert np.allclose(synthesis(mb, np.zeros(3)), 0.0)
-
     def test_frame_operator_mb(self, mb):
         assert np.allclose(frame_operator(mb), 1.5 * np.eye(2), atol=1e-14)
 
@@ -71,10 +50,11 @@ class TestOperators:
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 5),
            n=st.integers(1, 8))
     def test_operator_is_synthesis_of_analysis(self, seed, d, n):
+        # analysis x -> V x, synthesis c -> V^T c, applied to each e_i
         frame = random_frame(seed, d, n)
+        v = frame.vectors
         s = frame_operator(frame)
-        cols = np.column_stack([
-            synthesis(frame, analysis(frame, e)) for e in np.eye(d)])
+        cols = np.column_stack([v.T @ (v @ e) for e in np.eye(d)])
         assert np.linalg.norm(cols - s) <= 1e-12 * max(1.0, np.linalg.norm(s))
 
 
