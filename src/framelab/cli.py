@@ -145,9 +145,13 @@ def _cmd_projection_balance(args):
 
 
 def _cmd_estimate(args):
-    spec = InstanceSpec(kind=args.kind, d=args.d, n=args.n,
-                        epsilon_target=args.eps, p=args.p, seed=args.seed)
-    records, summary = estimate_paulsen([spec], trials=args.trials)
+    pairs = [(d, n) for d in args.d for n in args.n if n >= d]
+    # with no pair left, the first one raises InstanceSpec's d <= n error
+    grid = [InstanceSpec(kind=args.kind, d=d, n=n, epsilon_target=eps,
+                         p=args.p, seed=args.seed)
+            for d, n in pairs or [(args.d[0], args.n[0])]
+            for eps in args.eps]
+    records, summary = estimate_paulsen(grid, trials=args.trials)
     write_sweep_csv([record_to_row(r) for r in records], args.out)
     for row in summary:
         print(f"d={row.d} n={row.n} eps={row.eps_target:g} "
@@ -215,10 +219,12 @@ def build_parser():
     p_pb.add_argument("--system", required=True)
     p_pb.set_defaults(func=_cmd_projection_balance)
 
-    p_est = sub.add_parser("estimate", help="run a sweep grid point")
-    p_est.add_argument("--d", type=int, required=True)
-    p_est.add_argument("--n", type=int, required=True)
-    p_est.add_argument("--eps", type=float, required=True)
+    p_est = sub.add_parser(
+        "estimate", help="run a sweep over a (d, n, eps) grid, skipping "
+                         "pairs with n < d")
+    p_est.add_argument("--d", type=int, nargs="+", required=True)
+    p_est.add_argument("--n", type=int, nargs="+", required=True)
+    p_est.add_argument("--eps", type=float, nargs="+", required=True)
     p_est.add_argument("--p", type=float, default=2.0)
     p_est.add_argument("--kind", default="perturbed_enp")
     p_est.add_argument("--trials", type=int, required=True)

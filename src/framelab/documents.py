@@ -203,26 +203,35 @@ def _cell(x):
     return str(x)
 
 
-def write_flow_trace_csv(trace, path):
-    lines = [",".join(FLOW_TRACE_COLUMNS)]
-    for row in trace.rows():
-        lines.append(",".join(_cell(x) for x in row))
+def _csv_text(columns, rows):
+    """The header line, then one line of _cell values per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(text, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+
+
+def write_flow_trace_csv(trace, path):
+    rows = zip(trace.iters, trace.unit_defect_hs, trace.frame_potential,
+               trace.max_tangent_norm)
+    _write_csv(_csv_text(FLOW_TRACE_COLUMNS, rows), path)
+
+
+def _sweep_cells(row):
+    missing = [c for c in SWEEP_COLUMNS if c not in row]
+    if missing:
+        raise DocumentError(f"sweep row is missing columns {missing}")
+    return [row[c] for c in SWEEP_COLUMNS]
 
 
 def sweep_csv_text(rows):
     """rows: dicts keyed exactly by SWEEP_COLUMNS (wall time never appears)."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        missing = [c for c in SWEEP_COLUMNS if c not in row]
-        if missing:
-            raise DocumentError(f"sweep row is missing columns {missing}")
-        lines.append(",".join(_cell(row[c]) for c in SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv_text(SWEEP_COLUMNS, map(_sweep_cells, rows))
 
 
 def write_sweep_csv(rows, path):
-    text = sweep_csv_text(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_csv(sweep_csv_text(rows), path)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NotUnitNorm, StepTooLarge
 from .frames import Frame
+from .spectral import row_norms
 
 UNIT_TOL_STEP = 1e-9
 UNIT_TOL_FINAL = 1e-9
@@ -51,7 +52,7 @@ class TangentFamily:
 
     @property
     def norms(self):
-        return _row_norms(self.omegas)
+        return row_norms(self.omegas)
 
 
 @dataclass
@@ -68,18 +69,9 @@ class FlowTrace:
     displacement_bound: float = 0.0
     gcd_nd: int = 0
 
-    def rows(self):
-        return zip(self.iters, self.unit_defect_hs, self.frame_potential,
-                   self.max_tangent_norm)
-
-
-def _row_norms(x):
-    """Euclidean row norms, the arithmetic of np.linalg.norm(x, axis=1)."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
-
 
 def _require_unit(frame):
-    dev = float(np.max(np.abs(_row_norms(frame.vectors) - 1.0)))
+    dev = float(np.max(np.abs(row_norms(frame.vectors) - 1.0)))
     if dev > UNIT_TOL_STEP:
         raise NotUnitNorm(
             f"norms deviate from 1 by {dev:.3e} (tol {UNIT_TOL_STEP:g})")
@@ -126,7 +118,7 @@ def flow_step(frame, config):
     _require_unit(frame)
     v = frame.vectors
     omegas = _omegas(v, v.T @ v)
-    return Frame(_rotate(v, omegas, _row_norms(omegas), config.step_t))
+    return Frame(_rotate(v, omegas, row_norms(omegas), config.step_t))
 
 
 def run_flow(frame, config):
@@ -152,7 +144,7 @@ def run_flow(frame, config):
         x = (s - target_eye).ravel()
         defect = math.sqrt(x.dot(x))
         omegas = _omegas(v, s)
-        wn = _row_norms(omegas)
+        wn = row_norms(omegas)
 
         trace.iters.append(k)
         trace.unit_defect_hs.append(defect)
@@ -169,11 +161,11 @@ def run_flow(frame, config):
         v = _rotate(v, omegas, wn, config.step_t)
         k += 1
         if config.renorm_every and k % config.renorm_every == 0:
-            v = v / _row_norms(v)[:, None]
+            v = v / row_norms(v)[:, None]
 
     trace.final_index = k
     trace.displacement_hs = float(np.linalg.norm(v.T @ v - s0))
-    dev = float(np.max(np.abs(_row_norms(v) - 1.0)))
+    dev = float(np.max(np.abs(row_norms(v) - 1.0)))
     if dev > UNIT_TOL_FINAL:
         raise NotUnitNorm(
             f"cumulative norm drift {dev:.3e} exceeds {UNIT_TOL_FINAL:g}; "

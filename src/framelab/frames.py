@@ -18,7 +18,8 @@ from .errors import (
     UnsupportedShape,
     ZeroVector,
 )
-from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_psd, sym_eig
+from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_psd, \
+    row_norms, sym_eig
 
 ZERO_NORM_FLOOR = 1e-300
 NAIMARK_TOL = 1e-8
@@ -147,7 +148,7 @@ def rescale_rows(v, c=None):
     first row whose norm is at or below ZERO_NORM_FLOOR, then ShapeMismatch
     for a c that is not positive.
     """
-    norms = np.linalg.norm(v, axis=1)
+    norms = row_norms(v)
     small = np.nonzero(norms <= ZERO_NORM_FLOOR)[0]
     if small.size:
         raise ZeroVector(int(small[0]))

@@ -2,8 +2,9 @@
 
 All matrices are real ndarrays. Eigenvalues of symmetric matrices are
 returned ascending so downstream reports are deterministic. The row-wise
-p-norm and the p-ball sampler live here too, where both frames and asf can
-import them (asf imports frames, so frames cannot import asf).
+Euclidean and p-norms and the p-ball sampler live here too, where frames,
+flow and asf can all import them (asf imports frames, so frames cannot
+import asf).
 """
 
 import math
@@ -16,6 +17,8 @@ from .errors import AsymmetricInput, ShapeMismatch, SingularOperator
 
 SYM_TOL = 1e-10
 PSD_FLOOR = 1e-12
+# the smallest positive normal float
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,19 @@ def general_spectrum(a):
     return np.linalg.eigvals(a)
 
 
+def row_norms(x):
+    """Euclidean norms over the last axis, the arithmetic of
+    np.linalg.norm(x, axis=-1) without its Python wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def pnorm(x, p):
     """p-norm over the last axis; p = math.inf is the max norm.
 
     A vector gives a float, an (n, d) array the array of its n row norms.
+    A row whose power sum overflows, or underflows on a nonzero row, is
+    recomputed scaled by its largest entry; the other rows get the bits of
+    (sum |x|^p)^(1/p).
     """
     x = np.asarray(x, dtype=float)
     if p == math.inf:
@@ -93,11 +105,18 @@ def pnorm(x, p):
     elif p == 1:
         out = np.sum(np.abs(x), axis=-1)
     elif p == 2:
-        # a vector keeps np.linalg.norm's dot product, which can differ in
-        # the last bit from the row-wise reduction
-        out = np.linalg.norm(x, axis=-1 if x.ndim > 1 else None)
+        out = row_norms(x)
     else:
-        out = np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
+        a = np.abs(x)
+        s = np.add.reduce(a ** p, axis=-1)
+        out = s ** (1.0 / p)
+        if not (np.minimum.reduce(s, axis=None, initial=_TINY) >= _TINY
+                and np.maximum.reduce(s, axis=None, initial=0.0) < math.inf):
+            m = np.max(a, axis=-1, keepdims=True, initial=0.0)
+            m[m == 0] = 1.0
+            scaled = m[..., 0] * np.add.reduce((a / m) ** p,
+                                               axis=-1) ** (1.0 / p)
+            out = np.where((s >= _TINY) & (s < math.inf), out, scaled)
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from framelab.asf import ASFReport, PNormSpace, from_hilbert
+from framelab.asf import ASF, ASFReport, PNormSpace, from_hilbert
 from framelab.cli import run_cli
 from framelab.documents import (
     SWEEP_COLUMNS,
     read_frame_doc,
+    sweep_csv_text,
     write_asf_doc,
     write_auerbach_doc,
     write_frame_doc,
     write_projection_doc,
 )
 from framelab.frames import FrameReport, naimark_complement
+from framelab.lab import InstanceSpec, estimate_paulsen, record_to_row
 from framelab.projections import canonical_auerbach
 from conftest import ROOT3
 
@@ -171,6 +173,17 @@ class TestASFCheck:
         assert doc["tight_lambda"] == pytest.approx(1.5)
         assert doc["norm_triple_defect"] <= 1e-12
 
+    def test_large_exponent_norms(self, capsys, tmp_path):
+        # 3^1000 overflows a float; the norms are still 3
+        path = tmp_path / "asf.json"
+        write_asf_doc(ASF(PNormSpace(2, 1000.0), 3.0 * np.eye(2),
+                          3.0 * np.eye(2)), path)
+        code, out, _ = run(capsys, "asf", "check", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["norms_p_sq"] == [9.0, 9.0]
+        assert doc["norm_triple_defect"] == 0.0
+
     def test_key_layout(self, capsys, tmp_path, mb):
         path = tmp_path / "asf.json"
         write_asf_doc(from_hilbert(mb), path)
@@ -194,6 +207,11 @@ class TestProjectionBalance:
         assert doc["failures"] == []
 
 
+def sweep_bytes(grid, trials):
+    records, _ = estimate_paulsen(grid, trials=trials)
+    return sweep_csv_text([record_to_row(r) for r in records]).encode()
+
+
 class TestEstimate:
     def test_csv_and_summary(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -204,15 +222,48 @@ class TestEstimate:
         lines = out_path.read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 4
-        assert "d=2 n=3 eps=0.1" in out
-        assert "certified=1.00" in out
+        assert out == (
+            "d=2 n=3 eps=0.1 records=3 certified=1.00 max=0.00217511 "
+            "mean=0.00170523 median=0.00196352 ratio_hm=4.272e-04 "
+            "ratio_bc=3.069e-06\n")
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
+                            epsilon_target=0.1, seed=42)
+        assert out_path.read_bytes() == sweep_bytes([spec], 3)
 
     def test_bad_shape_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--d", "3", "--n", "2",
                            "--eps", "0.1", "--trials", "1",
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
-        assert "error:" in err
+        assert "error: need 1 <= d <= n, got d = 3, n = 2" in err
+
+    def test_grid_matches_nested_sweep(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, out, _ = run(capsys, "estimate", "--d", "2", "3",
+                           "--n", "2", "3", "4", "--eps", "0.05", "0.1",
+                           "--trials", "2", "--seed", "5",
+                           "--out", str(out_path))
+        assert code == 0
+        grid = [InstanceSpec(kind="perturbed_enp", d=d, n=n,
+                             epsilon_target=eps, seed=5)
+                for d in (2, 3) for n in (2, 3, 4) if n >= d
+                for eps in (0.05, 0.1)]
+        assert out_path.read_bytes() == sweep_bytes(grid, 2)
+        # one summary line per cell; the pair (3, 2) is skipped
+        cells = [line.split(" records=")[0] for line in out.splitlines()]
+        assert cells == [f"d={d} n={n} eps={eps}"
+                         for d, n in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+                         for eps in (0.05, 0.1)]
+
+    def test_grid_without_pair_is_domain_error(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "estimate", "--d", "3", "4",
+                             "--n", "1", "2", "--eps", "0.1",
+                             "--trials", "1", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert "error: need 1 <= d <= n" in err
+        assert not out_path.exists()
 
 
 class TestParsing:

@@ -21,6 +21,7 @@ from framelab.documents import (
     write_sweep_csv,
 )
 from framelab.errors import DocumentError
+from framelab.flow import FlowTrace
 from framelab.frames import Frame
 from framelab.projections import canonical_auerbach, certify_projection
 
@@ -175,13 +176,11 @@ class TestSweepCSV:
 
 class TestFlowTraceCSV:
     def test_header_and_rows(self, tmp_path):
-        class Trace:
-            def rows(self):
-                return [(0, 0.5, 4.5, 0.25), (1, 0.1, 4.51, 0.05)]
-
+        trace = FlowTrace(iters=[0, 1], unit_defect_hs=[0.5, 0.1],
+                          frame_potential=[4.5, 4.51],
+                          max_tangent_norm=[0.25, 0.05])
         path = tmp_path / "trace.csv"
-        write_flow_trace_csv(Trace(), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(FLOW_TRACE_COLUMNS)
-        assert lines[1].startswith("0,")
-        assert len(lines) == 3
+        write_flow_trace_csv(trace, path)
+        assert path.read_bytes() == (",".join(FLOW_TRACE_COLUMNS)
+                                     + "\n0,0.5,4.5,0.25\n1,0.1,4.51,0.05\n"
+                                     ).encode()

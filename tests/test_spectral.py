@@ -132,6 +132,19 @@ def rows_with_zeros(seed, n, d):
     return x
 
 
+def rows_over_magnitudes(seed, n, d, span):
+    """Signed entries of magnitude 10^[-span, span], some rows zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-span, span,
+                                                              (n, d))
+    x[rng.random(n) < 0.2] = 0.0
+    return x
+
+
+# exponents up to 1e4 outside the special cases 2 and inf
+FINITE_NOT_2 = st.floats(1.0, 1e4).filter(lambda p: p != 2.0)
+
+
 class TestRowKernels:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
@@ -143,6 +156,32 @@ class TestRowKernels:
         assert rows.shape == (n,)
         assert all(isinstance(v, float) for v in stacked)
         assert np.all(np.abs(rows - stacked) <= 4 * np.spacing(stacked))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+           d=st.integers(1, 8), p=FINITE_NOT_2,
+           span=st.sampled_from([3.0, 30.0, 300.0]))
+    def test_pnorm_matches_max_scaled_formula(self, seed, n, d, p, span):
+        x = rows_over_magnitudes(seed, n, d, span)
+        rows = pnorm(x, p)
+        for norm, row in zip(rows, np.abs(x)):
+            m = float(row.max())
+            if m == 0.0:
+                assert norm == 0.0
+                continue
+            ref = m * math.fsum((v / m) ** p for v in row) ** (1.0 / p)
+            assert norm == pytest.approx(ref, rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
+           d=st.integers(1, 8), p=FINITE_NOT_2,
+           span=st.sampled_from([3.0, 30.0, 300.0]))
+    def test_pnorm_keeps_bits_of_normal_power_sums(self, seed, n, d, p, span):
+        x = rows_over_magnitudes(seed, n, d, span)
+        with np.errstate(over="ignore"):
+            s = np.sum(np.abs(x) ** p, axis=-1)
+        normal = (s >= np.finfo(float).tiny) & (s < math.inf)
+        assert np.array_equal(pnorm(x, p)[normal], (s ** (1.0 / p))[normal])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
