@@ -32,6 +32,7 @@ from .lab import (
     InstanceSpec,
     default_certify_tol,
     estimate_paulsen,
+    pair_error,
     record_to_row,
 )
 from .projections import balance_epsilon_banach, certify_projection, \
@@ -145,8 +146,9 @@ def _cmd_projection_balance(args):
 
 
 def _cmd_estimate(args):
-    pairs = [(d, n) for d in args.d for n in args.n if n >= d]
-    # with no pair left, the first one raises InstanceSpec's d <= n error
+    pairs = [(d, n) for d in args.d for n in args.n
+             if pair_error(args.kind, d, n) is None]
+    # with no pair left, the first one raises InstanceSpec's error for it
     grid = [InstanceSpec(kind=args.kind, d=d, n=n, epsilon_target=eps,
                          p=args.p, seed=args.seed)
             for d, n in pairs or [(args.d[0], args.n[0])]
@@ -221,7 +223,8 @@ def build_parser():
 
     p_est = sub.add_parser(
         "estimate", help="run a sweep over a (d, n, eps) grid, skipping "
-                         "pairs with n < d")
+                         "pairs with n < d, and for perturbed_asf pairs "
+                         "where d does not divide n")
     p_est.add_argument("--d", type=int, nargs="+", required=True)
     p_est.add_argument("--n", type=int, nargs="+", required=True)
     p_est.add_argument("--eps", type=float, nargs="+", required=True)

@@ -17,6 +17,7 @@ feasibility); it certifies to the residual it is given
 (SEARCH_CERTIFY_TOL by default).
 """
 
+import functools
 import math
 import os
 import statistics
@@ -96,6 +97,15 @@ def default_certify_tol():
     return v
 
 
+def pair_error(kind, d, n):
+    """Why no instance of kind has n vectors in R^d, or None when one can."""
+    if d < 1 or n < d:
+        return f"need 1 <= d <= n, got d = {d}, n = {n}"
+    if kind in ASF_KINDS and n % d != 0:
+        return f"perturbed_asf needs d | n, got d = {d}, n = {n}"
+    return None
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """One point of the experiment grid."""
@@ -111,8 +121,9 @@ class InstanceSpec:
         if self.kind not in INSTANCE_KINDS:
             raise ShapeMismatch(
                 f"kind must be one of {INSTANCE_KINDS}, got {self.kind!r}")
-        if self.d < 1 or self.n < self.d:
-            raise Infeasible(f"need 1 <= d <= n, got d = {self.d}, n = {self.n}")
+        reason = pair_error(self.kind, self.d, self.n)
+        if reason is not None:
+            raise Infeasible(reason)
         if not 0.0 < self.epsilon_target < 1.0:
             raise Infeasible(
                 f"epsilon_target must be in (0, 1), got {self.epsilon_target}")
@@ -124,10 +135,6 @@ class InstanceSpec:
         else:
             if not (self.p == math.inf or self.p >= 1.0):
                 raise Infeasible(f"p must be in [1, inf], got {self.p}")
-            if self.n % self.d != 0:
-                raise Infeasible(
-                    f"perturbed_asf needs d | n, got d = {self.d}, "
-                    f"n = {self.n}")
 
 
 @dataclass(frozen=True)
@@ -236,6 +243,46 @@ def generate_instance(spec):
     return _gen_perturbed_asf(spec)
 
 
+@functools.lru_cache(maxsize=None)
+def _polish_layout(n, d):
+    """Index layout of _kkt_polish's KKT system for n vectors in R^d,
+    built once per shape. Returns (half, upper, lower, block, a_dst,
+    a_src), all read-only:
+    - half: the weights of the m Parseval constraints, one per entry of
+      the upper triangle of a d x d matrix in np.triu_indices order (1/2
+      on the diagonal);
+    - upper, lower: the flat positions of those entries, and of their
+      transposes, in a d x d matrix;
+    - block: the flat positions, in the (nd + k) x (nd + k) KKT matrix, of
+      the n diagonal d x d blocks of the Hessian, block after block;
+    - a_dst, a_src: the flat (nd, k) constraint Jacobian holds
+      v.ravel()[a_src] at a_dst and zeros elsewhere.
+    """
+    rows, cols = np.triu_indices(d)
+    m = rows.size
+    nd, k = n * d, m + n - 1
+    col = np.arange(m)
+    en = np.arange(n - 1)  # the rows with an equal-norm constraint
+    # column i < m of the Jacobian is the gradient V E_i: v[:, rows[i]] in
+    # column cols[i] of each row's block and v[:, cols[i]] in column
+    # rows[i] (the second wins on the diagonal, where both are equal);
+    # column m + j is e_j v_j^T
+    src = np.full((n, d, k), -1)
+    vi = np.arange(nd).reshape(n, d)
+    src[:, cols, col] = vi[:, rows]
+    src[:, rows, col] = vi[:, cols]
+    src[en, :, m + en] = vi[:-1]
+    a_dst = np.flatnonzero(src >= 0)
+    # the blocks off the diagonal are zero and stay so in the KKT matrix
+    block = np.arange(nd).reshape(n, d)
+    block = block[:, :, None] * (nd + k) + block[:, None, :]
+    layout = (np.where(rows == cols, 0.5, 1.0), rows * d + cols,
+              cols * d + rows, block.ravel(), a_dst, src.ravel()[a_dst])
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
 def _kkt_polish(v0, v, tol):
     """Newton's method on the KKT system of the nearest-ENP problem.
 
@@ -249,47 +296,45 @@ def _kkt_polish(v0, v, tol):
     more than MERIT_GROWTH is halved. Returns the end point only when it
     holds both certificates at tol and V - V0 lies in the normal space
     there within STATIONARY_TOL (relative), otherwise None.
+
+    The index layout comes from _polish_layout's per-shape cache: the
+    Jacobian is one flat scatter from v, and the Hessian blocks, the
+    multipliers of Lambda and the right-hand side are filled in place.
     """
     n, d = v.shape
-    rows, cols = np.triu_indices(d)
-    m = rows.size
+    half, upper, lower, block, a_dst, a_src = _polish_layout(n, d)
+    m = half.size
     nd, k = n * d, m + n - 1
-    upper = np.arange(m)
-    half = np.where(rows == cols, 0.5, 1.0)
-    en = np.arange(n - 1)  # the rows with an equal-norm constraint
     eye_d = np.eye(d)
-    # (row, column) indices of the n diagonal d x d blocks of the Hessian;
-    # the blocks off the diagonal are zero and stay so in kkt
-    block = np.arange(nd).reshape(n, d)
-    block_rows, block_cols = block[:, :, None], block[:, None, :]
     kkt = np.zeros((nd + k, nd + k))
+    kkt_flat = kkt.reshape(-1)
+    rhs = np.empty(nd + k)
 
     def residual(v, mult):
-        # column i < m is the gradient V E_i: v[:, rows[i]] in column
-        # cols[i] of each row's block and v[:, cols[i]] in column rows[i]
-        a = np.zeros((n, d, k))
-        a[:, cols, upper] = v[:, rows]
-        a[:, rows, upper] = v[:, cols]
-        a[en, :, m + en] = v[:-1]
+        a = np.zeros(nd * k)
+        a[a_dst] = v.take(a_src)
         a = a.reshape(nd, k)
         gram = v.T @ v - eye_d
-        c = np.concatenate([half * gram[rows, cols],
+        c = np.concatenate([half * gram.take(upper),
                             0.5 * (np.sum(v[:-1] ** 2, axis=1) - d / n)])
         r = (v - v0).ravel() - a @ mult
         return r, c, a, math.sqrt(r @ r + c @ c)
 
     mult = np.zeros(k)
-    lam = np.zeros((d, d))
+    lam = np.zeros(d * d)
     r, c, a, f_norm = residual(v, mult)
     for _ in range(POLISH_STEPS):
         # Hessian of the Lagrangian: block j is (1 - mu_j) I - Lambda
-        lam[rows, cols] = lam[cols, rows] = mult[:m]
+        lam[upper] = lam[lower] = mult[:m]
         mu = np.append(mult[m:], 0.0)
-        kkt[block_rows, block_cols] = (1.0 - mu)[:, None, None] * eye_d - lam
+        kkt_flat[block] = ((1.0 - mu)[:, None, None] * eye_d
+                           - lam.reshape(d, d)).ravel()
         kkt[:nd, nd:] = -a
         kkt[nd:, :nd] = a.T
+        np.negative(r, out=rhs[:nd])
+        np.negative(c, out=rhs[nd:])
         try:
-            step = np.linalg.solve(kkt, -np.concatenate([r, c]))
+            step = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             break
         for _ in range(MAX_HALVINGS):

@@ -7,18 +7,20 @@ flow and asf can all import them (asf imports frames, so frames cannot
 import asf).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import AsymmetricInput, ShapeMismatch, SingularOperator
 
 SYM_TOL = 1e-10
 PSD_FLOOR = 1e-12
-# the smallest positive normal float
+# the smallest positive normal float, 2^-1022, and its square root
 _TINY = np.finfo(float).tiny
+_SQRT_TINY = 2.0 ** -511
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,25 @@ def _require_square(a):
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _syevr_work(n):
+    """dsyevr's optimal (lwork, liwork) for an n x n matrix, the sizes
+    scipy.linalg.eigh queries on every call. dsyevr's own default sizes
+    would switch its tridiagonal reduction to the unblocked kernel above
+    n = 32 and change the bits there."""
+    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    return int(lwork), int(liwork)
+
+
 def sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     The input may deviate from exact symmetry by SYM_TOL (relative); it is
     symmetrized before factorization so the decomposition is exact for
-    (A + A^T)/2.
+    (A + A^T)/2. LAPACK's dsyevr, the routine scipy.linalg.eigh picks by
+    default, is called directly with eigh's workspace sizes, which gives
+    eigh's bits without its Python wrapper; non-convergence raises
+    np.linalg.LinAlgError, as eigh does.
     """
     a = _require_square(a)
     scale = max(1.0, float(np.linalg.norm(a)))
@@ -54,7 +69,15 @@ def sym_eig(a):
             f"asymmetry {np.linalg.norm(a - a.T):.3e} exceeds tol {SYM_TOL:g}"
             f" (relative to {scale:.3g})")
     sym = 0.5 * (a + a.T)
-    lam, q = scipy.linalg.eigh(sym)
+    n = sym.shape[0]
+    if n == 0:  # dsyevr rejects n = 0
+        return SpectralDecomposition(eigenvalues=np.zeros(0),
+                                     eigenvectors=np.zeros((0, 0)))
+    lwork, liwork = _syevr_work(n)
+    lam, q, _, _, info = lapack.dsyevr(sym, compute_v=1, range="A", lower=1,
+                                       lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
 
 
@@ -97,26 +120,31 @@ def pnorm(x, p):
     A vector gives a float, an (n, d) array the array of its n row norms.
     A row whose power sum overflows, or underflows on a nonzero row, is
     recomputed scaled by its largest entry; the other rows get the bits of
-    (sum |x|^p)^(1/p).
+    (sum |x|^p)^(1/p), at p = 2 those of row_norms.
     """
     x = np.asarray(x, dtype=float)
     if p == math.inf:
         out = np.max(np.abs(x), axis=-1, initial=0.0)
     elif p == 1:
         out = np.sum(np.abs(x), axis=-1)
-    elif p == 2:
-        out = row_norms(x)
     else:
-        a = np.abs(x)
-        s = np.add.reduce(a ** p, axis=-1)
-        out = s ** (1.0 / p)
-        if not (np.minimum.reduce(s, axis=None, initial=_TINY) >= _TINY
+        if p == 2:
+            # sqrt is monotone and exact at _TINY, so testing the norms
+            # against sqrt(_TINY) tests the power sums against _TINY
+            out = s = row_norms(x)
+            low = _SQRT_TINY
+        else:
+            s = np.add.reduce(np.abs(x) ** p, axis=-1)
+            out = s ** (1.0 / p)
+            low = _TINY
+        if not (np.minimum.reduce(s, axis=None, initial=low) >= low
                 and np.maximum.reduce(s, axis=None, initial=0.0) < math.inf):
+            a = np.abs(x)
             m = np.max(a, axis=-1, keepdims=True, initial=0.0)
             m[m == 0] = 1.0
             scaled = m[..., 0] * np.add.reduce((a / m) ** p,
                                                axis=-1) ** (1.0 / p)
-            out = np.where((s >= _TINY) & (s < math.inf), out, scaled)
+            out = np.where((s >= low) & (s < math.inf), out, scaled)
     return float(out) if out.ndim == 0 else out
 
 

@@ -255,6 +255,20 @@ class TestEstimate:
                          for d, n in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
                          for eps in (0.05, 0.1)]
 
+    def test_asf_grid_skips_pairs_without_divisibility(self, capsys,
+                                                      tmp_path):
+        out_path = tmp_path / "asf.csv"
+        code, out, _ = run(capsys, "estimate", "--kind", "perturbed_asf",
+                           "--d", "2", "3", "--n", "4", "6", "--eps", "0.1",
+                           "--trials", "1", "--seed", "3",
+                           "--out", str(out_path))
+        assert code == 0
+        # (3, 4) is skipped: perturbed_asf needs d | n
+        cells = [line.split(" records=")[0] for line in out.splitlines()]
+        assert cells == [f"d={d} n={n} eps=0.1"
+                         for d, n in [(2, 4), (2, 6), (3, 6)]]
+        assert len(out_path.read_text().splitlines()) == 4
+
     def test_grid_without_pair_is_domain_error(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
         code, out, err = run(capsys, "estimate", "--d", "3", "4",

@@ -18,6 +18,7 @@ from framelab.errors import (
 from framelab.frames import Frame, analyze_frame, frame_dist, generate
 from framelab.lab import (
     InstanceSpec,
+    _polish_layout,
     _search_terms,
     _sq_pnorm_rows,
     default_certify_tol,
@@ -25,6 +26,7 @@ from framelab.lab import (
     generate_instance,
     nearest_enp_alternating,
     nearest_enp_asf_search,
+    pair_error,
     record_to_row,
     summarize_records,
 )
@@ -95,6 +97,25 @@ class TestInstanceSpec:
                          p=1.5)
         InstanceSpec(kind="perturbed_asf", d=2, n=4, epsilon_target=0.1,
                      p=1.5)
+
+    def test_pair_error_is_the_spec_shape_rule(self):
+        # InstanceSpec raises exactly pair_error's reason, and only then
+        for kind in lab.INSTANCE_KINDS:
+            p = 1.5 if kind in lab.ASF_KINDS else 2.0
+            for d in range(0, 5):
+                for n in range(0, 9):
+                    reason = pair_error(kind, d, n)
+                    if reason is None:
+                        InstanceSpec(kind=kind, d=d, n=n, epsilon_target=0.1,
+                                     p=p)
+                        continue
+                    with pytest.raises(Infeasible) as exc:
+                        InstanceSpec(kind=kind, d=d, n=n, epsilon_target=0.1,
+                                     p=p)
+                    assert str(exc.value) == reason
+        assert pair_error("perturbed_asf", 3, 4) == \
+            "perturbed_asf needs d | n, got d = 3, n = 4"
+        assert pair_error("perturbed_enp", 3, 4) is None
 
 
 class TestGenerateInstance:
@@ -213,6 +234,70 @@ def _normal_space_residual(v0, v):
     x = (v - v0).ravel()
     coef = np.linalg.lstsq(normals, x, rcond=None)[0]
     return float(np.linalg.norm(x - normals @ coef)), float(np.linalg.norm(x))
+
+
+def _sym_basis(d):
+    """E_i over the upper triangle in np.triu_indices order:
+    e_r e_c^T + e_c e_r^T, or e_r e_r^T when r = c."""
+    basis = []
+    for r, c in zip(*np.triu_indices(d)):
+        e = np.zeros((d, d))
+        e[r, c] = e[c, r] = 1.0
+        basis.append(e)
+    return basis
+
+
+def _jacobian_from_definition(v):
+    """The polish's constraint Jacobian, column by column: V E_i over the
+    upper triangle, then e_j v_j^T for j < n - 1."""
+    n, d = v.shape
+    cols = [(v @ e).ravel() for e in _sym_basis(d)]
+    for j in range(n - 1):
+        g = np.zeros((n, d))
+        g[j] = v[j]
+        cols.append(g.ravel())
+    return np.stack(cols, axis=1)
+
+
+class TestPolishLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 5),
+           extra=st.integers(0, 5))
+    def test_layout_matches_definitions(self, seed, d, extra):
+        n = min(d + extra, 10)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n, d))
+        half, upper, lower, block, a_dst, a_src = _polish_layout(n, d)
+        ref = _jacobian_from_definition(v)
+        a = np.zeros(ref.size)
+        a[a_dst] = v.take(a_src)
+        assert np.array_equal(a.reshape(ref.shape), ref)
+        # Lambda scattered from the multipliers is sum_i mult_i E_i, and
+        # the weighted Gram entries are the halved constraints <E_i, G> / 2
+        basis = np.stack(_sym_basis(d))
+        mult = rng.standard_normal(len(basis))
+        lam = np.zeros(d * d)
+        lam[upper] = lam[lower] = mult
+        assert np.array_equal(lam.reshape(d, d),
+                              np.sum(mult[:, None, None] * basis, axis=0))
+        g = rng.standard_normal((d, d))
+        g = g + g.T
+        assert np.array_equal(half * g.take(upper),
+                              0.5 * np.sum(basis * g, axis=(1, 2)))
+        # the Hessian blocks are the n diagonal d x d blocks of the KKT
+        # matrix
+        size = n * d + ref.shape[1]
+        mask = np.zeros((size, size), dtype=bool)
+        mask.flat[block] = True
+        assert np.array_equal(
+            mask[:n * d, :n * d], np.kron(np.eye(n), np.ones((d, d))) > 0)
+        assert not mask[n * d:].any() and not mask[:, n * d:].any()
+
+    def test_layout_is_cached_and_read_only(self):
+        layout = _polish_layout(4, 2)
+        assert _polish_layout(4, 2) is layout
+        with pytest.raises(ValueError):
+            layout[0][0] = 1
 
 
 class TestNearestPolish:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab.errors import AsymmetricInput, ShapeMismatch, SingularOperator
+from framelab.frames import generate
 from framelab.spectral import (
     ball_displacements,
     general_spectrum,
@@ -54,6 +56,41 @@ class TestSymEig:
         assert np.linalg.norm((q * lam) @ q.T - a) <= 1e-10 * scale
         assert np.all(np.diff(lam) >= 0)
         assert np.linalg.norm(q.T @ q - np.eye(d)) <= 1e-10 * d
+
+
+def assert_eigh_bits(a):
+    lam, q = scipy.linalg.eigh(0.5 * (a + a.T))
+    dec = sym_eig(a)
+    assert np.array_equal(dec.eigenvalues, lam)
+    assert np.array_equal(dec.eigenvectors, q)
+
+
+class TestSymEigMatchesEigh:
+    # sym_eig calls eigh's default LAPACK routine directly; it must keep
+    # eigh's bits, which every certificate and sweep CSV is built from
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 8))
+    def test_random_symmetric(self, seed, d):
+        assert_eigh_bits(rand_sym(seed, d))
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 8), extra=st.integers(0, 8),
+           scale=st.sampled_from([1.0, 1e-3, 7.5]))
+    def test_repeated_eigenvalues(self, d, extra, scale):
+        # the identity, and harmonic frame operators, (n/d) I up to rounding
+        assert_eigh_bits(scale * np.eye(d))
+        v = generate("harmonic", d=d, n=d + extra).vectors
+        assert_eigh_bits(scale * (v.T @ v))
+
+    @pytest.mark.parametrize("d", [33, 48])
+    def test_blocked_reduction_sizes(self, d):
+        # above 32 the workspace size decides the reduction's kernel
+        assert_eigh_bits(rand_sym(d, d))
+
+    def test_empty(self):
+        dec = sym_eig(np.zeros((0, 0)))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.eigenvectors.shape == (0, 0)
 
 
 class TestInvSqrtPsd:
@@ -141,8 +178,8 @@ def rows_over_magnitudes(seed, n, d, span):
     return x
 
 
-# exponents up to 1e4 outside the special cases 2 and inf
-FINITE_NOT_2 = st.floats(1.0, 1e4).filter(lambda p: p != 2.0)
+# finite exponents up to 1e4, with the Euclidean case p = 2 always drawn
+FINITE_EXPONENTS = st.one_of(st.just(2.0), st.floats(1.0, 1e4))
 
 
 class TestRowKernels:
@@ -159,7 +196,7 @@ class TestRowKernels:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
-           d=st.integers(1, 8), p=FINITE_NOT_2,
+           d=st.integers(1, 8), p=FINITE_EXPONENTS,
            span=st.sampled_from([3.0, 30.0, 300.0]))
     def test_pnorm_matches_max_scaled_formula(self, seed, n, d, p, span):
         x = rows_over_magnitudes(seed, n, d, span)
@@ -174,14 +211,25 @@ class TestRowKernels:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
-           d=st.integers(1, 8), p=FINITE_NOT_2,
+           d=st.integers(1, 8), p=FINITE_EXPONENTS,
            span=st.sampled_from([3.0, 30.0, 300.0]))
     def test_pnorm_keeps_bits_of_normal_power_sums(self, seed, n, d, p, span):
         x = rows_over_magnitudes(seed, n, d, span)
         with np.errstate(over="ignore"):
             s = np.sum(np.abs(x) ** p, axis=-1)
         normal = (s >= np.finfo(float).tiny) & (s < math.inf)
-        assert np.array_equal(pnorm(x, p)[normal], (s ** (1.0 / p))[normal])
+        # at p = 2 the bits of row_norms
+        ref = np.sqrt(s) if p == 2 else s ** (1.0 / p)
+        assert np.array_equal(pnorm(x, p)[normal], ref[normal])
+
+    def test_euclidean_norm_of_extreme_rows(self):
+        with np.errstate(over="ignore"):
+            assert pnorm([1e200, 0.0], 2) == 1e200
+            assert pnorm([-3e200, 4e200], 2) == pytest.approx(5e200,
+                                                              rel=1e-15)
+        assert pnorm([1e-200, 0.0], 2) == 1e-200
+        assert np.array_equal(pnorm(np.array([[0.0, 0.0], [1e-200, 0.0]]),
+                                    2), [0.0, 1e-200])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
