@@ -17,7 +17,7 @@ from .asf import (
     from_hilbert,
     generate_asf,
 )
-from .documents import sweep_csv_text, write_flow_trace_csv, write_sweep_csv
+from .documents import sweep_csv_text, write_flow_trace_csv
 from .errors import NoConvergence, ShapeMismatch
 from .flow import FlowConfig, flow_step, run_flow, tangent_family
 from .frames import (

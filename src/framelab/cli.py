@@ -42,10 +42,6 @@ from .projections import balance_epsilon_banach, certify_projection, \
 def _jsonable(x):
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, float) and math.isinf(x):

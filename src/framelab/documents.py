@@ -27,36 +27,19 @@ FLOW_TRACE_COLUMNS = ("iter", "unit_defect_hs", "frame_potential",
                       "max_tangent_norm")
 
 
+# kind -> (matrix keys in document order, whether the kind carries the
+# exponent p, whether every matrix has exactly dim rows; otherwise the
+# matrices only agree in their row counts)
+_SCHEMA = {
+    "hilbert_frame": (("vectors",), False, False),
+    "asf": (("functionals", "vectors"), True, False),
+    "projection": (("matrix",), False, True),
+    "auerbach_system": (("basis_vectors", "dual_functionals"), True, True),
+}
+
+
 def _reject_constant(name):
     raise DocumentError(f"non-finite literal {name!r} is not allowed")
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: top level must be an object")
-    return doc
-
-
-def _json_text(doc):
-    return json.dumps(doc, allow_nan=False, indent=2) + "\n"
-
-
-def _dump_json(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(doc))
-
-
-def _require_kind(doc, kind, path):
-    got = doc.get("kind")
-    if got != kind:
-        raise DocumentError(f"{path}: expected kind {kind!r}, got {got!r}")
 
 
 def _as_number(x, where):
@@ -65,13 +48,6 @@ def _as_number(x, where):
     v = float(x)
     if not math.isfinite(v):
         raise DocumentError(f"{where} must be finite")
-    return v
-
-
-def _as_count(doc, key, path):
-    v = doc.get(key)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise DocumentError(f"{path}: {key!r} must be a positive integer")
     return v
 
 
@@ -92,61 +68,83 @@ def _as_rows(doc, key, dim, path):
     return np.array(out, dtype=float)
 
 
-def _matrix_to_lists(m):
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise DocumentError("non-finite entries cannot be serialized")
-    return [[float(x) for x in row] for row in m]
+def _read_doc(path, kind):
+    """(dim, p, *matrices) of the kind document at path, checked against
+    _SCHEMA; p is None for a kind without an exponent."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{path}: top level must be an object")
+    if doc.get("kind") != kind:
+        raise DocumentError(
+            f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}")
+    dim = doc.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise DocumentError(f"{path}: 'dim' must be a positive integer")
+    keys, has_p, square = _SCHEMA[kind]
+    p = None
+    if has_p:
+        p = doc.get("p")
+        p = math.inf if p == "inf" else _as_number(p, f"{path}: 'p'")
+        if p < 1.0:
+            raise DocumentError(f"{path}: 'p' must be at least 1")
+    mats = [_as_rows(doc, key, dim, path) for key in keys]
+    counts = [len(m) for m in mats]
+    want = [dim if square else counts[0]] * len(mats)
+    if counts != want:
+        raise DocumentError(
+            f"{path}: {', '.join(keys)} have {counts} rows, expected {want}")
+    return (dim, p, *mats)
 
 
-def _encode_p(p):
-    return "inf" if p == math.inf else float(p)
+def _doc_text(kind, dim, p, *matrices):
+    """The kind document's JSON: kind, p (if the kind has it), dim, then
+    the matrices under their _SCHEMA keys; the exponent infinity is the
+    string "inf"."""
+    keys, has_p, _ = _SCHEMA[kind]
+    doc = {"kind": kind}
+    if has_p:
+        doc["p"] = "inf" if p == math.inf else float(p)
+    doc["dim"] = dim
+    for key, m in zip(keys, matrices):
+        m = np.asarray(m, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise DocumentError("non-finite entries cannot be serialized")
+        doc[key] = m.tolist()
+    return json.dumps(doc, allow_nan=False, indent=2) + "\n"
 
 
-def _decode_p(raw, path):
-    if raw == "inf":
-        return math.inf
-    v = _as_number(raw, f"{path}: 'p'")
-    if v < 1.0:
-        raise DocumentError(f"{path}: 'p' must be at least 1")
-    return v
+def _write_text(text, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def frame_doc_text(frame):
     """The hilbert_frame document of frame, as write_frame_doc writes it."""
-    return _json_text({"kind": "hilbert_frame", "dim": frame.dim,
-                       "vectors": _matrix_to_lists(frame.vectors)})
+    return _doc_text("hilbert_frame", frame.dim, None, frame.vectors)
 
 
 def write_frame_doc(frame, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(frame_doc_text(frame))
+    _write_text(frame_doc_text(frame), path)
 
 
 def read_frame_doc(path):
-    doc = _load_json(path)
-    _require_kind(doc, "hilbert_frame", path)
-    d = _as_count(doc, "dim", path)
-    return Frame(_as_rows(doc, "vectors", d, path))
+    _, _, v = _read_doc(path, "hilbert_frame")
+    return Frame(v)
 
 
 def write_asf_doc(asf, path):
-    _dump_json({"kind": "asf", "p": _encode_p(asf.space.p),
-                "dim": asf.space.dim,
-                "functionals": _matrix_to_lists(asf.functionals),
-                "vectors": _matrix_to_lists(asf.vectors)}, path)
+    _write_text(_doc_text("asf", asf.space.dim, asf.space.p,
+                          asf.functionals, asf.vectors), path)
 
 
 def read_asf_doc(path):
-    doc = _load_json(path)
-    _require_kind(doc, "asf", path)
-    d = _as_count(doc, "dim", path)
-    p = _decode_p(doc.get("p"), path)
-    f = _as_rows(doc, "functionals", d, path)
-    v = _as_rows(doc, "vectors", d, path)
-    if f.shape != v.shape:
-        raise DocumentError(
-            f"{path}: functionals {f.shape} and vectors {v.shape} disagree")
+    d, p, f, v = _read_doc(path, "asf")
     return ASF(space=PNormSpace(dim=d, p=p), functionals=f, vectors=v)
 
 
@@ -154,38 +152,21 @@ def write_projection_doc(matrix, path):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DocumentError("projection document needs a square matrix")
-    _dump_json({"kind": "projection", "dim": int(m.shape[0]),
-                "matrix": _matrix_to_lists(m)}, path)
+    _write_text(_doc_text("projection", int(m.shape[0]), None, m), path)
 
 
 def read_projection_doc(path):
     """Returns the raw matrix; certification is the caller's decision."""
-    doc = _load_json(path)
-    _require_kind(doc, "projection", path)
-    d = _as_count(doc, "dim", path)
-    m = _as_rows(doc, "matrix", d, path)
-    if m.shape[0] != d:
-        raise DocumentError(f"{path}: matrix has {m.shape[0]} rows, expected {d}")
-    return m
+    return _read_doc(path, "projection")[2]
 
 
 def write_auerbach_doc(sys, path):
-    _dump_json({"kind": "auerbach_system", "p": _encode_p(sys.space.p),
-                "dim": sys.space.dim,
-                "basis_vectors": _matrix_to_lists(sys.basis_vectors),
-                "dual_functionals": _matrix_to_lists(sys.dual_functionals)},
-               path)
+    _write_text(_doc_text("auerbach_system", sys.space.dim, sys.space.p,
+                          sys.basis_vectors, sys.dual_functionals), path)
 
 
 def read_auerbach_doc(path):
-    doc = _load_json(path)
-    _require_kind(doc, "auerbach_system", path)
-    d = _as_count(doc, "dim", path)
-    p = _decode_p(doc.get("p"), path)
-    u = _as_rows(doc, "basis_vectors", d, path)
-    z = _as_rows(doc, "dual_functionals", d, path)
-    if u.shape[0] != d or z.shape[0] != d:
-        raise DocumentError(f"{path}: need exactly {d} rows on both sides")
+    d, p, u, z = _read_doc(path, "auerbach_system")
     return AuerbachSystem(space=PNormSpace(dim=d, p=p),
                           basis_vectors=u, dual_functionals=z)
 
@@ -210,15 +191,10 @@ def _csv_text(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(text, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def write_flow_trace_csv(trace, path):
     rows = zip(trace.iters, trace.unit_defect_hs, trace.frame_potential,
                trace.max_tangent_norm)
-    _write_csv(_csv_text(FLOW_TRACE_COLUMNS, rows), path)
+    _write_text(_csv_text(FLOW_TRACE_COLUMNS, rows), path)
 
 
 def _sweep_cells(row):
@@ -229,9 +205,9 @@ def _sweep_cells(row):
 
 
 def sweep_csv_text(rows):
-    """rows: dicts keyed exactly by SWEEP_COLUMNS (wall time never appears)."""
+    """rows: dicts keyed exactly by SWEEP_COLUMNS."""
     return _csv_text(SWEEP_COLUMNS, map(_sweep_cells, rows))
 
 
 def write_sweep_csv(rows, path):
-    _write_csv(sweep_csv_text(rows), path)
+    _write_text(sweep_csv_text(rows), path)

@@ -92,7 +92,10 @@ class InvalidSystem(FrameLabError):
 class NoConvergence(FrameLabError):
     """An iterative solver exhausted its round budget.
 
-    Carries the best iterate so sweeps can keep the partial result.
+    Carries the last iterate (best), its squared distance to the input
+    (dist_sq) and the rounds spent. Criterion 9 compares dist_sq with the
+    Banach search; sweeps and the perfbench tracer read rounds, and a
+    sweep reports the base distance uncertified.
     """
 
     def __init__(self, best, dist_sq, rounds, message=None):

@@ -221,12 +221,12 @@ def generate(kind, d=None, n=None, seed=0, base=None, delta=None, eps=None):
             raise ShapeMismatch(f"kind {kind} needs d and n")
         if d < 1 or n < 1:
             raise ShapeMismatch("d and n must be positive")
+        if kind != "random" and n < d:
+            raise UnsupportedShape(f"Parseval kinds need n >= d, got ({d}, {n})")
     if kind == "random":
         rng = np.random.default_rng(seed)
         return Frame(rng.standard_normal((n, d)))
     if kind == "random_parseval":
-        if n < d:
-            raise UnsupportedShape(f"Parseval kinds need n >= d, got ({d}, {n})")
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, d))
         while True:
@@ -236,8 +236,6 @@ def generate(kind, d=None, n=None, seed=0, base=None, delta=None, eps=None):
             except SingularOperator:
                 v = rng.standard_normal((n, d))
     if kind == "harmonic":
-        if n < d:
-            raise UnsupportedShape(f"Parseval kinds need n >= d, got ({d}, {n})")
         return Frame(_harmonic_rows(d, n))
     if kind == "perturb":
         if base is None or delta is None or delta < 0:

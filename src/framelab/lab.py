@@ -31,7 +31,6 @@ from .asf import (
     PNormSpace,
     analyze_asf,
     asf_dist,
-    dual_exponent,
     norming_functional,
     pnorm,
 )
@@ -191,7 +190,6 @@ def _gen_perturbed_asf(spec):
     offending sign pattern is invariant under shrinking the perturbation.
     """
     d, n, p = spec.d, spec.n, spec.p
-    q = dual_exponent(p)
     eps = spec.epsilon_target
     idx = np.arange(n) % d
     base_dirs = np.eye(d)[idx]

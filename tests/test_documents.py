@@ -127,6 +127,61 @@ class TestAuerbachDocs:
         assert np.array_equal(back.dual_functionals, sys.dual_functionals)
 
 
+_ASF_ROWS = '"dim": 1, "functionals": [[1.0]], "vectors": [[1.0]]'
+
+# (function, document text or matrix to write, the rule's message)
+REJECTED = [
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
+                 ' "vectors": [[1.0]]', "not valid JSON", id="truncated"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
+                 ' "vectors": [[1e999]]}', "must be finite", id="overflow"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
+                 ' "vectors": []}', "at least 1 row", id="empty-rows"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1}',
+                 "at least 1 row", id="missing-rows"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
+                 ' "vectors": [1.0]}', "must be a list", id="row-not-list"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 0,'
+                 ' "vectors": [[1.0]]}', "positive integer", id="dim-zero"),
+    pytest.param(read_asf_doc, '{"kind": "asf", "p": 0.5, ' + _ASF_ROWS
+                 + '}', "at least 1", id="asf-p-below-1"),
+    pytest.param(read_asf_doc, '{"kind": "asf", ' + _ASF_ROWS + '}',
+                 "must be a number", id="asf-p-missing"),
+    pytest.param(read_asf_doc, '{"kind": "asf", "p": "Infinity", '
+                 + _ASF_ROWS + '}', "must be a number", id="asf-p-string"),
+    pytest.param(read_asf_doc, '{"kind": "asf", "p": 2.0, "dim": 1,'
+                 ' "functionals": [[1.0]], "vectors": [[1.0], [1.0]]}',
+                 "functionals.*vectors", id="asf-row-counts"),
+    pytest.param(read_projection_doc, '{"kind": "projection", "dim": 2,'
+                 ' "matrix": [[1.0, 0.0]]}', "rows", id="projection-rows"),
+    pytest.param(read_auerbach_doc, '{"kind": "auerbach_system", "p": 2.0,'
+                 ' "dim": 2, "basis_vectors": [[1.0, 0.0]],'
+                 ' "dual_functionals": [[1.0, 0.0]]}', "rows",
+                 id="auerbach-both-short"),
+    pytest.param(read_auerbach_doc, '{"kind": "auerbach_system", "p": 2.0,'
+                 ' "dim": 2, "basis_vectors": [[1.0, 0.0], [0.0, 1.0]],'
+                 ' "dual_functionals": [[1.0, 0.0]]}', "rows",
+                 id="auerbach-one-short"),
+    pytest.param(write_projection_doc, np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                 "non-finite", id="write-inf"),
+    pytest.param(write_projection_doc, np.zeros((2, 3)), "square",
+                 id="write-not-square"),
+]
+
+
+@pytest.mark.parametrize("fn, arg, message", REJECTED)
+def test_rejection_rules(tmp_path, fn, arg, message):
+    path = tmp_path / "doc.json"
+    with pytest.raises(DocumentError, match=message):
+        if isinstance(arg, str):
+            path.write_text(arg)
+            fn(path)
+        else:
+            fn(arg, path)
+    if not isinstance(arg, str):
+        assert not path.exists()
+
+
 class TestSweepCSV:
     def _row(self, **overrides):
         row = {

@@ -295,6 +295,11 @@ class TestGenerate:
         with pytest.raises(UnsupportedShape):
             generate("harmonic", 4, 3)
 
+    def test_shape_rule_spares_only_random(self):
+        with pytest.raises(UnsupportedShape):
+            generate("random_parseval", 4, 3)
+        assert generate("random", 4, 3).vectors.shape == (3, 4)
+
     def test_random_parseval_certificate(self):
         rep = analyze_frame(generate("random_parseval", 3, 6, seed=2))
         assert rep.eps_parseval is not None and rep.eps_parseval <= 1e-10
