@@ -252,3 +252,7 @@ def run_cli(argv=None):
 
 def main():
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

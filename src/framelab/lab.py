@@ -7,13 +7,15 @@ from, and that base competes with the solver output; a stalled solve
 reports the base distance, uncertified, instead of poisoning the sweep.
 
 The Hilbert solver returns a certified equal-norm Parseval frame that is a
-KKT point of the nearest-point problem (locally nearest, not globally),
-found by a Newton polish warm-started from alternating projections; see
-nearest_enp_alternating for when it is also no farther than the
-alternating limit. The Banach search is a penalized local search by
-L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
-its first certified penalty round (later rounds only trade distance for
-feasibility); it certifies to the residual it is given
+KKT point of the nearest-point problem, found by a Newton polish
+warm-started from alternating projections. It is proved globally nearest
+when the polish's final multipliers make the Lagrangian convex, and
+otherwise it is locally nearest; at n = d it is the orthogonal polar
+factor, the global nearest point in closed form. See
+nearest_enp_alternating for the exits. The Banach search is a penalized
+local search by L-BFGS-B on the exact gradient of one row-vectorized
+kernel, stopped at its first certified penalty round (later rounds only
+trade distance for feasibility); it certifies to the residual it is given
 (SEARCH_CERTIFY_TOL by default).
 """
 
@@ -291,9 +293,17 @@ def _kkt_polish(v0, v, tol):
     dropped because the trace identity implies it, so the KKT matrix is
     invertible at regular points of the ENP set; near its singular points
     it is nearly singular, and a step that multiplies the KKT residual by
-    more than MERIT_GROWTH is halved. Returns the end point only when it
-    holds both certificates at tol and V - V0 lies in the normal space
+    more than MERIT_GROWTH is halved. Returns (V, gap) when the end point
+    V holds both certificates at tol and V - V0 lies in the normal space
     there within STATIONARY_TOL (relative), otherwise None.
+
+    Every ENP frame W has |W - V0|^2 >= |V - V0|^2 - gap. The final
+    multipliers give Lambda and mu, and the Hessian of the Lagrangian has
+    the blocks (1 - mu_j) I - Lambda. When margin = 1 - max_j mu_j -
+    lambda_max(Lambda) is positive, the Lagrangian is convex (the
+    Lagrangian sufficiency theorem), and gap = 2 |mult . c| + |r|^2 /
+    margin, with c and r the final constraint and stationarity residuals.
+    Otherwise gap is inf.
 
     The index layout comes from _polish_layout's per-shape cache: the
     Jacobian is one flat scatter from v, and the Hessian blocks, the
@@ -349,10 +359,19 @@ def _kkt_polish(v0, v, tol):
             break
     eps_p, dev_en = enp_defects(np.linalg.eigvalsh(v.T @ v),
                                 np.sum(v * v, axis=1))
-    if (eps_p <= tol and dev_en <= tol
+    if not (eps_p <= tol and dev_en <= tol
             and np.linalg.norm(r) <= STATIONARY_TOL * np.linalg.norm(v - v0)):
-        return v
-    return None
+        return None
+    # The Lagrangian |V - V0|^2 / 2 - mult . c(V) is a quadratic with
+    # gradient r at v and Hessian blocks (1 - mu_j) I - Lambda, so at
+    # least margin I. On the ENP set (c = 0) it is |W - V0|^2 / 2, and it
+    # is nowhere below its value at v minus |r|^2 / (2 margin).
+    lam[upper] = lam[lower] = mult[:m]
+    margin = (1.0 - np.append(mult[m:], 0.0).max()
+              - np.linalg.eigvalsh(lam.reshape(d, d))[-1])
+    if margin <= 0.0:
+        return v, math.inf
+    return v, 2.0 * abs(mult @ c) + (r @ r) / margin
 
 
 def nearest_enp_alternating(frame, max_rounds=100_000):
@@ -365,23 +384,32 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
     alone converges to *a* point of the ENP set, not the nearest one, and
     only sublinearly near its singular points. So _kkt_polish runs from the
     input, then from the alternating iterate after POLISH_FIRST_ROUND
-    rounds and at each doubling of that count. Once a second start reaches
-    the nearest polished point found so far, that point is returned. When
-    the alternating iterate certifies first, the polish from it joins the
+    rounds and at each doubling of that count. A polished point whose gap
+    is within the slack 2 sqrt(dist_sq d) tol is proved globally nearest
+    and returned at once. Otherwise, once a second start reaches the
+    nearest polished point found so far, that point is returned. When the
+    alternating iterate certifies first, the polish from it joins the
     polished points, and the nearest of them is returned unless it is
-    farther than the certified iterate (by more than its tol residual
-    allows); then the iterate itself is returned.
+    farther than the certified iterate by more than the slack; then the
+    iterate itself is returned.
+
+    At n = d the ENP set is the orthogonal group, where the KKT matrix is
+    singular, so nothing is polished: one round gives the orthogonal polar
+    factor of the input (Fan-Hoffman), the global nearest point, and it
+    certifies at round 1.
 
     The returned frame holds both certificates at tol, which is
-    default_certify_tol() (FRAMELAB_TOL). Unless it is that last fallback,
-    it is a KKT point of min |V - V0| over the ENP set:
+    default_certify_tol() (FRAMELAB_TOL). Unless it is the alternating
+    iterate, it is a KKT point of min |V - V0| over the ENP set:
     V - V0 = V Lambda + diag(mu) V with Lambda symmetric, to a relative
-    STATIONARY_TOL. That makes it locally, not globally, nearest; when the
-    alternating iterate certifies first it is also no farther than the
-    alternating limit. A certified input comes back unchanged with 0
-    rounds. Returns (frame, dist_sq, rounds), where rounds counts
-    alternating rounds; raises NoConvergence carrying the alternating
-    iterate when the budget runs out before either return.
+    STATIONARY_TOL. That makes it locally nearest, and globally nearest
+    (to the slack) when it was returned by the gap; when the alternating
+    iterate certifies first it is also no farther than the alternating
+    limit. Returns (frame, dist_sq, rounds), where rounds counts the
+    alternating rounds run. rounds == 0 means a certified input, which
+    comes back unchanged, or a polish of the input proved globally
+    nearest. Raises NoConvergence carrying the alternating iterate when
+    the budget runs out before any return.
     """
     tol = default_certify_tol()
     v0 = frame.vectors
@@ -394,17 +422,32 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
     next_polish = 0
     best = None  # nearest polished point: [point, dist_sq, starts reaching it]
 
+    def slack(ds):
+        # a certified iterate may sit about sqrt(d) tol (Frobenius) off the
+        # ENP set, so its dist_sq may undercut every point of the set by
+        # about 2 sqrt(dist_sq d) tol
+        return 2.0 * math.sqrt(ds * d) * tol
+
     def polish_from(start):
+        """Polish from start into best; True when the polished point is
+        proved globally nearest, and then it is best."""
         nonlocal best
-        point = _kkt_polish(v0, start, tol)
-        if point is None:
-            return
+        if n == d:  # the ENP set is O(d), reached by one alternating round
+            return False
+        polished = _kkt_polish(v0, start, tol)
+        if polished is None:
+            return False
+        point, gap = polished
         ds = float(np.sum((point - v0) ** 2))
+        if gap <= slack(ds):
+            best = [point, ds, 1]
+            return True
         if best is not None and \
                 float(np.linalg.norm(best[0] - point)) <= SAME_POINT:
             best[2] += 1
         elif best is None or ds < best[1]:
             best = [point, ds, 1]
+        return False
 
     while True:
         dec = sym_eig(v.T @ v)
@@ -414,12 +457,8 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
             ds = float(np.sum((v - v0) ** 2))
             if rounds == 0:
                 return Frame(v), ds, rounds
-            polish_from(v)
-            # a certified iterate may sit about sqrt(d) tol (Frobenius)
-            # off the ENP set, so its dist_sq may undercut every point of
-            # the set by about 2 sqrt(dist_sq d) tol
-            if best is not None and \
-                    best[1] <= ds + 2.0 * math.sqrt(ds * d) * tol:
+            if polish_from(v) or \
+                    best is not None and best[1] <= ds + slack(ds):
                 return Frame(best[0]), best[1], rounds
             return Frame(v), ds, rounds
         if rounds >= max_rounds:
@@ -430,8 +469,7 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
             raise SingularOperator(
                 f"frame operator has smallest eigenvalue {lam[0]:.3e}")
         if rounds == next_polish:
-            polish_from(v)
-            if best is not None and best[2] >= 2:
+            if polish_from(v) or best is not None and best[2] >= 2:
                 return Frame(best[0]), best[1], rounds
             next_polish = max(POLISH_FIRST_ROUND, 2 * next_polish)
         w = v @ inv_sqrt_from_eig(lam, dec.eigenvectors)

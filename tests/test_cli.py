@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import framelab
 from framelab.asf import ASF, ASFReport, PNormSpace, from_hilbert
 from framelab.cli import run_cli
 from framelab.documents import (
@@ -278,6 +282,22 @@ class TestEstimate:
         assert out == ""
         assert "error: need 1 <= d <= n" in err
         assert not out_path.exists()
+
+    def test_module_form_matches_run_cli(self, capsys, tmp_path):
+        args = ["estimate", "--d", "2", "--n", "2", "3", "--eps", "0.1",
+                "--trials", "2", "--seed", "5"]
+        code, out, _ = run(capsys, *args, "--out", str(tmp_path / "a.csv"))
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(framelab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "framelab.cli", *args,
+             "--out", str(tmp_path / "b.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out
+        assert (tmp_path / "b.csv").read_bytes() == \
+            (tmp_path / "a.csv").read_bytes()
 
 
 class TestParsing:

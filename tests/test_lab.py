@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -15,7 +15,14 @@ from framelab.errors import (
     ShapeMismatch,
     UnsupportedExponent,
 )
-from framelab.frames import Frame, analyze_frame, frame_dist, generate
+from framelab.frames import (
+    Frame,
+    analyze_frame,
+    closest_parseval,
+    frame_dist,
+    generate,
+    rescale_rows,
+)
 from framelab.lab import (
     InstanceSpec,
     _polish_layout,
@@ -54,7 +61,8 @@ class TestCertifyTol:
 
     def test_env_reaches_hilbert_solver(self, monkeypatch):
         # eps_parseval of the scaled frame is about 2e-5: certified at
-        # 1e-3 as it stands, one round from the ENP set at the default
+        # 1e-3 as it stands; at the default the polish of the input itself
+        # is proved globally nearest, so no alternating round runs
         frame = Frame((1.0 + 1e-5) * generate("harmonic", 2, 3).vectors)
         monkeypatch.setenv("FRAMELAB_TOL", "1e-3")
         out, dist_sq, rounds = nearest_enp_alternating(frame)
@@ -62,7 +70,7 @@ class TestCertifyTol:
         assert (dist_sq, rounds) == (0.0, 0)
         monkeypatch.delenv("FRAMELAB_TOL")
         _, dist_sq, rounds = nearest_enp_alternating(frame)
-        assert rounds == 1
+        assert rounds == 0
         assert dist_sq == pytest.approx(2.0e-10, rel=1e-6)
 
 
@@ -175,9 +183,9 @@ class TestAlternating:
         assert dist_sq == 0.0
         assert np.array_equal(out.vectors, frame.vectors)
 
-    def test_mb_single_round(self, mb):
+    def test_mb_solved_by_input_polish(self, mb):
         out, dist_sq, rounds = nearest_enp_alternating(mb)
-        assert rounds == 1
+        assert rounds == 0
         rep = analyze_frame(out)
         assert rep.eps_parseval is not None and rep.eps_parseval <= 1e-8
         assert rep.eps_equal_norm is not None and rep.eps_equal_norm <= 1e-8
@@ -206,8 +214,10 @@ class TestAlternating:
             frame_dist(bundle.instance, out) ** 2, rel=1e-9, abs=1e-15)
 
     def test_no_convergence_carries_best(self):
-        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
-                            epsilon_target=0.1, seed=0)
+        # the polish of this input is not proved global (margin <= 0), so
+        # the solver needs alternating rounds
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
+                            epsilon_target=0.1, seed=4)
         bundle = generate_instance(spec)
         with pytest.raises(NoConvergence) as info:
             nearest_enp_alternating(bundle.instance, max_rounds=1)
@@ -215,6 +225,95 @@ class TestAlternating:
         assert isinstance(exc.best, Frame)
         assert exc.rounds == 1
         assert exc.dist_sq > 0
+
+    def test_proved_global_polish_needs_no_round(self):
+        # the polish of this input is proved globally nearest, so a budget
+        # of one round is not touched
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
+                            epsilon_target=0.1, seed=0)
+        v0 = generate_instance(spec).instance.vectors
+        out, dist_sq, rounds = nearest_enp_alternating(Frame(v0),
+                                                       max_rounds=1)
+        assert rounds == 0
+        point, gap = lab._kkt_polish(v0, v0, default_certify_tol())
+        assert np.array_equal(out.vectors, point)
+        assert dist_sq == float(np.sum((point - v0) ** 2))
+        assert gap <= 2.0 * math.sqrt(dist_sq * 2) * default_certify_tol()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_square_is_polar_factor(self, monkeypatch, d, seed):
+        # at n = d the ENP set is O(d) and one round gives the orthogonal
+        # polar factor, the global nearest point, with no polish
+        def no_polish(*args):
+            raise AssertionError("polished at n = d")
+
+        monkeypatch.setattr(lab, "_kkt_polish", no_polish)
+        spec = InstanceSpec(kind="perturbed_enp", d=d, n=d,
+                            epsilon_target=0.1, seed=seed)
+        frame = generate_instance(spec).instance
+        out, dist_sq, rounds = nearest_enp_alternating(frame)
+        polar, polar_ds = closest_parseval(frame)
+        assert rounds == 1
+        np.testing.assert_allclose(out.vectors, polar.vectors,
+                                   rtol=0, atol=1e-12)
+        assert dist_sq == pytest.approx(polar_ds, rel=1e-12)
+
+
+def _alternate(v, rounds):
+    """rounds alternating rounds (closest Parseval, then closest equal
+    norm sqrt(d/n)) from v."""
+    n, d = v.shape
+    for _ in range(rounds):
+        w = closest_parseval(Frame(v))[0].vectors
+        v = rescale_rows(w, math.sqrt(d / n))[0]
+    return v
+
+
+class TestGlobalCertificate:
+    # Whenever the solver returns by the margin exit, a polish from the
+    # start that used to confirm it, or from seeded starts around the
+    # input, reaches no point nearer by more than the exit's slack.
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.integers(2, 4).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(d + 1, 8))),
+           eps=st.sampled_from([0.01, 0.1, 0.2]),
+           seed=st.integers(0, 10**6))
+    # the input's own polish is not global here: a start below reaches a
+    # point about 2% nearer
+    @example(shape=(2, 4), eps=0.1, seed=89)
+    def test_no_start_beats_a_margin_exit(self, shape, eps, seed):
+        d, n = shape
+        spec = InstanceSpec(kind="perturbed_enp", d=d, n=n,
+                            epsilon_target=eps, seed=seed)
+        v0 = generate_instance(spec).instance.vectors
+        tol = default_certify_tol()
+        polish = lab._kkt_polish
+        polished = []
+
+        def spy(*args):
+            polished.append(polish(*args))
+            return polished[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lab, "_kkt_polish", spy)
+            out, dist_sq, _ = nearest_enp_alternating(Frame(v0))
+        slack = 2.0 * math.sqrt(dist_sq * d) * tol
+        # the margin exit returns the last polished point, at once
+        if not (polished and polished[-1] is not None
+                and np.array_equal(polished[-1][0], out.vectors)
+                and polished[-1][1] <= slack):
+            return
+        rng = np.random.default_rng(seed)
+        starts = [_alternate(v0, lab.POLISH_FIRST_ROUND)] + [
+            _alternate(v0 + 0.3 * math.sqrt(d / n)
+                       * rng.standard_normal((n, d)), 5)
+            for _ in range(4)]
+        for start in starts:
+            other = polish(v0, start, tol)
+            if other is not None:
+                assert float(np.sum((other[0] - v0) ** 2)) >= \
+                    dist_sq - slack
 
 
 def _normal_space_residual(v0, v):
@@ -487,8 +586,8 @@ class TestEstimate:
 
     def test_stalled_solve_is_uncertified(self):
         # the instance TestAlternating drives into NoConvergence
-        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
-                            epsilon_target=0.1, seed=0)
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
+                            epsilon_target=0.1, seed=4)
         records, summary = estimate_paulsen([spec], trials=1, max_rounds=1)
         assert not records[0].certified
         assert records[0].iterations == 1
