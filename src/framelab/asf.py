@@ -17,7 +17,6 @@ from .errors import (
     ShapeMismatch,
     UnsupportedExponent,
 )
-from .frames import Frame
 from .spectral import ball_displacements, general_spectrum, pnorm
 
 SPECTRUM_REALITY_TOL = 1e-9
@@ -232,12 +231,6 @@ def from_hilbert(frame):
         functionals=frame.vectors,
         vectors=frame.vectors,
     )
-
-
-def to_hilbert(asf):
-    if asf.space.p != 2.0:
-        raise UnsupportedExponent("only an l2 ASF projects back to a frame")
-    return Frame(asf.vectors)
 
 
 def generate_asf(kind, space, n=None, seed=0, base=None, delta=None):

@@ -92,19 +92,18 @@ class InvalidSystem(FrameLabError):
 class NoConvergence(FrameLabError):
     """An iterative solver exhausted its round budget.
 
-    Carries the last iterate (best), its squared distance to the input
-    (dist_sq) and the rounds spent. Criterion 9 compares dist_sq with the
-    Banach search; sweeps and the perfbench tracer read rounds, and a
-    sweep reports the base distance uncertified.
+    Carries the last iterate's squared distance to the input (dist_sq)
+    and the rounds spent. Criterion 9 compares dist_sq with the Banach
+    search; sweeps and the perfbench tracer read rounds, and a sweep
+    reports the base distance uncertified.
     """
 
-    def __init__(self, best, dist_sq, rounds, message=None):
-        self.best = best
+    def __init__(self, dist_sq, rounds, message=None):
         self.dist_sq = dist_sq
         self.rounds = rounds
         super().__init__(
             message or f"no certification after {rounds} rounds "
-                       f"(best dist_sq {dist_sq:.6g})")
+                       f"(last dist_sq {dist_sq:.6g})")
 
 
 class BoundViolation(FrameLabError):

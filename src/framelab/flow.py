@@ -67,7 +67,6 @@ class FlowTrace:
     final_index: int = 0
     displacement_hs: float = 0.0
     displacement_bound: float = 0.0
-    gcd_nd: int = 0
 
 
 def _require_unit(frame):
@@ -131,7 +130,7 @@ def run_flow(frame, config):
     target_eye = (n / d) * np.eye(d)
     v = frame.vectors.copy()
 
-    trace = FlowTrace(gcd_nd=math.gcd(n, d))
+    trace = FlowTrace()
     s0 = v.T @ v
     initial_defect = float(np.linalg.norm(s0 - target_eye))
     trace.displacement_bound = (

@@ -6,17 +6,16 @@ perturbed or scaled instance remembers the equal-norm Parseval base it came
 from, and that base competes with the solver output; a stalled solve
 reports the base distance, uncertified, instead of poisoning the sweep.
 
-The Hilbert solver returns a certified equal-norm Parseval frame that is a
-KKT point of the nearest-point problem, found by a Newton polish
-warm-started from alternating projections. It is proved globally nearest
-when the polish's final multipliers make the Lagrangian convex, and
-otherwise it is locally nearest; at n = d it is the orthogonal polar
-factor, the global nearest point in closed form. See
-nearest_enp_alternating for the exits. The Banach search is a penalized
-local search by L-BFGS-B on the exact gradient of one row-vectorized
-kernel, stopped at its first certified penalty round (later rounds only
-trade distance for feasibility); it certifies to the residual it is given
-(SEARCH_CERTIFY_TOL by default).
+The Hilbert solver is one loop of alternating projections with three
+exits (see nearest_enp_alternating): the certified iterate, a Newton
+polish proved globally nearest because its final multipliers make the
+Lagrangian convex, or two polishes that land on the same KKT point, which
+is locally nearest. At n = d the iterate after one round is the
+orthogonal polar factor, the global nearest point. The Banach search is
+a penalized local search by L-BFGS-B on the exact gradient of one
+row-vectorized kernel, stopped at its first certified penalty round
+(later rounds only trade distance for feasibility); it certifies to the
+residual it is given (SEARCH_CERTIFY_TOL by default).
 """
 
 import functools
@@ -72,6 +71,8 @@ MERIT_GROWTH = 4.0
 CONVERGED = 1e-13
 STATIONARY_TOL = 1e-10
 SAME_POINT = 1e-9
+# the alternating round budget of each Hilbert solve in estimate_paulsen
+SWEEP_MAX_ROUNDS = 1000
 
 # Penalized Banach search (see nearest_enp_asf_search): mu runs from MU0 up
 # by MU_FACTOR per outer round until a round certifies or mu passes MU_MAX.
@@ -380,36 +381,25 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
 
     An alternating round applies the closest Parseval map, then the
     closest equal-norm map, with one symmetric eigendecomposition serving
-    both the Parseval certificate and the inverse square root. Alternating
-    alone converges to *a* point of the ENP set, not the nearest one, and
-    only sublinearly near its singular points. So _kkt_polish runs from the
-    input, then from the alternating iterate after POLISH_FIRST_ROUND
-    rounds and at each doubling of that count. A polished point whose gap
-    is within the slack 2 sqrt(dist_sq d) tol is proved globally nearest
-    and returned at once. Otherwise, once a second start reaches the
-    nearest polished point found so far, that point is returned. When the
-    alternating iterate certifies first, the polish from it joins the
-    polished points, and the nearest of them is returned unless it is
-    farther than the certified iterate by more than the slack; then the
-    iterate itself is returned.
+    both the Parseval certificate and the inverse square root. It reaches
+    *a* point of the ENP set, not the nearest one, so _kkt_polish runs
+    from the input, then from the iterate after POLISH_FIRST_ROUND rounds
+    and at each doubling of that count; at n = d, where the ENP set is the
+    orthogonal group, nothing is polished and one round gives the polar
+    factor (Fan-Hoffman), the global nearest point. With the slack
+    2 sqrt(dist_sq d) tol, there are three exits:
+    1. the iterate certifies: the nearest polished point comes back if it
+       is within the slack of the iterate's dist_sq, else the iterate (a
+       certified input comes back unchanged at round 0);
+    2. margin: a polished point whose gap is within the slack is proved
+       globally nearest and comes back at once;
+    3. agreement: a polish within SAME_POINT of the nearest polished point
+       so far returns that point, a KKT point and so locally nearest.
 
-    At n = d the ENP set is the orthogonal group, where the KKT matrix is
-    singular, so nothing is polished: one round gives the orthogonal polar
-    factor of the input (Fan-Hoffman), the global nearest point, and it
-    certifies at round 1.
-
-    The returned frame holds both certificates at tol, which is
-    default_certify_tol() (FRAMELAB_TOL). Unless it is the alternating
-    iterate, it is a KKT point of min |V - V0| over the ENP set:
-    V - V0 = V Lambda + diag(mu) V with Lambda symmetric, to a relative
-    STATIONARY_TOL. That makes it locally nearest, and globally nearest
-    (to the slack) when it was returned by the gap; when the alternating
-    iterate certifies first it is also no farther than the alternating
-    limit. Returns (frame, dist_sq, rounds), where rounds counts the
-    alternating rounds run. rounds == 0 means a certified input, which
-    comes back unchanged, or a polish of the input proved globally
-    nearest. Raises NoConvergence carrying the alternating iterate when
-    the budget runs out before any return.
+    tol is default_certify_tol() (FRAMELAB_TOL), and the output holds both
+    certificates at it. Returns (frame, dist_sq, rounds), rounds counting
+    the alternating rounds run. Raises NoConvergence when max_rounds run
+    out first.
     """
     tol = default_certify_tol()
     v0 = frame.vectors
@@ -419,8 +409,9 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
     target = math.sqrt(d / n)
     v = v0.copy()
     rounds = 0
-    next_polish = 0
-    best = None  # nearest polished point: [point, dist_sq, starts reaching it]
+    # at n = d the KKT matrix is singular, and one round suffices
+    next_polish = math.inf if n == d else 0
+    best = None  # nearest polished point: (point, dist_sq)
 
     def slack(ds):
         # a certified iterate may sit about sqrt(d) tol (Frobenius) off the
@@ -428,49 +419,33 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
         # about 2 sqrt(dist_sq d) tol
         return 2.0 * math.sqrt(ds * d) * tol
 
-    def polish_from(start):
-        """Polish from start into best; True when the polished point is
-        proved globally nearest, and then it is best."""
-        nonlocal best
-        if n == d:  # the ENP set is O(d), reached by one alternating round
-            return False
-        polished = _kkt_polish(v0, start, tol)
-        if polished is None:
-            return False
-        point, gap = polished
-        ds = float(np.sum((point - v0) ** 2))
-        if gap <= slack(ds):
-            best = [point, ds, 1]
-            return True
-        if best is not None and \
-                float(np.linalg.norm(best[0] - point)) <= SAME_POINT:
-            best[2] += 1
-        elif best is None or ds < best[1]:
-            best = [point, ds, 1]
-        return False
-
     while True:
         dec = sym_eig(v.T @ v)
         lam = dec.eigenvalues
         eps_p, dev_en = enp_defects(lam, np.sum(v * v, axis=1))
         if eps_p <= tol and dev_en <= tol:
             ds = float(np.sum((v - v0) ** 2))
-            if rounds == 0:
-                return Frame(v), ds, rounds
-            if polish_from(v) or \
-                    best is not None and best[1] <= ds + slack(ds):
+            if best is not None and best[1] <= ds + slack(ds):
                 return Frame(best[0]), best[1], rounds
             return Frame(v), ds, rounds
         if rounds >= max_rounds:
-            raise NoConvergence(best=Frame(v),
-                                dist_sq=float(np.sum((v - v0) ** 2)),
+            raise NoConvergence(dist_sq=float(np.sum((v - v0) ** 2)),
                                 rounds=rounds)
         if lam[0] <= PSD_FLOOR:
             raise SingularOperator(
                 f"frame operator has smallest eigenvalue {lam[0]:.3e}")
         if rounds == next_polish:
-            if polish_from(v) or best is not None and best[2] >= 2:
-                return Frame(best[0]), best[1], rounds
+            polished = _kkt_polish(v0, v, tol)
+            if polished is not None:
+                point, gap = polished
+                ds = float(np.sum((point - v0) ** 2))
+                if gap <= slack(ds):
+                    return Frame(point), ds, rounds
+                if best is not None and \
+                        float(np.linalg.norm(best[0] - point)) <= SAME_POINT:
+                    return Frame(best[0]), best[1], rounds
+                if best is None or ds < best[1]:
+                    best = (point, ds)
             next_polish = max(POLISH_FIRST_ROUND, 2 * next_polish)
         w = v @ inv_sqrt_from_eig(lam, dec.eigenvectors)
         v, _, _ = rescale_rows(w, target)
@@ -621,14 +596,14 @@ class SummaryRow:
     max_ratio_bc: float
 
 
-def _solve_one(bundle, max_rounds):
+def _solve_one(bundle):
     """Solver output guarded by the base point as a feasible competitor;
     a stalled solve reports the base distance uncertified."""
     base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
         try:
             _, ds, rounds = nearest_enp_alternating(bundle.instance,
-                                                    max_rounds)
+                                                    SWEEP_MAX_ROUNDS)
         except NoConvergence as exc:
             return base_ds, False, exc.rounds
         return min(ds, base_ds), True, rounds
@@ -638,10 +613,11 @@ def _solve_one(bundle, max_rounds):
     return (min(ds, base_ds) if certified else base_ds), certified, rounds
 
 
-def estimate_paulsen(grid, trials, max_rounds=1000):
+def estimate_paulsen(grid, trials):
     """Solve every grid spec for each trial and aggregate per (d, n, eps).
 
-    Per-trial seeds are spec.seed + trial index. Hilbert records are
+    Per-trial seeds are spec.seed + trial index. A Hilbert solve runs at
+    most SWEEP_MAX_ROUNDS alternating rounds. Hilbert records are
     certified at default_certify_tol (FRAMELAB_TOL), perturbed_asf records
     at max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so never below 1e-6.
     Certified Hilbert records are asserted against the 20 eps d^2 ceiling.
@@ -658,7 +634,7 @@ def estimate_paulsen(grid, trials, max_rounds=1000):
         for trial in range(trials):
             t_spec = replace(spec, seed=spec.seed + trial)
             bundle = generate_instance(t_spec)
-            ds, certified, rounds = _solve_one(bundle, max_rounds)
+            ds, certified, rounds = _solve_one(bundle)
             bound_hm, bound_bc, lower_ref = _bounds_for(
                 t_spec, bundle.eps_parseval, bundle.eps_equal_norm)
             if certified and t_spec.kind in HILBERT_KINDS and ds > bound_hm:

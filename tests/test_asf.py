@@ -15,7 +15,6 @@ from framelab.asf import (
     from_hilbert,
     generate_asf,
     norming_functional,
-    to_hilbert,
 )
 from framelab.errors import (
     IndivisibleRepeat,
@@ -177,7 +176,9 @@ class TestHilbertReduction:
         assert np.array_equal(lifted.functionals, can.functionals)
 
     def test_round_trip(self, mb):
-        assert np.array_equal(to_hilbert(from_hilbert(mb)).vectors, mb.vectors)
+        lifted = from_hilbert(mb)
+        assert np.array_equal(lifted.vectors, mb.vectors)
+        assert np.array_equal(lifted.functionals, mb.vectors)
 
     # at the example S has rank 1 and a computed eigenvalue of 1.8e-16:
     # singular, so neither side reports eps_parseval
@@ -214,10 +215,6 @@ class TestHilbertReduction:
         shrunk = Frame(np.sqrt(2.0 / 3.0) * mb.vectors)
         assert asf_dist(from_hilbert(mb), from_hilbert(shrunk)) \
             == pytest.approx(frame_dist(mb, shrunk), abs=1e-12)
-
-    def test_to_hilbert_requires_l2(self):
-        with pytest.raises(UnsupportedExponent):
-            to_hilbert(generate_asf("canonical", PNormSpace(2, 3.0)))
 
 
 class TestGenerateASF:

@@ -173,7 +173,6 @@ class TestRunFlow:
         assert len(trace.frame_potential) == k
         assert len(trace.max_tangent_norm) == k
         assert trace.termination in ("converged", "max_iters")
-        assert trace.gcd_nd == 1
 
     def test_potential_monotone_on_short_run(self):
         frame = perturbed_unit_frame(2, 5, seed=21)

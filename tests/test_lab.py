@@ -213,7 +213,7 @@ class TestAlternating:
         assert dist_sq == pytest.approx(
             frame_dist(bundle.instance, out) ** 2, rel=1e-9, abs=1e-15)
 
-    def test_no_convergence_carries_best(self):
+    def test_no_convergence_carries_rounds(self):
         # the polish of this input is not proved global (margin <= 0), so
         # the solver needs alternating rounds
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
@@ -222,9 +222,22 @@ class TestAlternating:
         with pytest.raises(NoConvergence) as info:
             nearest_enp_alternating(bundle.instance, max_rounds=1)
         exc = info.value
-        assert isinstance(exc.best, Frame)
         assert exc.rounds == 1
         assert exc.dist_sq > 0
+
+    def test_agreeing_start_returns_input_polish(self):
+        # the input's polish has margin <= 0; the polish from the round-5
+        # iterate lands on the same point, which the agreement exit returns
+        # (a local check of the mechanism, not a claim that it is global)
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
+                            epsilon_target=0.1, seed=4)
+        v0 = generate_instance(spec).instance.vectors
+        out, dist_sq, rounds = nearest_enp_alternating(Frame(v0))
+        point, gap = lab._kkt_polish(v0, v0, default_certify_tol())
+        assert gap == math.inf
+        assert rounds == 5
+        assert np.array_equal(out.vectors, point)
+        assert dist_sq == float(np.sum((point - v0) ** 2))
 
     def test_proved_global_polish_needs_no_round(self):
         # the polish of this input is proved globally nearest, so a budget
@@ -584,11 +597,12 @@ class TestEstimate:
         assert len(summary) == 1
         assert summary[0].frac_certified == 1.0
 
-    def test_stalled_solve_is_uncertified(self):
+    def test_stalled_solve_is_uncertified(self, monkeypatch):
         # the instance TestAlternating drives into NoConvergence
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
                             epsilon_target=0.1, seed=4)
-        records, summary = estimate_paulsen([spec], trials=1, max_rounds=1)
+        monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
+        records, summary = estimate_paulsen([spec], trials=1)
         assert not records[0].certified
         assert records[0].iterations == 1
         assert records[0].achieved_dist_sq == \
