@@ -3,7 +3,7 @@
 Starts from a harmonic equal-norm tight frame scaled to unit rows,
 kicks it with gaussian noise of size delta, renormalizes, and iterates
 the rotation update until the tightness defect reaches the stop level.
-Prints a short trace and the displacement diagnostics.
+Prints a short trace and the frame-operator displacement |S_end - S_0|_F.
 """
 
 import argparse
@@ -54,17 +54,15 @@ def main(argv=None):
                         renorm_every=args.renorm_every)
     final, trace = run_flow(frame, config)
 
-    show = trace.iters[:3] + trace.iters[-3:]
-    for k in sorted(set(show)):
-        i = trace.iters.index(k)
-        print(f"iter {k:6d}  defect {trace.unit_defect_hs[i]:.3e}  "
-              f"potential {trace.frame_potential[i]:.9f}  "
-              f"tangent {trace.max_tangent_norm[i]:.3e}")
+    iters = range(trace.final_index + 1)
+    for k in sorted({*iters[:3], *iters[-3:]}):
+        print(f"iter {k:6d}  defect {trace.unit_defect_hs[k]:.3e}  "
+              f"potential {trace.frame_potential[k]:.9f}  "
+              f"tangent {trace.max_tangent_norm[k]:.3e}")
     print(f"termination: {trace.termination} after {trace.final_index} "
           f"iterations")
     print(f"potential target n^2/d = {args.n ** 2 / args.d:.9f}")
-    print(f"displacement {trace.displacement_hs:.6e} "
-          f"(theoretical ceiling {trace.displacement_bound:.3e})")
+    print(f"displacement {trace.displacement_hs:.6e}")
     print(f"final norms spread "
           f"{np.ptp(np.linalg.norm(final.vectors, axis=1)):.3e}")
     if args.trace:

@@ -236,16 +236,13 @@ def from_hilbert(frame):
 def generate_asf(kind, space, n=None, seed=0, base=None, delta=None):
     """Seeded ASF generators.
 
-    canonical: the biorthogonal basis pair (n = dim); repeated_basis: each
-    basis pair repeated n/dim times, both sides scaled sqrt(dim/n), an
-    equal-norm Parseval ASF for every p; random: independent Gaussian
-    entries; perturb: base with vectors displaced in a p-ball of radius
-    delta and functionals independently in a q-ball.
+    repeated_basis: each basis pair repeated n/dim times, both sides scaled
+    sqrt(dim/n), an equal-norm Parseval ASF for every p (at n = dim, the
+    biorthogonal basis pair); random: independent Gaussian entries;
+    perturb: base with vectors displaced in a p-ball of radius delta and
+    functionals independently in a q-ball.
     """
     d = space.dim
-    if kind == "canonical":
-        eye = np.eye(d)
-        return ASF(space=space, functionals=eye, vectors=eye)
     if kind == "repeated_basis":
         if n is None or n < 1:
             raise ShapeMismatch("repeated_basis needs n")

@@ -192,8 +192,8 @@ def _csv_text(columns, rows):
 
 
 def write_flow_trace_csv(trace, path):
-    rows = zip(trace.iters, trace.unit_defect_hs, trace.frame_potential,
-               trace.max_tangent_norm)
+    rows = zip(range(trace.final_index + 1), trace.unit_defect_hs,
+               trace.frame_potential, trace.max_tangent_norm)
     _write_text(_csv_text(FLOW_TRACE_COLUMNS, rows), path)
 
 

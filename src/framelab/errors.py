@@ -65,10 +65,6 @@ class NotIdempotent(FrameLabError):
     """The matrix is not a projection within tolerance."""
 
 
-class NotSelfAdjoint(FrameLabError):
-    """Orthogonality was required but the matrix is not symmetric."""
-
-
 class RankMismatch(FrameLabError):
     """Chordal distance needs two projections of equal rank."""
 

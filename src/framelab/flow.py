@@ -57,16 +57,15 @@ class TangentFamily:
 
 @dataclass
 class FlowTrace:
-    """Per-iteration diagnostics of a flow run."""
+    """Per-iteration diagnostics of a flow run; entry k of each list
+    belongs to iterate k, for k = 0 .. final_index."""
 
-    iters: list[int] = field(default_factory=list)
     unit_defect_hs: list[float] = field(default_factory=list)
     frame_potential: list[float] = field(default_factory=list)
     max_tangent_norm: list[float] = field(default_factory=list)
     termination: str = ""
     final_index: int = 0
     displacement_hs: float = 0.0
-    displacement_bound: float = 0.0
 
 
 def _require_unit(frame):
@@ -132,10 +131,6 @@ def run_flow(frame, config):
 
     trace = FlowTrace()
     s0 = v.T @ v
-    initial_defect = float(np.linalg.norm(s0 - target_eye))
-    trace.displacement_bound = (
-        4.0 * d ** 20 * n ** 8.5 / (1.0 - 2 * n * config.step_t)
-    ) * initial_defect
 
     k = 0
     while True:
@@ -145,7 +140,6 @@ def run_flow(frame, config):
         omegas = _omegas(v, s)
         wn = row_norms(omegas)
 
-        trace.iters.append(k)
         trace.unit_defect_hs.append(defect)
         trace.frame_potential.append(float(np.add.reduce(s * s, axis=None)))
         trace.max_tangent_norm.append(float(wn.max()))

@@ -210,22 +210,19 @@ def _harmonic_rows(d, n):
 def generate(kind, d=None, n=None, seed=0, base=None, delta=None, eps=None):
     """Seeded frame generators.
 
-    kind 'random' draws i.i.d. standard normal entries; 'random_parseval'
-    follows with the closest-Parseval map; 'harmonic' is the deterministic
-    trigonometric equal-norm Parseval family; 'perturb' displaces each
+    kind 'random_parseval' maps i.i.d. standard normal entries to their
+    closest Parseval frame; 'harmonic' is the deterministic trigonometric
+    equal-norm Parseval family; both need n >= d. 'perturb' displaces each
     vector of base inside a ball of radius delta; 'scaled' multiplies a
     Parseval base by sqrt(1 + eps).
     """
-    if kind in ("random", "random_parseval", "harmonic"):
+    if kind in ("random_parseval", "harmonic"):
         if d is None or n is None:
             raise ShapeMismatch(f"kind {kind} needs d and n")
         if d < 1 or n < 1:
             raise ShapeMismatch("d and n must be positive")
-        if kind != "random" and n < d:
+        if n < d:
             raise UnsupportedShape(f"Parseval kinds need n >= d, got ({d}, {n})")
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        return Frame(rng.standard_normal((n, d)))
     if kind == "random_parseval":
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, d))

@@ -225,8 +225,7 @@ def _gen_perturbed_asf(spec):
             if (rep.eps_parseval is not None
                     and rep.eps_parseval <= eps
                     and rep.eps_equal_norm is not None
-                    and rep.eps_equal_norm <= eps
-                    and rep.norm_triple_defect <= CHAIN_TOL):
+                    and rep.eps_equal_norm <= eps):
                 return InstanceBundle(spec=spec, instance=inst, base=base,
                                       eps_parseval=rep.eps_parseval,
                                       eps_equal_norm=rep.eps_equal_norm)

@@ -1,11 +1,12 @@
 """Projection-problem quantities.
 
 Covers idempotent certification with rank determination, balance epsilon
-over orthonormal and Auerbach systems, the projection-pair distance, and
-chordal distance. Oblique (non-self-adjoint) idempotents are first-class:
-orthogonality is only enforced when a caller asks for it, and the chordal
-radicand is allowed to go negative with an explicit error instead of a
-silent clamp.
+over Auerbach systems, the projection-pair distance, and chordal distance.
+The Hilbert case is the l2 one: an orthonormal basis U is the Auerbach
+system AuerbachSystem(PNormSpace(d, 2.0), U, U). Oblique (non-self-adjoint)
+idempotents are first-class: the self-adjoint defect is reported, never
+enforced, and the chordal radicand is allowed to go negative with an
+explicit error instead of a silent clamp.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from .errors import (
     InvalidSystem,
     NegativeChordal,
     NotIdempotent,
-    NotSelfAdjoint,
     RankMismatch,
     ShapeMismatch,
     ZeroRank,
@@ -83,12 +83,7 @@ class AuerbachSystem:
         object.__setattr__(self, "dual_functionals", z)
 
 
-def canonical_auerbach(space):
-    eye = np.eye(space.dim)
-    return AuerbachSystem(space=space, basis_vectors=eye, dual_functionals=eye)
-
-
-def certify_projection(m, orthogonal_required=False):
+def certify_projection(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -101,11 +96,6 @@ def certify_projection(m, orthogonal_required=False):
         raise NotIdempotent(
             f"idempotency defect {defect:.3e} exceeds {PROJ_TOL:.3e}")
 
-    sym_defect = float(np.linalg.norm(m - m.T))
-    if orthogonal_required and sym_defect > PROJ_TOL:
-        raise NotSelfAdjoint(
-            f"asymmetry {sym_defect:.3e} exceeds {PROJ_TOL:.3e}")
-
     spec = general_spectrum(m)
     rank_eig = int(np.sum(np.abs(spec - 1.0) <= RANK_EIG_TOL))
     sv = np.linalg.svd(m, compute_uv=False)
@@ -116,29 +106,8 @@ def certify_projection(m, orthogonal_required=False):
             f"{rank_sv} singular values above {RANK_SV_SPLIT}")
 
     return ProjectionOp(dim=d, matrix=m, idempotency_defect=defect,
-                        rank=rank_eig, self_adjoint_defect=sym_defect)
-
-
-def _check_system_vectors(u, d, what):
-    u = np.asarray(u, dtype=float)
-    if u.shape != (d, d):
-        raise ShapeMismatch(f"{what} must be {d} vectors of length {d}")
-    return u
-
-
-def balance_epsilon_hilbert(proj, onb):
-    """Balance epsilon of an orthogonal projection over an orthonormal system.
-
-    Returns max_k |(d/n) |P u_k|^2 - 1| when below 1, None otherwise;
-    n is the projection's rank.
-    """
-    d = proj.dim
-    if proj.rank == 0:
-        raise ZeroRank("balance is undefined for the zero projection")
-    u = _check_system_vectors(onb, d, "the orthonormal system")
-    vals = np.sum((u @ proj.matrix.T) ** 2, axis=1)
-    dev = float(np.max(np.abs((d / proj.rank) * vals - 1.0)))
-    return dev if dev < 1.0 else None
+                        rank=rank_eig,
+                        self_adjoint_defect=float(np.linalg.norm(m - m.T)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from framelab import Frame
+from framelab import Frame, PNormSpace
+from framelab.projections import AuerbachSystem
 
 ROOT3 = np.sqrt(3.0)
 
@@ -14,6 +15,14 @@ def mb():
         [-ROOT3 / 2.0, -0.5],
         [ROOT3 / 2.0, -0.5],
     ]))
+
+
+def auerbach_system(u, p=2.0):
+    """The basis u (one vector per row) paired with itself: an Auerbach
+    system of l^p for an orthonormal u at p = 2 and for the coordinate
+    basis at every p."""
+    return AuerbachSystem(space=PNormSpace(len(u), p), basis_vectors=u,
+                          dual_functionals=u)
 
 
 def random_frame(seed, d, n):

@@ -86,8 +86,8 @@ class TestSpaces:
 
 class TestAnalyzeASF:
     def test_canonical(self):
-        rep = analyze_asf(generate_asf("canonical", PNormSpace(3, 1.5)),
-                          tol=1e-8)
+        rep = analyze_asf(
+            generate_asf("repeated_basis", PNormSpace(3, 1.5), n=3), tol=1e-8)
         assert np.allclose(rep.S, np.eye(3))
         assert rep.parseval and rep.funtf and rep.invertible
         assert rep.eps_parseval == pytest.approx(0.0, abs=1e-12)
@@ -142,7 +142,7 @@ class TestASFDist:
             assert asf_dist(asf, asf, variant) == 0.0
 
     def test_single_move(self):
-        can = generate_asf("canonical", PNormSpace(2, 2.0))
+        can = generate_asf("repeated_basis", PNormSpace(2, 2.0), n=2)
         moved = ASF(space=can.space, functionals=can.functionals,
                     vectors=np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert asf_dist(can, moved) == pytest.approx(math.sqrt(0.5))
@@ -171,7 +171,7 @@ class TestHilbertReduction:
 
     def test_basis_lift_is_canonical(self):
         lifted = from_hilbert(Frame(np.eye(3)))
-        can = generate_asf("canonical", PNormSpace(3, 2.0))
+        can = generate_asf("repeated_basis", PNormSpace(3, 2.0), n=3)
         assert np.array_equal(lifted.vectors, can.vectors)
         assert np.array_equal(lifted.functionals, can.functionals)
 
@@ -229,7 +229,7 @@ class TestGenerateASF:
             generate_asf("repeated_basis", PNormSpace(2, 2.0), n=5)
 
     def test_perturb_zero_delta(self):
-        can = generate_asf("canonical", PNormSpace(3, 1.5))
+        can = generate_asf("repeated_basis", PNormSpace(3, 1.5), n=3)
         same = generate_asf("perturb", can.space, seed=4, base=can, delta=0.0)
         assert np.array_equal(same.vectors, can.vectors)
         assert np.array_equal(same.functionals, can.functionals)

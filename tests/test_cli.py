@@ -22,8 +22,7 @@ from framelab.documents import (
 )
 from framelab.frames import FrameReport, naimark_complement
 from framelab.lab import InstanceSpec, estimate_paulsen, record_to_row
-from framelab.projections import canonical_auerbach
-from conftest import ROOT3
+from conftest import ROOT3, auerbach_system
 
 
 @pytest.fixture
@@ -201,7 +200,7 @@ class TestProjectionBalance:
         p_path = tmp_path / "p.json"
         s_path = tmp_path / "s.json"
         write_projection_doc(np.eye(2), p_path)
-        write_auerbach_doc(canonical_auerbach(PNormSpace(2, 1.5)), s_path)
+        write_auerbach_doc(auerbach_system(np.eye(2), 1.5), s_path)
         code, out, _ = run(capsys, "projection", "balance", str(p_path),
                            "--system", str(s_path))
         assert code == 0

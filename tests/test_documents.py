@@ -23,7 +23,8 @@ from framelab.documents import (
 from framelab.errors import DocumentError
 from framelab.flow import FlowTrace
 from framelab.frames import Frame
-from framelab.projections import canonical_auerbach, certify_projection
+from framelab.projections import certify_projection
+from conftest import auerbach_system
 
 
 class TestFrameDocs:
@@ -118,7 +119,7 @@ class TestProjectionDocs:
 
 class TestAuerbachDocs:
     def test_round_trip(self, tmp_path):
-        sys = canonical_auerbach(PNormSpace(3, 1.5))
+        sys = auerbach_system(np.eye(3), 1.5)
         path = tmp_path / "sys.json"
         write_auerbach_doc(sys, path)
         back = read_auerbach_doc(path)
@@ -231,9 +232,9 @@ class TestSweepCSV:
 
 class TestFlowTraceCSV:
     def test_header_and_rows(self, tmp_path):
-        trace = FlowTrace(iters=[0, 1], unit_defect_hs=[0.5, 0.1],
+        trace = FlowTrace(unit_defect_hs=[0.5, 0.1],
                           frame_potential=[4.5, 4.51],
-                          max_tangent_norm=[0.25, 0.05])
+                          max_tangent_norm=[0.25, 0.05], final_index=1)
         path = tmp_path / "trace.csv"
         write_flow_trace_csv(trace, path)
         assert path.read_bytes() == (",".join(FLOW_TRACE_COLUMNS)

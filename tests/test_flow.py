@@ -146,7 +146,7 @@ class TestRunFlow:
                                                stop_defect=1e-8))
         assert trace.termination == "converged"
         assert trace.final_index == 0
-        assert trace.iters == [0]
+        assert len(trace.unit_defect_hs) == 1
         assert np.allclose(final.vectors, mb.vectors)
 
     def test_perturbed_converges(self):
@@ -168,7 +168,7 @@ class TestRunFlow:
         _, trace = run_flow(frame, FlowConfig(
             step_t=1.0 / 20.0, max_iters=50, stop_defect=1e-12,
             renorm_every=25))
-        k = len(trace.iters)
+        k = trace.final_index + 1
         assert len(trace.unit_defect_hs) == k
         assert len(trace.frame_potential) == k
         assert len(trace.max_tangent_norm) == k
@@ -193,7 +193,8 @@ class TestRunFlow:
                             stop_defect=0.0, renorm_every=0)
         final, trace = run_flow(frame, config)
         assert trace.termination == "max_iters"
-        assert trace.iters == list(range(steps + 1))
+        assert trace.final_index == steps
+        assert len(trace.unit_defect_hs) == steps + 1
         current = frame
         for k in range(steps + 1):
             v = current.vectors

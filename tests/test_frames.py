@@ -287,18 +287,19 @@ class TestGenerate:
         assert np.allclose(rep.norms_sq, 0.8)
 
     def test_deterministic(self):
-        a = generate("random", 3, 5, seed=123)
-        b = generate("random", 3, 5, seed=123)
+        a = generate("random_parseval", 3, 5, seed=123)
+        b = generate("random_parseval", 3, 5, seed=123)
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedShape):
             generate("harmonic", 4, 3)
 
-    def test_shape_rule_spares_only_random(self):
-        with pytest.raises(UnsupportedShape):
-            generate("random_parseval", 4, 3)
-        assert generate("random", 4, 3).vectors.shape == (3, 4)
+    def test_shape_rule_covers_every_kind(self):
+        for kind in ("random_parseval", "harmonic"):
+            with pytest.raises(UnsupportedShape):
+                generate(kind, 4, 3)
+            assert generate(kind, 4, 4).vectors.shape == (4, 4)
 
     def test_random_parseval_certificate(self):
         rep = analyze_frame(generate("random_parseval", 3, 6, seed=2))

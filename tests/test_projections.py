@@ -10,20 +10,19 @@ from framelab.errors import (
     InvalidSystem,
     NegativeChordal,
     NotIdempotent,
-    NotSelfAdjoint,
     RankMismatch,
     ZeroRank,
 )
 from framelab.projections import (
     AuerbachSystem,
+    PROJ_TOL,
     balance_epsilon_banach,
-    balance_epsilon_hilbert,
-    canonical_auerbach,
     certify_projection,
     chordal_distance,
     projection_pair_distance,
 )
 from framelab.spectral import pnorm
+from conftest import auerbach_system
 
 
 def random_orthogonal_projection(rng, d, rank):
@@ -50,16 +49,14 @@ class TestCertify:
         assert proj.self_adjoint_defect <= 1e-15
 
     def test_averaging(self):
-        proj = certify_projection(np.full((2, 2), 0.5),
-                                  orthogonal_required=True)
+        proj = certify_projection(np.full((2, 2), 0.5))
         assert proj.rank == 1
+        assert proj.self_adjoint_defect == 0.0
 
-    def test_oblique_rejected_when_orthogonal_required(self):
-        m = np.array([[1.0, 1.0], [0.0, 0.0]])
-        proj = certify_projection(m)
+    def test_oblique_reports_self_adjoint_defect(self):
+        proj = certify_projection(np.array([[1.0, 1.0], [0.0, 0.0]]))
         assert proj.rank == 1
-        with pytest.raises(NotSelfAdjoint):
-            certify_projection(m, orthogonal_required=True)
+        assert proj.self_adjoint_defect > PROJ_TOL
 
     def test_non_idempotent(self):
         with pytest.raises(NotIdempotent):
@@ -88,34 +85,39 @@ class TestCertify:
 
 
 class TestHilbertBalance:
+    """Balance over an orthonormal basis: the l2 Auerbach system."""
+
     def test_coordinate_with_diagonal_basis(self):
         # the 45-degree basis sees the coordinate line symmetrically
         proj = certify_projection(np.diag([1.0, 0.0]))
         r = math.sqrt(0.5)
         onb = np.array([[r, r], [r, -r]])
-        assert balance_epsilon_hilbert(proj, onb) == pytest.approx(
-            0.0, abs=1e-12)
+        bal = balance_epsilon_banach(proj, auerbach_system(onb))
+        assert bal.eps == pytest.approx(0.0, abs=1e-12)
+        assert bal.failures == ()
 
     def test_identity(self):
         proj = certify_projection(np.eye(3))
-        assert balance_epsilon_hilbert(proj, np.eye(3)) == pytest.approx(
-            0.0, abs=1e-15)
+        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(3)))
+        assert bal.eps == pytest.approx(0.0, abs=1e-15)
 
     def test_unbalanced_absent(self):
         # rank-1 aligned with a basis vector: values {1, 0}, spread 1
         proj = certify_projection(np.diag([1.0, 0.0, 0.0]))
-        assert balance_epsilon_hilbert(proj, np.eye(3)) is None
+        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(3)))
+        assert bal.eps is None
+        assert bal.failures == ()
 
     def test_rotated_balance(self):
         # rank-1 line at 45 degrees sees both basis vectors equally
         proj = certify_projection(np.full((2, 2), 0.5))
-        eps = balance_epsilon_hilbert(proj, np.eye(2))
-        assert eps == pytest.approx(0.0, abs=1e-12)
+        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(2)))
+        assert bal.eps == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_rank_rejected(self):
         with pytest.raises(ZeroRank):
-            balance_epsilon_hilbert(certify_projection(np.zeros((2, 2))),
-                                    np.eye(2))
+            balance_epsilon_banach(certify_projection(np.zeros((2, 2))),
+                                   auerbach_system(np.eye(2)))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(2, 6))
@@ -133,7 +135,8 @@ class TestHilbertBalance:
 class TestAuerbach:
     def test_canonical_all_p(self):
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-            sys = canonical_auerbach(PNormSpace(3, p))
+            sys = auerbach_system(np.eye(3), p)
+            assert sys.space == PNormSpace(3, p)
             assert np.array_equal(sys.basis_vectors, np.eye(3))
             assert np.array_equal(sys.dual_functionals, np.eye(3))
 
@@ -158,7 +161,7 @@ class TestAuerbach:
 
 class TestBanachBalance:
     def test_l2_coordinate(self):
-        sys = canonical_auerbach(PNormSpace(2, 2.0))
+        sys = auerbach_system(np.eye(2))
         proj = certify_projection(np.full((2, 2), 0.5))
         bal = balance_epsilon_banach(proj, sys)
         assert bal.eps == pytest.approx(0.0, abs=1e-12)
@@ -167,7 +170,7 @@ class TestBanachBalance:
 
     def test_identity_any_p(self):
         for p in (1.0, 1.5, 3.0, math.inf):
-            sys = canonical_auerbach(PNormSpace(3, p))
+            sys = auerbach_system(np.eye(3), p)
             proj = certify_projection(np.eye(3))
             bal = balance_epsilon_banach(proj, sys)
             assert bal.eps == pytest.approx(0.0, abs=1e-12)
@@ -176,31 +179,36 @@ class TestBanachBalance:
     def test_l1_chain_failure_is_diagnosed(self):
         # in l1 the three balance readings of an oblique rank-1 projection
         # disagree; the certificate must name the offending index
-        sys = canonical_auerbach(PNormSpace(2, 1.0))
+        sys = auerbach_system(np.eye(2), 1.0)
         proj = certify_projection(np.array([[1.0, 0.5], [0.0, 0.0]]))
         bal = balance_epsilon_banach(proj, sys, tol=1e-8)
         assert bal.failures
         assert all(isinstance(k, int) and isinstance(msg, str)
                    for k, msg in bal.failures)
 
-    def test_l2_reduces_to_hilbert(self):
-        rng = np.random.default_rng(11)
-        proj = random_orthogonal_projection(rng, 4, 2)
-        sys = canonical_auerbach(PNormSpace(4, 2.0))
-        h = balance_epsilon_hilbert(proj, np.eye(4))
-        b = balance_epsilon_banach(proj, sys)
-        if h is None:
-            assert bal_eps_absent(b)
-        else:
-            assert b.eps == pytest.approx(h, abs=1e-10)
-            assert b.chain_defect <= 1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(2, 7))
+    def test_l2_reduces_to_hilbert(self, seed, d):
+        # over an orthonormal basis the chain collapses to |P u_k|^2 and
+        # eps is the Hilbert balance max_k |(d/rank)|P u_k|^2 - 1|
+        rng = np.random.default_rng(seed)
+        proj = random_orthogonal_projection(rng, d, int(rng.integers(1, d + 1)))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        vals = np.sum((u @ proj.matrix.T) ** 2, axis=1)
+        dev = float(np.max(np.abs((d / proj.rank) * vals - 1.0)))
+        bal = balance_epsilon_banach(proj, auerbach_system(u))
+        assert bal.chain_defect <= 1e-12
+        assert bal.failures == ()
+        assert (bal.eps is None) == (dev >= 1.0)
+        if bal.eps is not None:
+            assert bal.eps == pytest.approx(dev, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(2, 5),
            p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
     def test_rows_match_per_index_loop(self, seed, d, p):
         rng = np.random.default_rng(seed)
-        sys = canonical_auerbach(PNormSpace(d, p))
+        sys = auerbach_system(np.eye(d), p)
         proj = random_oblique_projection(rng, d, int(rng.integers(1, d)))
         m, q = proj.matrix, sys.space.q
         chain = np.array([[pnorm(m @ u, p) ** 2, pnorm(m.T @ z, q) ** 2,
@@ -215,24 +223,20 @@ class TestBanachBalance:
             [k for k in range(d) if spread[k] > 1e-8]
 
 
-def bal_eps_absent(bal):
-    return bal.eps is None
-
-
 class TestPairDistance:
     def test_zero_on_self(self):
-        sys = canonical_auerbach(PNormSpace(3, 1.5))
+        sys = auerbach_system(np.eye(3), 1.5)
         proj = certify_projection(np.diag([1.0, 1.0, 0.0]))
         assert projection_pair_distance(proj, proj, sys) == 0.0
 
     def test_complementary_coordinate(self):
-        sys = canonical_auerbach(PNormSpace(2, 2.0))
+        sys = auerbach_system(np.eye(2))
         p = certify_projection(np.diag([1.0, 0.0]))
         q = certify_projection(np.diag([0.0, 1.0]))
         assert projection_pair_distance(p, q, sys) == pytest.approx(2.0)
 
     def test_coordinate_vs_zero(self):
-        sys = canonical_auerbach(PNormSpace(2, 2.0))
+        sys = auerbach_system(np.eye(2))
         p = certify_projection(np.diag([1.0, 0.0]))
         z = certify_projection(np.zeros((2, 2)))
         assert projection_pair_distance(p, z, sys) == pytest.approx(1.0)
@@ -242,7 +246,7 @@ class TestPairDistance:
            p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     def test_symmetry_and_positivity(self, seed, p):
         rng = np.random.default_rng(seed)
-        sys = canonical_auerbach(PNormSpace(3, p))
+        sys = auerbach_system(np.eye(3), p)
         pa = random_orthogonal_projection(rng, 3, 1)
         pb = random_orthogonal_projection(rng, 3, 2)
         ab = projection_pair_distance(pa, pb, sys)
@@ -255,7 +259,7 @@ class TestPairDistance:
            p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
     def test_rows_match_per_index_loop(self, seed, d, p):
         rng = np.random.default_rng(seed)
-        sys = canonical_auerbach(PNormSpace(d, p))
+        sys = auerbach_system(np.eye(d), p)
         pa = random_oblique_projection(rng, d, int(rng.integers(1, d)))
         pb = random_oblique_projection(rng, d, int(rng.integers(1, d)))
         diff, q = pa.matrix - pb.matrix, sys.space.q
