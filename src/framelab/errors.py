@@ -24,9 +24,9 @@ class SingularOperator(FrameLabError):
 class ZeroVector(FrameLabError):
     """A vector that must be nonzero is (numerically) zero."""
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"vector {index} is numerically zero")
+        super().__init__(f"vector {index} is numerically zero")
 
 
 class NotParseval(FrameLabError):
@@ -76,9 +76,9 @@ class ZeroRank(FrameLabError):
 class NegativeChordal(FrameLabError):
     """m - trace(PQ) is negative beyond tolerance (oblique pair)."""
 
-    def __init__(self, value, message=None):
+    def __init__(self, value):
         self.value = value
-        super().__init__(message or f"m - trace(PQ) = {value} is negative")
+        super().__init__(f"m - trace(PQ) = {value} is negative")
 
 
 class InvalidSystem(FrameLabError):
@@ -94,12 +94,11 @@ class NoConvergence(FrameLabError):
     reports the base distance uncertified.
     """
 
-    def __init__(self, dist_sq, rounds, message=None):
+    def __init__(self, dist_sq, rounds):
         self.dist_sq = dist_sq
         self.rounds = rounds
-        super().__init__(
-            message or f"no certification after {rounds} rounds "
-                       f"(last dist_sq {dist_sq:.6g})")
+        super().__init__(f"no certification after {rounds} rounds "
+                         f"(last dist_sq {dist_sq:.6g})")
 
 
 class BoundViolation(FrameLabError):

@@ -14,7 +14,7 @@ np.max directly, which gives the same bits without their Python wrappers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import NotUnitNorm, StepTooLarge
 from .frames import Frame
 from .spectral import row_norms
 
-UNIT_TOL_STEP = 1e-9
-UNIT_TOL_FINAL = 1e-9
+# how far a row norm may stray from 1, at the start and at the end of a run
+UNIT_TOL = 1e-9
 # a vector whose |omega_j| is at or below this is left unchanged by a step
 ZERO_THRESHOLD = 1e-14
 
@@ -50,29 +50,30 @@ class TangentFamily:
 
     omegas: np.ndarray
 
-    @property
-    def norms(self):
-        return row_norms(self.omegas)
 
-
-@dataclass
+@dataclass(frozen=True)
 class FlowTrace:
-    """Per-iteration diagnostics of a flow run; entry k of each list
-    belongs to iterate k, for k = 0 .. final_index."""
+    """Diagnostics of a flow run, built once when the run ends.
 
-    unit_defect_hs: list[float] = field(default_factory=list)
-    frame_potential: list[float] = field(default_factory=list)
-    max_tangent_norm: list[float] = field(default_factory=list)
-    termination: str = ""
-    final_index: int = 0
-    displacement_hs: float = 0.0
+    Entry k of each list belongs to iterate k, for k = 0 .. final_index:
+    the unit-tightness defect |S - (n/d) I|_F, the frame potential
+    tr(S^2) and the largest |omega_j|. termination is "converged" or
+    "max_iters", and displacement_hs is |S_end - S_0|_F.
+    """
+
+    unit_defect_hs: list[float]
+    frame_potential: list[float]
+    max_tangent_norm: list[float]
+    termination: str
+    final_index: int
+    displacement_hs: float
 
 
 def _require_unit(frame):
     dev = float(np.max(np.abs(row_norms(frame.vectors) - 1.0)))
-    if dev > UNIT_TOL_STEP:
+    if dev > UNIT_TOL:
         raise NotUnitNorm(
-            f"norms deviate from 1 by {dev:.3e} (tol {UNIT_TOL_STEP:g})")
+            f"norms deviate from 1 by {dev:.3e} (tol {UNIT_TOL:g})")
 
 
 def _check_step(config, n):
@@ -121,16 +122,17 @@ def flow_step(frame, config):
 
 def run_flow(frame, config):
     """Iterate flow_step until the unit-tightness defect reaches stop_defect
-    or max_iters steps have been taken. Returns the final frame and a trace
-    recorded at every visited iterate (the initial frame included)."""
+    or max_iters steps have been taken. Returns the final frame and its
+    FlowTrace, which records every visited iterate (the initial frame
+    included). Raises NotUnitNorm when the rows of the final frame drift
+    from unit norm by more than UNIT_TOL."""
     _check_step(config, frame.n)
     _require_unit(frame)
     n, d = frame.n, frame.dim
     target_eye = (n / d) * np.eye(d)
     v = frame.vectors.copy()
-
-    trace = FlowTrace()
     s0 = v.T @ v
+    defects, potentials, tangents = [], [], []
 
     k = 0
     while True:
@@ -140,15 +142,15 @@ def run_flow(frame, config):
         omegas = _omegas(v, s)
         wn = row_norms(omegas)
 
-        trace.unit_defect_hs.append(defect)
-        trace.frame_potential.append(float(np.add.reduce(s * s, axis=None)))
-        trace.max_tangent_norm.append(float(wn.max()))
+        defects.append(defect)
+        potentials.append(float(np.add.reduce(s * s, axis=None)))
+        tangents.append(float(wn.max()))
 
         if defect <= config.stop_defect:
-            trace.termination = "converged"
+            termination = "converged"
             break
         if k >= config.max_iters:
-            trace.termination = "max_iters"
+            termination = "max_iters"
             break
 
         v = _rotate(v, omegas, wn, config.step_t)
@@ -156,11 +158,12 @@ def run_flow(frame, config):
         if config.renorm_every and k % config.renorm_every == 0:
             v = v / row_norms(v)[:, None]
 
-    trace.final_index = k
-    trace.displacement_hs = float(np.linalg.norm(v.T @ v - s0))
     dev = float(np.max(np.abs(row_norms(v) - 1.0)))
-    if dev > UNIT_TOL_FINAL:
+    if dev > UNIT_TOL:
         raise NotUnitNorm(
-            f"cumulative norm drift {dev:.3e} exceeds {UNIT_TOL_FINAL:g}; "
+            f"cumulative norm drift {dev:.3e} exceeds {UNIT_TOL:g}; "
             "rerun with maintenance renormalization (renorm_every)")
-    return Frame(v), trace
+    return Frame(v), FlowTrace(
+        unit_defect_hs=defects, frame_potential=potentials,
+        max_tangent_norm=tangents, termination=termination, final_index=k,
+        displacement_hs=float(np.linalg.norm(v.T @ v - s0)))

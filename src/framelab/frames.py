@@ -18,8 +18,7 @@ from .errors import (
     UnsupportedShape,
     ZeroVector,
 )
-from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_psd, \
-    row_norms, sym_eig
+from .spectral import PSD_FLOOR, inv_sqrt_psd, row_norms, sym_eig
 
 ZERO_NORM_FLOOR = 1e-300
 NAIMARK_TOL = 1e-8
@@ -207,41 +206,27 @@ def _harmonic_rows(d, n):
     return np.stack(cols, axis=1)
 
 
-def generate(kind, d=None, n=None, seed=0, base=None, delta=None, eps=None):
-    """Seeded frame generators.
+def generate(kind, d, n, seed=0):
+    """Seeded equal-norm Parseval sources: n vectors in R^d, n >= d >= 1.
 
-    kind 'random_parseval' maps i.i.d. standard normal entries to their
-    closest Parseval frame; 'harmonic' is the deterministic trigonometric
-    equal-norm Parseval family; both need n >= d. 'perturb' displaces each
-    vector of base inside a ball of radius delta; 'scaled' multiplies a
-    Parseval base by sqrt(1 + eps).
+    kind 'random_parseval' maps i.i.d. standard normal entries drawn from
+    seed to their closest Parseval frame; 'harmonic' is the deterministic
+    trigonometric equal-norm Parseval family and ignores seed. Perturbed
+    and scaled instances are built from these in lab.
     """
-    if kind in ("random_parseval", "harmonic"):
-        if d is None or n is None:
-            raise ShapeMismatch(f"kind {kind} needs d and n")
-        if d < 1 or n < 1:
-            raise ShapeMismatch("d and n must be positive")
-        if n < d:
-            raise UnsupportedShape(f"Parseval kinds need n >= d, got ({d}, {n})")
-    if kind == "random_parseval":
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((n, d))
-        while True:
-            try:
-                out, _ = closest_parseval(Frame(v))
-                return out
-            except SingularOperator:
-                v = rng.standard_normal((n, d))
+    if kind not in ("random_parseval", "harmonic"):
+        raise ShapeMismatch(f"unknown kind {kind!r}")
+    if d < 1 or n < 1:
+        raise ShapeMismatch("d and n must be positive")
+    if n < d:
+        raise UnsupportedShape(f"Parseval kinds need n >= d, got ({d}, {n})")
     if kind == "harmonic":
         return Frame(_harmonic_rows(d, n))
-    if kind == "perturb":
-        if base is None or delta is None or delta < 0:
-            raise ShapeMismatch("perturb needs a base frame and delta >= 0")
-        rng = np.random.default_rng(seed)
-        return Frame(base.vectors + ball_displacements(rng, base.n, base.dim, delta))
-    if kind == "scaled":
-        if base is None or eps is None or eps < 0:
-            raise ShapeMismatch("scaled needs a base frame and eps >= 0")
-        return Frame(np.sqrt(1.0 + eps) * base.vectors)
-    raise ShapeMismatch(f"unknown kind {kind!r}")
-
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, d))
+    while True:
+        try:
+            out, _ = closest_parseval(Frame(v))
+            return out
+        except SingularOperator:
+            v = rng.standard_normal((n, d))

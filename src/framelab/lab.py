@@ -129,6 +129,8 @@ class InstanceSpec:
         if not 0.0 < self.epsilon_target < 1.0:
             raise Infeasible(
                 f"epsilon_target must be in (0, 1), got {self.epsilon_target}")
+        if self.seed < 0:
+            raise Infeasible(f"seed must be non-negative, got {self.seed}")
         if self.kind in HILBERT_KINDS:
             if self.p != 2.0:
                 raise Infeasible(
@@ -156,31 +158,41 @@ class InstanceBundle:
         return asf_dist(self.instance, self.base, "default") ** 2
 
 
+def _within(rep, eps):
+    """The retune acceptance rule: both certificates present, both <= eps."""
+    return (rep.eps_parseval is not None and rep.eps_parseval <= eps
+            and rep.eps_equal_norm is not None and rep.eps_equal_norm <= eps)
+
+
+def _bundle(spec, inst, base, rep):
+    return InstanceBundle(spec=spec, instance=inst, base=base,
+                          eps_parseval=rep.eps_parseval,
+                          eps_equal_norm=rep.eps_equal_norm)
+
+
 def _gen_perturbed_enp(spec):
+    """The harmonic frame with each vector displaced inside a ball drawn
+    from spec.seed, the radius halved until both certificates are within
+    the target."""
     base = generate("harmonic", spec.d, spec.n)
     eps = spec.epsilon_target
     delta = 0.5 * eps * math.sqrt(spec.d / spec.n)
     for _ in range(MAX_RETUNES):
-        inst = generate("perturb", seed=spec.seed, base=base, delta=delta)
+        inst = Frame(base.vectors + ball_displacements(
+            np.random.default_rng(spec.seed), spec.n, spec.d, delta))
         rep = analyze_frame(inst)
-        if (rep.eps_parseval is not None and rep.eps_parseval <= eps
-                and rep.eps_equal_norm is not None
-                and rep.eps_equal_norm <= eps):
-            return InstanceBundle(spec=spec, instance=inst, base=base,
-                                  eps_parseval=rep.eps_parseval,
-                                  eps_equal_norm=rep.eps_equal_norm)
+        if _within(rep, eps):
+            return _bundle(spec, inst, base, rep)
         delta *= 0.5
     raise Infeasible(
         f"could not tune a perturbation below epsilon = {eps} for {spec}")
 
 
 def _gen_scaled_enp(spec):
+    """The harmonic frame times sqrt(1 + eps), so S = (1 + eps) I."""
     base = generate("harmonic", spec.d, spec.n)
-    inst = generate("scaled", base=base, eps=spec.epsilon_target)
-    rep = analyze_frame(inst)
-    return InstanceBundle(spec=spec, instance=inst, base=base,
-                          eps_parseval=rep.eps_parseval,
-                          eps_equal_norm=rep.eps_equal_norm)
+    inst = Frame(np.sqrt(1.0 + spec.epsilon_target) * base.vectors)
+    return _bundle(spec, inst, base, analyze_frame(inst))
 
 
 def _gen_perturbed_asf(spec):
@@ -222,13 +234,8 @@ def _gen_perturbed_asf(spec):
             rep = analyze_asf(inst, tol=CHAIN_TOL)
             if not rep.spectrum_real:
                 break
-            if (rep.eps_parseval is not None
-                    and rep.eps_parseval <= eps
-                    and rep.eps_equal_norm is not None
-                    and rep.eps_equal_norm <= eps):
-                return InstanceBundle(spec=spec, instance=inst, base=base,
-                                      eps_parseval=rep.eps_parseval,
-                                      eps_equal_norm=rep.eps_equal_norm)
+            if _within(rep, eps):
+                return _bundle(spec, inst, base, rep)
             delta *= 0.5
             rho_scale *= 0.5
     raise Infeasible(

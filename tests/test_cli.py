@@ -282,6 +282,22 @@ class TestEstimate:
         assert "error: need 1 <= d <= n" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("kind", ["perturbed_enp", "scaled_enp",
+                                      "perturbed_asf"])
+    def test_negative_seed_is_domain_error(self, tmp_path, kind):
+        out_path = tmp_path / "x.csv"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(framelab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "framelab.cli", "estimate", "--kind", kind,
+             "--d", "2", "--n", "4", "--eps", "0.1", "--trials", "1",
+             "--seed", "-1", "--out", str(out_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: seed must be non-negative, got -1\n"
+        assert not out_path.exists()
+
     def test_module_form_matches_run_cli(self, capsys, tmp_path):
         args = ["estimate", "--d", "2", "--n", "2", "3", "--eps", "0.1",
                 "--trials", "2", "--seed", "5"]

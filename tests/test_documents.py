@@ -234,7 +234,9 @@ class TestFlowTraceCSV:
     def test_header_and_rows(self, tmp_path):
         trace = FlowTrace(unit_defect_hs=[0.5, 0.1],
                           frame_potential=[4.5, 4.51],
-                          max_tangent_norm=[0.25, 0.05], final_index=1)
+                          max_tangent_norm=[0.25, 0.05],
+                          termination="max_iters", final_index=1,
+                          displacement_hs=0.01)
         path = tmp_path / "trace.csv"
         write_flow_trace_csv(trace, path)
         assert path.read_bytes() == (",".join(FLOW_TRACE_COLUMNS)

@@ -268,24 +268,6 @@ class TestGenerate:
         assert np.allclose(frame_operator(f), np.eye(2), atol=1e-12)
         assert np.allclose(np.sum(f.vectors ** 2, axis=1), 2.0 / 3.0)
 
-    def test_perturb_zero_delta(self):
-        base = generate("harmonic", 2, 3)
-        same = generate("perturb", seed=5, base=base, delta=0.0)
-        assert np.array_equal(same.vectors, base.vectors)
-
-    def test_perturb_bounded(self):
-        base = generate("harmonic", 3, 7)
-        out = generate("perturb", seed=11, base=base, delta=0.05)
-        moved = np.linalg.norm(out.vectors - base.vectors, axis=1)
-        assert np.max(moved) <= 0.05 + 1e-15
-
-    def test_scaled_report(self):
-        base = generate("harmonic", 2, 3)
-        rep = analyze_frame(generate("scaled", base=base, eps=0.2))
-        assert rep.frame_bounds == pytest.approx((1.2, 1.2))
-        assert rep.eps_parseval == pytest.approx(0.2)
-        assert np.allclose(rep.norms_sq, 0.8)
-
     def test_deterministic(self):
         a = generate("random_parseval", 3, 5, seed=123)
         b = generate("random_parseval", 3, 5, seed=123)

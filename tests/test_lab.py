@@ -106,6 +106,15 @@ class TestInstanceSpec:
         InstanceSpec(kind="perturbed_asf", d=2, n=4, epsilon_target=0.1,
                      p=1.5)
 
+    def test_negative_seed_rejected(self):
+        for kind in lab.INSTANCE_KINDS:
+            p = 1.5 if kind in lab.ASF_KINDS else 2.0
+            with pytest.raises(Infeasible, match="seed"):
+                InstanceSpec(kind=kind, d=2, n=4, epsilon_target=0.1, p=p,
+                             seed=-1)
+            InstanceSpec(kind=kind, d=2, n=4, epsilon_target=0.1, p=p,
+                         seed=0)
+
     def test_pair_error_is_the_spec_shape_rule(self):
         # InstanceSpec raises exactly pair_error's reason, and only then
         for kind in lab.INSTANCE_KINDS:
@@ -134,6 +143,8 @@ class TestGenerateInstance:
         assert bundle.eps_equal_norm == pytest.approx(0.2, abs=1e-12)
         rep = analyze_frame(bundle.instance)
         assert rep.eps_parseval == pytest.approx(0.2, abs=1e-10)
+        assert rep.frame_bounds == pytest.approx((1.2, 1.2))
+        assert np.allclose(rep.norms_sq, 1.2 * 2 / 4)
 
     def test_perturbed_stays_under_target(self):
         spec = InstanceSpec(kind="perturbed_enp", d=3, n=7,
