@@ -268,6 +268,13 @@ class TestGenerate:
         assert np.allclose(frame_operator(f), np.eye(2), atol=1e-12)
         assert np.allclose(np.sum(f.vectors ** 2, axis=1), 2.0 / 3.0)
 
+    def test_scaled_report(self):
+        base = generate("harmonic", 2, 3)
+        rep = analyze_frame(Frame(np.sqrt(1.2) * base.vectors))
+        assert rep.frame_bounds == pytest.approx((1.2, 1.2))
+        assert rep.eps_parseval == pytest.approx(0.2)
+        assert np.allclose(rep.norms_sq, 0.8)
+
     def test_deterministic(self):
         a = generate("random_parseval", 3, 5, seed=123)
         b = generate("random_parseval", 3, 5, seed=123)
