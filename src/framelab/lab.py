@@ -32,6 +32,7 @@ from .asf import (
     PNormSpace,
     analyze_asf,
     asf_dist,
+    generate_asf,
     norming_functional,
     pnorm,
 )
@@ -136,9 +137,10 @@ class InstanceSpec:
                 raise Infeasible(
                     f"kind {self.kind} lives in l2; p = {self.p} applies "
                     f"only to perturbed_asf")
-        else:
-            if not (self.p == math.inf or self.p >= 1.0):
-                raise Infeasible(f"p must be in [1, inf], got {self.p}")
+        elif not 1.0 < self.p < math.inf:
+            # the only exponents nearest_enp_asf_search solves
+            raise Infeasible(
+                f"perturbed_asf needs 1 < p < inf, got p = {self.p}")
 
 
 @dataclass(frozen=True)
@@ -198,22 +200,19 @@ def _gen_scaled_enp(spec):
 def _gen_perturbed_asf(spec):
     """Perturbed repeated-basis ASF with the norm triple preserved exactly.
 
-    Each pair is a radius r_j times a unit direction u_j and its norming
-    functional, so |tau|_p^2 = f(tau) = |f|_q^2 = r_j^2 holds to rounding.
-    Magnitudes are tuned by halving; seeds whose frame operator picks up
-    complex spectrum are skipped by a deterministic seed bump, because the
-    offending sign pattern is invariant under shrinking the perturbation.
+    The base is generate_asf's repeated_basis ASF. Each pair is a radius
+    r_j times a unit direction u_j and its norming functional, so
+    |tau|_p^2 = f(tau) = |f|_q^2 = r_j^2 holds to rounding. Magnitudes are
+    tuned by halving; seeds whose frame operator picks up complex spectrum
+    are skipped by a deterministic seed bump, because the offending sign
+    pattern is invariant under shrinking the perturbation.
     """
     d, n, p = spec.d, spec.n, spec.p
     eps = spec.epsilon_target
-    idx = np.arange(n) % d
-    base_dirs = np.eye(d)[idx]
+    base_dirs = np.eye(d)[np.arange(n) % d]
     r0 = math.sqrt(d / n)
     space = PNormSpace(dim=d, p=p)
-
-    base_tau = r0 * base_dirs
-    base_f = r0 * norming_functional(base_dirs, p)
-    base = ASF(space=space, functionals=base_f, vectors=base_tau)
+    base = generate_asf("repeated_basis", space, n)
 
     for bump in range(MAX_SEED_BUMPS):
         eff_seed = spec.seed + SEED_BUMP_STRIDE * bump
@@ -592,6 +591,7 @@ def record_to_row(rec):
 class SummaryRow:
     d: int
     n: int
+    p: float
     eps_target: float
     records: int
     frac_certified: float
@@ -620,7 +620,8 @@ def _solve_one(bundle):
 
 
 def estimate_paulsen(grid, trials):
-    """Solve every grid spec for each trial and aggregate per (d, n, eps).
+    """Solve every grid spec for each trial and aggregate per (d, n, p,
+    eps).
 
     Per-trial seeds are spec.seed + trial index. A Hilbert solve runs at
     most SWEEP_MAX_ROUNDS alternating rounds. Hilbert records are
@@ -666,14 +667,14 @@ def estimate_paulsen(grid, trials):
 def summarize_records(records):
     groups = {}
     for rec in records:
-        key = (rec.spec.d, rec.spec.n, rec.spec.epsilon_target)
+        key = (rec.spec.d, rec.spec.n, rec.spec.p, rec.spec.epsilon_target)
         groups.setdefault(key, []).append(rec)
     out = []
     for key in sorted(groups):
         recs = groups[key]
         dists = [r.achieved_dist_sq for r in recs]
         out.append(SummaryRow(
-            d=key[0], n=key[1], eps_target=key[2],
+            *key,
             records=len(recs),
             frac_certified=sum(r.certified for r in recs) / len(recs),
             max_dist_sq=max(dists),

@@ -38,6 +38,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """The command line as `python -m framelab.cli` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(framelab.__file__)))
+    return subprocess.run([sys.executable, "-m", "framelab.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 class TestCheck:
     def test_report(self, capsys, mb_doc):
         code, out, _ = run(capsys, "check", mb_doc)
@@ -176,14 +185,16 @@ class TestASFCheck:
         assert doc["tight_lambda"] == pytest.approx(1.5)
         assert doc["norm_triple_defect"] <= 1e-12
 
-    def test_large_exponent_norms(self, capsys, tmp_path):
-        # 3^1000 overflows a float; the norms are still 3
+    def test_large_exponent_norms(self, tmp_path):
+        # 3^1000 overflows a float; the norms are still 3, and numpy's
+        # overflow warning from the first pass stays off stderr
         path = tmp_path / "asf.json"
         write_asf_doc(ASF(PNormSpace(2, 1000.0), 3.0 * np.eye(2),
                           3.0 * np.eye(2)), path)
-        code, out, _ = run(capsys, "asf", "check", str(path))
-        assert code == 0
-        doc = json.loads(out)
+        proc = run_module("asf", "check", str(path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
         assert doc["norms_p_sq"] == [9.0, 9.0]
         assert doc["norm_triple_defect"] == 0.0
 
@@ -226,7 +237,7 @@ class TestEstimate:
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 4
         assert out == (
-            "d=2 n=3 eps=0.1 records=3 certified=1.00 max=0.00217511 "
+            "d=2 n=3 p=2 eps=0.1 records=3 certified=1.00 max=0.00217511 "
             "mean=0.00170523 median=0.00196352 ratio_hm=4.272e-04 "
             "ratio_bc=3.069e-06\n")
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
@@ -254,7 +265,7 @@ class TestEstimate:
         assert out_path.read_bytes() == sweep_bytes(grid, 2)
         # one summary line per cell; the pair (3, 2) is skipped
         cells = [line.split(" records=")[0] for line in out.splitlines()]
-        assert cells == [f"d={d} n={n} eps={eps}"
+        assert cells == [f"d={d} n={n} p=2 eps={eps}"
                          for d, n in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
                          for eps in (0.05, 0.1)]
 
@@ -268,9 +279,24 @@ class TestEstimate:
         assert code == 0
         # (3, 4) is skipped: perturbed_asf needs d | n
         cells = [line.split(" records=")[0] for line in out.splitlines()]
-        assert cells == [f"d={d} n={n} eps=0.1"
+        assert cells == [f"d={d} n={n} p=2 eps=0.1"
                          for d, n in [(2, 4), (2, 6), (3, 6)]]
         assert len(out_path.read_text().splitlines()) == 4
+
+    def test_exponent_list_nests_inside_pairs(self, capsys, tmp_path):
+        out_path = tmp_path / "asf.csv"
+        code, out, _ = run(capsys, "estimate", "--kind", "perturbed_asf",
+                           "--d", "2", "--n", "2", "4", "--p", "1.5", "3",
+                           "--eps", "0.1", "--trials", "1",
+                           "--out", str(out_path))
+        assert code == 0
+        grid = [InstanceSpec(kind="perturbed_asf", d=2, n=n, p=p,
+                             epsilon_target=0.1)
+                for n in (2, 4) for p in (1.5, 3.0)]
+        assert out_path.read_bytes() == sweep_bytes(grid, 1)
+        cells = [line.split(" records=")[0] for line in out.splitlines()]
+        assert cells == [f"d=2 n={n} p={p} eps=0.1"
+                         for n in (2, 4) for p in (1.5, 3)]
 
     def test_grid_without_pair_is_domain_error(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
@@ -286,13 +312,9 @@ class TestEstimate:
                                       "perturbed_asf"])
     def test_negative_seed_is_domain_error(self, tmp_path, kind):
         out_path = tmp_path / "x.csv"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(framelab.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "framelab.cli", "estimate", "--kind", kind,
-             "--d", "2", "--n", "4", "--eps", "0.1", "--trials", "1",
-             "--seed", "-1", "--out", str(out_path)],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_module("estimate", "--kind", kind, "--d", "2", "--n", "4",
+                          "--eps", "0.1", "--trials", "1", "--seed", "-1",
+                          "--out", str(out_path))
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: seed must be non-negative, got -1\n"
@@ -303,12 +325,7 @@ class TestEstimate:
                 "--trials", "2", "--seed", "5"]
         code, out, _ = run(capsys, *args, "--out", str(tmp_path / "a.csv"))
         assert code == 0
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(framelab.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "framelab.cli", *args,
-             "--out", str(tmp_path / "b.csv")],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_module(*args, "--out", str(tmp_path / "b.csv"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out
         assert (tmp_path / "b.csv").read_bytes() == \

@@ -22,7 +22,6 @@ from framelab.documents import (
 )
 from framelab.errors import DocumentError
 from framelab.flow import FlowTrace
-from framelab.frames import Frame
 from framelab.projections import certify_projection
 from conftest import auerbach_system
 

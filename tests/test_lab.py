@@ -37,7 +37,6 @@ from framelab.lab import (
     record_to_row,
     summarize_records,
 )
-from conftest import random_frame
 
 
 class TestCertifyTol:
@@ -98,6 +97,13 @@ class TestInstanceSpec:
         with pytest.raises(Infeasible):
             InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.1,
                          p=3.0)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_asf_kind_needs_a_searchable_exponent(self, p):
+        # nearest_enp_asf_search solves only 1 < p < inf
+        with pytest.raises(Infeasible, match="1 < p < inf"):
+            InstanceSpec(kind="perturbed_asf", d=2, n=4, epsilon_target=0.1,
+                         p=p)
 
     def test_asf_kind_needs_divisibility(self):
         with pytest.raises(Infeasible):
@@ -263,6 +269,30 @@ class TestAlternating:
         assert np.array_equal(out.vectors, point)
         assert dist_sq == float(np.sum((point - v0) ** 2))
         assert gap <= 2.0 * math.sqrt(dist_sq * 2) * default_certify_tol()
+
+    def test_certified_iterate_returns_nearer_polish(self, monkeypatch):
+        # with no margin exit and no second polish, the round-0 polish is
+        # only stored; when the iterate certifies (round 37 here) and the
+        # stored point is no farther, that point comes back, bit for bit
+        polish = lab._kkt_polish
+        polished = []
+
+        def unproved_polish(v0, v, tol):
+            out = polish(v0, v, tol)
+            polished.append(out)
+            return None if out is None else (out[0], math.inf)
+
+        monkeypatch.setattr(lab, "_kkt_polish", unproved_polish)
+        monkeypatch.setattr(lab, "POLISH_FIRST_ROUND", 10 ** 9)
+        spec = InstanceSpec(kind="perturbed_enp", d=3, n=5,
+                            epsilon_target=0.1, seed=1)
+        v0 = generate_instance(spec).instance.vectors
+        out, dist_sq, rounds = nearest_enp_alternating(Frame(v0))
+        assert len(polished) == 1
+        point = polished[0][0]
+        assert rounds == 37
+        assert np.array_equal(out.vectors, point)
+        assert dist_sq == float(np.sum((point - v0) ** 2))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
