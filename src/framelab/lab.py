@@ -11,7 +11,11 @@ exits (see nearest_enp_alternating): the certified iterate, a Newton
 polish proved globally nearest because its final multipliers make the
 Lagrangian convex, or two polishes that land on the same KKT point, which
 is locally nearest. At n = d the iterate after one round is the
-orthogonal polar factor, the global nearest point. The Banach search is
+orthogonal polar factor, the global nearest point. The Newton polish
+(_kkt_polish) runs over a stack of same-shape inputs and gives each item
+the bits of that item polished alone: estimate_paulsen polishes every
+trial of a grid spec from its input as one stack and hands each trial
+its entry as the solver's round-0 polish. The Banach search is
 a penalized local search by L-BFGS-B on the exact gradient of one
 row-vectorized kernel, stopped at its first certified penalty round
 (later rounds only trade distance for feasibility); it certifies to the
@@ -172,11 +176,18 @@ def _bundle(spec, inst, base, rep):
                           eps_equal_norm=rep.eps_equal_norm)
 
 
+@functools.lru_cache(maxsize=None)
+def _harmonic_base(d, n):
+    """The harmonic frame of n vectors in R^d, built once per shape; one
+    read-only Frame serves as the base of every instance of that shape."""
+    return generate("harmonic", d, n)
+
+
 def _gen_perturbed_enp(spec):
     """The harmonic frame with each vector displaced inside a ball drawn
     from spec.seed, the radius halved until both certificates are within
     the target."""
-    base = generate("harmonic", spec.d, spec.n)
+    base = _harmonic_base(spec.d, spec.n)
     eps = spec.epsilon_target
     delta = 0.5 * eps * math.sqrt(spec.d / spec.n)
     for _ in range(MAX_RETUNES):
@@ -192,7 +203,7 @@ def _gen_perturbed_enp(spec):
 
 def _gen_scaled_enp(spec):
     """The harmonic frame times sqrt(1 + eps), so S = (1 + eps) I."""
-    base = generate("harmonic", spec.d, spec.n)
+    base = _harmonic_base(spec.d, spec.n)
     inst = Frame(np.sqrt(1.0 + spec.epsilon_target) * base.vectors)
     return _bundle(spec, inst, base, analyze_frame(inst))
 
@@ -289,19 +300,30 @@ def _polish_layout(n, d):
     return layout
 
 
-def _kkt_polish(v0, v, tol):
-    """Newton's method on the KKT system of the nearest-ENP problem.
+def _dots(x, y):
+    """The dot products x[i] @ y[i] of two (b, N) stacks, each with the
+    bits of the 1-D product (matmul takes BLAS's dot for every item)."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
-    Minimizes |V - V0|^2 / 2 subject to the halved constraints
-    <E_k, V^T V - I> / 2 = 0 over the symmetric basis E_k of the upper
-    triangle (gradient V E_k) and (|v_j|^2 - d/n) / 2 = 0 (gradient
-    e_j v_j^T), from the start v. The last equal-norm constraint is
-    dropped because the trace identity implies it, so the KKT matrix is
+
+def _kkt_polish(v0, v, tol):
+    """Newton's method on the KKT system of the nearest-ENP problem, over a
+    stack of b same-shape inputs.
+
+    For each item, minimizes |V - V0|^2 / 2 subject to the halved
+    constraints <E_k, V^T V - I> / 2 = 0 over the symmetric basis E_k of
+    the upper triangle (gradient V E_k) and (|v_j|^2 - d/n) / 2 = 0
+    (gradient e_j v_j^T), from the start v. The last equal-norm constraint
+    is dropped because the trace identity implies it, so the KKT matrix is
     invertible at regular points of the ENP set; near its singular points
     it is nearly singular, and a step that multiplies the KKT residual by
-    more than MERIT_GROWTH is halved. Returns (V, gap) when the end point
-    V holds both certificates at tol and V - V0 lies in the normal space
-    there within STATIONARY_TOL (relative), otherwise None.
+    more than MERIT_GROWTH is halved. An item stops stepping when its KKT
+    matrix is singular, when MAX_HALVINGS halvings do not bring the step
+    under that test, or when its residual falls to CONVERGED relative to
+    |V - V0|. v0 and v have shape (b, n, d). Returns a list of b entries:
+    (V, gap) when the item's end point V holds both certificates at tol
+    and V - V0 lies in the normal space there within STATIONARY_TOL
+    (relative), otherwise None.
 
     Every ENP frame W has |W - V0|^2 >= |V - V0|^2 - gap. The final
     multipliers give Lambda and mu, and the Hessian of the Lagrangian has
@@ -311,76 +333,121 @@ def _kkt_polish(v0, v, tol):
     margin, with c and r the final constraint and stationarity residuals.
     Otherwise gap is inf.
 
-    The index layout comes from _polish_layout's per-shape cache: the
-    Jacobian is one flat scatter from v, and the Hessian blocks, the
-    multipliers of Lambda and the right-hand side are filled in place.
+    Each step works on the items still stepping as one stack, so an item's
+    result has the bits of that item polished alone: every stacked call
+    (matmul, solve, eigvalsh, row sums) gives each item the bits of its
+    2-D call. The index layout comes from _polish_layout's per-shape
+    cache: the Jacobian is one flat scatter from v, and the Hessian blocks
+    and the multipliers of Lambda are scattered in.
     """
-    n, d = v.shape
+    b, n, d = v.shape
     half, upper, lower, block, a_dst, a_src = _polish_layout(n, d)
     m = half.size
     nd, k = n * d, m + n - 1
+    size = nd + k
     eye_d = np.eye(d)
-    kkt = np.zeros((nd + k, nd + k))
-    kkt_flat = kkt.reshape(-1)
-    rhs = np.empty(nd + k)
 
-    def residual(v, mult):
-        a = np.zeros(nd * k)
-        a[a_dst] = v.take(a_src)
-        a = a.reshape(nd, k)
-        gram = v.T @ v - eye_d
-        c = np.concatenate([half * gram.take(upper),
-                            0.5 * (np.sum(v[:-1] ** 2, axis=1) - d / n)])
-        r = (v - v0).ravel() - a @ mult
-        return r, c, a, math.sqrt(r @ r + c @ c)
+    def residual(v0, v, mult):
+        s = len(v)
+        a = np.zeros((s, nd * k))
+        a[:, a_dst] = v.reshape(s, nd)[:, a_src]
+        a = a.reshape(s, nd, k)
+        gram = (v.transpose(0, 2, 1) @ v - eye_d).reshape(s, d * d)
+        c = np.concatenate([half * gram[:, upper],
+                            0.5 * (np.sum(v[:, :-1] ** 2, axis=2) - d / n)],
+                           axis=1)
+        r = (v - v0).reshape(s, nd) - (a @ mult[:, :, None])[:, :, 0]
+        return r, c, a, np.sqrt(_dots(r, r) + _dots(c, c))
 
-    mult = np.zeros(k)
-    lam = np.zeros(d * d)
-    r, c, a, f_norm = residual(v, mult)
+    def lambdas(mult):
+        # the symmetric Lambda of each item's Parseval multipliers
+        lam = np.empty((len(mult), d * d))
+        lam[:, upper] = lam[:, lower] = mult[:, :m]
+        return lam.reshape(-1, d, d)
+
+    def mus(mult):
+        # the equal-norm multipliers, with 0 for the dropped constraint
+        return np.concatenate([mult[:, m:], np.zeros((len(mult), 1))], axis=1)
+
+    v = v.copy()  # accepted steps are written into their rows
+    mult = np.zeros((b, k))
+    r, c, a, f_norm = residual(v0, v, mult)
+    live = np.arange(b)  # the items still stepping
     for _ in range(POLISH_STEPS):
+        if not live.size:
+            break
+        s = live.size
+        mult_s, a_s = mult[live], a[live]
         # Hessian of the Lagrangian: block j is (1 - mu_j) I - Lambda
-        lam[upper] = lam[lower] = mult[:m]
-        mu = np.append(mult[m:], 0.0)
-        kkt_flat[block] = ((1.0 - mu)[:, None, None] * eye_d
-                           - lam.reshape(d, d)).ravel()
-        kkt[:nd, nd:] = -a
-        kkt[nd:, :nd] = a.T
-        np.negative(r, out=rhs[:nd])
-        np.negative(c, out=rhs[nd:])
+        kkt = np.zeros((s, size * size))
+        kkt[:, block] = ((1.0 - mus(mult_s))[:, :, None, None] * eye_d
+                         - lambdas(mult_s)[:, None]).reshape(s, -1)
+        kkt = kkt.reshape(s, size, size)
+        kkt[:, :nd, nd:] = -a_s
+        kkt[:, nd:, :nd] = a_s.transpose(0, 2, 1)
+        rhs = -np.concatenate([r[live], c[live]], axis=1)[:, :, None]
         try:
-            step = np.linalg.solve(kkt, rhs)
+            step = np.linalg.solve(kkt, rhs)[:, :, 0]
+            pos = np.arange(s)
         except np.linalg.LinAlgError:
-            break
+            # one singular item fails the whole call: solve item by item,
+            # and only the singular items stop
+            step = np.empty((s, size))
+            solved = np.ones(s, dtype=bool)
+            for i in range(s):
+                try:
+                    step[i] = np.linalg.solve(kkt[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            pos = np.flatnonzero(solved)
+        stepped = []
         for _ in range(MAX_HALVINGS):
-            v_new = v + step[:nd].reshape(n, d)
-            trial = residual(v_new, mult + step[nd:])
-            if trial[3] <= MERIT_GROWTH * f_norm:
+            idx = live[pos]
+            v_new = v[idx] + step[pos, :nd].reshape(-1, n, d)
+            mult_new = mult[idx] + step[pos, nd:]
+            t_r, t_c, t_a, t_f = residual(v0[idx], v_new, mult_new)
+            ok = t_f <= MERIT_GROWTH * f_norm[idx]
+            acc = idx[ok]
+            v[acc], mult[acc] = v_new[ok], mult_new[ok]
+            r[acc], c[acc], a[acc] = t_r[ok], t_c[ok], t_a[ok]
+            f_norm[acc] = t_f[ok]
+            stepped.append(acc)
+            pos = pos[~ok]
+            if not pos.size:
                 break
-            step = 0.5 * step
-        else:
-            break
-        v, mult = v_new, mult + step[nd:]
-        r, c, a, f_norm = trial
-        if f_norm <= CONVERGED * np.linalg.norm(v - v0):
-            break
-    eps_p, dev_en = enp_defects(np.linalg.eigvalsh(v.T @ v),
-                                np.sum(v * v, axis=1))
-    if not (eps_p <= tol and dev_en <= tol
-            and np.linalg.norm(r) <= STATIONARY_TOL * np.linalg.norm(v - v0)):
-        return None
+            step[pos] *= 0.5
+        # the items left in pos failed every halving and stop
+        stepped = np.concatenate(stepped)
+        diff = (v[stepped] - v0[stepped]).reshape(-1, nd)
+        live = stepped[f_norm[stepped]
+                       > CONVERGED * np.sqrt(_dots(diff, diff))]
+    diff = (v - v0).reshape(b, nd)
+    dist = np.sqrt(_dots(diff, diff))
+    spectra = np.linalg.eigvalsh(v.transpose(0, 2, 1) @ v)
+    norms_sq = np.sum(v * v, axis=2)
+    r_norm = np.sqrt(_dots(r, r))
+    held = []
+    for i in range(b):
+        eps_p, dev_en = enp_defects(spectra[i], norms_sq[i])
+        if eps_p <= tol and dev_en <= tol \
+                and r_norm[i] <= STATIONARY_TOL * dist[i]:
+            held.append(i)
+    out = [None] * b
+    if not held:
+        return out
     # The Lagrangian |V - V0|^2 / 2 - mult . c(V) is a quadratic with
     # gradient r at v and Hessian blocks (1 - mu_j) I - Lambda, so at
     # least margin I. On the ENP set (c = 0) it is |W - V0|^2 / 2, and it
     # is nowhere below its value at v minus |r|^2 / (2 margin).
-    lam[upper] = lam[lower] = mult[:m]
-    margin = (1.0 - np.append(mult[m:], 0.0).max()
-              - np.linalg.eigvalsh(lam.reshape(d, d))[-1])
-    if margin <= 0.0:
-        return v, math.inf
-    return v, 2.0 * abs(mult @ c) + (r @ r) / margin
+    mult, r, c = mult[held], r[held], c[held]
+    margin = (1.0 - mus(mult).max(axis=1)
+              - np.linalg.eigvalsh(lambdas(mult))[:, -1])
+    for i, mg, mc, rr in zip(held, margin, _dots(mult, c), _dots(r, r)):
+        out[i] = (v[i], math.inf if mg <= 0.0 else 2.0 * abs(mc) + rr / mg)
+    return out
 
 
-def nearest_enp_alternating(frame, max_rounds=100_000):
+def nearest_enp_alternating(frame, max_rounds=100_000, polished=None):
     """Nearest equal-norm Parseval (ENP) frame: alternating rounds warm-start
     a Newton polish.
 
@@ -405,6 +472,11 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
     certificates at it. Returns (frame, dist_sq, rounds), rounds counting
     the alternating rounds run. Raises NoConvergence when max_rounds run
     out first.
+
+    polished is the round-0 polish, _kkt_polish's entry for this frame as
+    the only item or one item of a stack (estimate_paulsen polishes all
+    trials of a grid spec as one stack); when it is None the round-0
+    polish runs here. Every later polish is a stack of one.
     """
     tol = default_certify_tol()
     v0 = frame.vectors
@@ -440,7 +512,8 @@ def nearest_enp_alternating(frame, max_rounds=100_000):
             raise SingularOperator(
                 f"frame operator has smallest eigenvalue {lam[0]:.3e}")
         if rounds == next_polish:
-            polished = _kkt_polish(v0, v, tol)
+            if rounds or polished is None:
+                polished = _kkt_polish(v0[None], v[None], tol)[0]
             if polished is not None:
                 point, gap = polished
                 ds = float(np.sum((point - v0) ** 2))
@@ -602,14 +675,16 @@ class SummaryRow:
     max_ratio_bc: float
 
 
-def _solve_one(bundle):
+def _solve_one(bundle, polished=None):
     """Solver output guarded by the base point as a feasible competitor;
-    a stalled solve reports the base distance uncertified."""
+    a stalled solve reports the base distance uncertified. polished is a
+    Hilbert instance's round-0 polish, as nearest_enp_alternating takes
+    it."""
     base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
         try:
-            _, ds, rounds = nearest_enp_alternating(bundle.instance,
-                                                    SWEEP_MAX_ROUNDS)
+            _, ds, rounds = nearest_enp_alternating(
+                bundle.instance, SWEEP_MAX_ROUNDS, polished)
         except NoConvergence as exc:
             return base_ds, False, exc.rounds
         return min(ds, base_ds), True, rounds
@@ -624,7 +699,9 @@ def estimate_paulsen(grid, trials):
     eps).
 
     Per-trial seeds are spec.seed + trial index. A Hilbert solve runs at
-    most SWEEP_MAX_ROUNDS alternating rounds. Hilbert records are
+    most SWEEP_MAX_ROUNDS alternating rounds; at n > d the round-0
+    polishes of a spec's trials run as one _kkt_polish stack, and each
+    trial's solve starts from its own entry. Hilbert records are
     certified at default_certify_tol (FRAMELAB_TOL), perturbed_asf records
     at max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so never below 1e-6.
     Certified Hilbert records are asserted against the 20 eps d^2 ceiling.
@@ -638,10 +715,15 @@ def estimate_paulsen(grid, trials):
 
     records = []
     for spec in grid:
-        for trial in range(trials):
-            t_spec = replace(spec, seed=spec.seed + trial)
-            bundle = generate_instance(t_spec)
-            ds, certified, rounds = _solve_one(bundle)
+        bundles = [generate_instance(replace(spec, seed=spec.seed + trial))
+                   for trial in range(trials)]
+        polished = [None] * trials
+        if spec.kind in HILBERT_KINDS and spec.n > spec.d:
+            v0 = np.stack([b.instance.vectors for b in bundles])
+            polished = _kkt_polish(v0, v0, default_certify_tol())
+        for bundle, first in zip(bundles, polished):
+            t_spec = bundle.spec
+            ds, certified, rounds = _solve_one(bundle, first)
             bound_hm, bound_bc, lower_ref = _bounds_for(
                 t_spec, bundle.eps_parseval, bundle.eps_equal_norm)
             if certified and t_spec.kind in HILBERT_KINDS and ds > bound_hm:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,16 @@ class TestGenerateInstance:
         assert np.array_equal(a.instance.vectors, b.instance.vectors)
         assert np.array_equal(a.instance.functionals, b.instance.functionals)
 
+    def test_harmonic_base_built_once_per_shape(self):
+        a = generate_instance(InstanceSpec(kind="perturbed_enp", d=3, n=5,
+                                           epsilon_target=0.1, seed=1))
+        b = generate_instance(InstanceSpec(kind="scaled_enp", d=3, n=5,
+                                           epsilon_target=0.2))
+        assert a.base is b.base
+        assert not a.base.vectors.flags.writeable
+        assert np.array_equal(a.base.vectors,
+                              generate("harmonic", 3, 5).vectors)
+
     def test_base_dist_sq_positive(self):
         spec = InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.2)
         bundle = generate_instance(spec)
@@ -250,7 +261,8 @@ class TestAlternating:
                             epsilon_target=0.1, seed=4)
         v0 = generate_instance(spec).instance.vectors
         out, dist_sq, rounds = nearest_enp_alternating(Frame(v0))
-        point, gap = lab._kkt_polish(v0, v0, default_certify_tol())
+        (point, gap), = lab._kkt_polish(v0[None], v0[None],
+                                        default_certify_tol())
         assert gap == math.inf
         assert rounds == 5
         assert np.array_equal(out.vectors, point)
@@ -265,7 +277,8 @@ class TestAlternating:
         out, dist_sq, rounds = nearest_enp_alternating(Frame(v0),
                                                        max_rounds=1)
         assert rounds == 0
-        point, gap = lab._kkt_polish(v0, v0, default_certify_tol())
+        (point, gap), = lab._kkt_polish(v0[None], v0[None],
+                                        default_certify_tol())
         assert np.array_equal(out.vectors, point)
         assert dist_sq == float(np.sum((point - v0) ** 2))
         assert gap <= 2.0 * math.sqrt(dist_sq * 2) * default_certify_tol()
@@ -279,8 +292,8 @@ class TestAlternating:
 
         def unproved_polish(v0, v, tol):
             out = polish(v0, v, tol)
-            polished.append(out)
-            return None if out is None else (out[0], math.inf)
+            polished.extend(out)
+            return [None if o is None else (o[0], math.inf) for o in out]
 
         monkeypatch.setattr(lab, "_kkt_polish", unproved_polish)
         monkeypatch.setattr(lab, "POLISH_FIRST_ROUND", 10 ** 9)
@@ -346,8 +359,9 @@ class TestGlobalCertificate:
         polished = []
 
         def spy(*args):
-            polished.append(polish(*args))
-            return polished[-1]
+            out = polish(*args)
+            polished.extend(out)
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lab, "_kkt_polish", spy)
@@ -364,7 +378,7 @@ class TestGlobalCertificate:
                        * rng.standard_normal((n, d)), 5)
             for _ in range(4)]
         for start in starts:
-            other = polish(v0, start, tol)
+            other, = polish(v0[None], start[None], tol)
             if other is not None:
                 assert float(np.sum((other[0] - v0) ** 2)) >= \
                     dist_sq - slack
@@ -451,6 +465,97 @@ class TestPolishLayout:
         assert _polish_layout(4, 2) is layout
         with pytest.raises(ValueError):
             layout[0][0] = 1
+
+
+def _polish_alone(v0, v, tol):
+    """Each item of the stack polished as a stack of one."""
+    return [lab._kkt_polish(v0[i:i + 1], v[i:i + 1], tol)[0]
+            for i in range(len(v))]
+
+
+def _polish_bytes(result):
+    return None if result is None else (result[0].tobytes(),
+                                        float(result[1]).hex())
+
+
+def _polish_steps(v0, v, tol):
+    """The Newton step after which the polish of the single item v stops:
+    the fewest POLISH_STEPS that give the bytes of the full budget."""
+    full = _polish_bytes(lab._kkt_polish(v0[None], v[None], tol)[0])
+    budget = lab.POLISH_STEPS
+    with pytest.MonkeyPatch.context() as mp:
+        for steps in range(budget + 1):
+            mp.setattr(lab, "POLISH_STEPS", steps)
+            if _polish_bytes(
+                    lab._kkt_polish(v0[None], v[None], tol)[0]) == full:
+                return steps
+    raise AssertionError("no budget reproduces the full polish")
+
+
+class TestStackedPolish:
+    # a stacked polish gives every item the bytes of that item polished
+    # alone: its point and gap, or None
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.integers(1, 5).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(d + 1, 10))),
+           eps=st.lists(st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+                        min_size=1, max_size=6),
+           seed=st.integers(0, 10**6), kick=st.sampled_from([0.0, 0.5]))
+    def test_items_match_alone(self, shape, eps, seed, kick):
+        d, n = shape
+        v0 = np.stack([generate_instance(InstanceSpec(
+            kind="perturbed_enp", d=d, n=n, epsilon_target=e,
+            seed=seed + i)).instance.vectors for i, e in enumerate(eps)])
+        # a kicked start may leave the polish no certified point
+        v = v0 + kick * math.sqrt(d / n) * np.random.default_rng(
+            seed).standard_normal(v0.shape)
+        tol = default_certify_tol()
+        got = lab._kkt_polish(v0, v, tol)
+        assert [_polish_bytes(g) for g in got] == \
+            [_polish_bytes(w) for w in _polish_alone(v0, v, tol)]
+
+    def test_items_stopping_at_different_steps(self):
+        v0 = np.stack([generate_instance(InstanceSpec(
+            kind="perturbed_enp", d=2, n=4, epsilon_target=0.01,
+            seed=seed)).instance.vectors for seed in range(4)])
+        tol = default_certify_tol()
+        steps = [_polish_steps(v0[i], v0[i], tol) for i in range(4)]
+        assert steps == [8, 5, 6, 5]
+        got = lab._kkt_polish(v0, v0, tol)
+        assert all(g is not None for g in got)
+        assert [_polish_bytes(g) for g in got] == \
+            [_polish_bytes(w) for w in _polish_alone(v0, v0, tol)]
+
+    def test_singular_item_drops_alone(self, monkeypatch):
+        # a zero row zeroes the Jacobian column of its equal-norm
+        # constraint, so that item's KKT matrix is exactly singular
+        v0 = np.stack([generate_instance(InstanceSpec(
+            kind="perturbed_enp", d=2, n=4, epsilon_target=0.1,
+            seed=seed)).instance.vectors for seed in range(3)])
+        v0[1, 0] = 0.0
+        solve = np.linalg.solve
+        failed = []
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                failed.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        tol = default_certify_tol()
+        got = lab._kkt_polish(v0, v0, tol)
+        # the stack's first solve fails, then the singular item's own
+        assert failed == [(3, 14, 14), (14, 14)]
+        assert got[1] is None
+        assert got[0] is not None and got[2] is not None
+        failed.clear()
+        alone = _polish_alone(v0, v0, tol)
+        # alone, the stack of one fails and then its one item
+        assert failed == [(1, 14, 14), (14, 14)]
+        assert [_polish_bytes(g) for g in got] == \
+            [_polish_bytes(w) for w in alone]
 
 
 class TestNearestPolish:
@@ -649,6 +754,37 @@ class TestEstimate:
         assert records[0].achieved_dist_sq == \
             generate_instance(spec).base_dist_sq
         assert summary[0].frac_certified == 0.0
+
+    # trial 979 leaves by the agreement exit after 5 rounds, 980 and 981
+    # by the margin exit at round 0
+    CELL = InstanceSpec(kind="perturbed_enp", d=2, n=4, epsilon_target=0.01,
+                        seed=979)
+
+    def _solved_alone(self):
+        return [lab._solve_one(generate_instance(
+            replace(self.CELL, seed=self.CELL.seed + t))) for t in range(3)]
+
+    def test_stacked_cell_matches_per_record_solves(self):
+        records, _ = estimate_paulsen([self.CELL], trials=3)
+        assert [r.iterations for r in records] == [5, 0, 0]
+        assert [(float(r.achieved_dist_sq).hex(), r.certified, r.iterations)
+                for r in records] == \
+            [(float(ds).hex(), cert, rounds)
+             for ds, cert, rounds in self._solved_alone()]
+
+    def test_stalled_trial_of_stacked_cell(self, monkeypatch):
+        records, _ = estimate_paulsen([self.CELL], trials=3)
+        monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
+        stalled, _ = estimate_paulsen([self.CELL], trials=3)
+        assert not stalled[0].certified
+        assert stalled[0].iterations == 1
+        assert stalled[0].achieved_dist_sq == \
+            generate_instance(self.CELL).base_dist_sq
+        assert stalled[1:] == records[1:]
+        assert [(float(r.achieved_dist_sq).hex(), r.certified, r.iterations)
+                for r in stalled] == \
+            [(float(ds).hex(), cert, rounds)
+             for ds, cert, rounds in self._solved_alone()]
 
     def test_scaled_achieved_matches_closed_form(self):
         spec = InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.2)
