@@ -6,20 +6,19 @@ perturbed or scaled instance remembers the equal-norm Parseval base it came
 from, and that base competes with the solver output; a stalled solve
 reports the base distance, uncertified, instead of poisoning the sweep.
 
-The Hilbert solver is one loop of alternating projections with three
-exits (see nearest_enp_alternating): the certified iterate, a Newton
-polish proved globally nearest because its final multipliers make the
-Lagrangian convex, or two polishes that land on the same KKT point, which
-is locally nearest. At n = d the iterate after one round is the
-orthogonal polar factor, the global nearest point. The Newton polish
-(_kkt_polish) runs over a stack of same-shape inputs and gives each item
-the bits of that item polished alone: estimate_paulsen polishes every
-trial of a grid spec from its input as one stack and hands each trial
-its entry as the solver's round-0 polish. The Banach search is
-a penalized local search by L-BFGS-B on the exact gradient of one
-row-vectorized kernel, stopped at its first certified penalty round
-(later rounds only trade distance for feasibility); it certifies to the
-residual it is given (SEARCH_CERTIFY_TOL by default).
+The Hilbert solver (nearest_enp_alternating) polishes first: a Newton
+polish of the input (_kkt_polish), proved globally nearest when its final
+multipliers make the Lagrangian convex, else the nearest of it and the
+polishes of seeded restarts. Alternating projections run only at n = d,
+where one round gives the orthogonal polar factor, the global nearest
+point, or when no polish certifies. The polish runs over a stack of
+same-shape inputs and gives each item the bits of that item polished
+alone: estimate_paulsen polishes all trials of a grid spec as one stack,
+and a solve its restarts. The Banach search is a penalized local search
+by L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped
+at its first certified penalty round (later rounds only trade distance
+for feasibility); it certifies to the residual it is given
+(SEARCH_CERTIFY_TOL by default).
 """
 
 import functools
@@ -68,15 +67,16 @@ MAX_RETUNES = 24
 MAX_SEED_BUMPS = 32
 SEED_BUMP_STRIDE = 100_000
 
-# Nearest-ENP polish (see nearest_enp_alternating).
-POLISH_FIRST_ROUND = 5
+# Nearest-ENP polish and its restarts (see nearest_enp_alternating).
+RESTARTS = 12
+RESTART_ROUNDS = 5
+RESTART_KICK = 0.3
 POLISH_STEPS = 16
 MAX_HALVINGS = 8
 MERIT_GROWTH = 4.0
 CONVERGED = 1e-13
 STATIONARY_TOL = 1e-10
-SAME_POINT = 1e-9
-# the alternating round budget of each Hilbert solve in estimate_paulsen
+# the budget of the alternating fallback of each Hilbert solve
 SWEEP_MAX_ROUNDS = 1000
 
 # Penalized Banach search (see nearest_enp_asf_search): mu runs from MU0 up
@@ -447,87 +447,90 @@ def _kkt_polish(v0, v, tol):
     return out
 
 
-def nearest_enp_alternating(frame, max_rounds=100_000, polished=None):
-    """Nearest equal-norm Parseval (ENP) frame: alternating rounds warm-start
-    a Newton polish.
+def _enp_certificate(v, tol):
+    """sym_eig of the frame operator V^T V; whether v is ENP within tol."""
+    dec = sym_eig(v.T @ v)
+    eps_p, dev_en = enp_defects(dec.eigenvalues, np.sum(v * v, axis=1))
+    return dec, eps_p <= tol and dev_en <= tol
 
-    An alternating round applies the closest Parseval map, then the
-    closest equal-norm map, with one symmetric eigendecomposition serving
-    both the Parseval certificate and the inverse square root. It reaches
-    *a* point of the ENP set, not the nearest one, so _kkt_polish runs
-    from the input, then from the iterate after POLISH_FIRST_ROUND rounds
-    and at each doubling of that count; at n = d, where the ENP set is the
-    orthogonal group, nothing is polished and one round gives the polar
-    factor (Fan-Hoffman), the global nearest point. With the slack
-    2 sqrt(dist_sq d) tol, there are three exits:
-    1. the iterate certifies: the nearest polished point comes back if it
-       is within the slack of the iterate's dist_sq, else the iterate (a
-       certified input comes back unchanged at round 0);
-    2. margin: a polished point whose gap is within the slack is proved
-       globally nearest and comes back at once;
-    3. agreement: a polish within SAME_POINT of the nearest polished point
-       so far returns that point, a KKT point and so locally nearest.
 
-    tol is default_certify_tol() (FRAMELAB_TOL), and the output holds both
-    certificates at it. Returns (frame, dist_sq, rounds), rounds counting
-    the alternating rounds run. Raises NoConvergence when max_rounds run
-    out first.
+def _alternating_round(v, dec):
+    """The closest Parseval map, then the closest equal-norm map, from v
+    and the sym_eig of its frame operator; None if that is singular."""
+    if dec.eigenvalues[0] <= PSD_FLOOR:
+        return None
+    w = v @ inv_sqrt_from_eig(dec.eigenvalues, dec.eigenvectors)
+    return rescale_rows(w, math.sqrt(v.shape[1] / len(v)))[0]
 
-    polished is the round-0 polish, _kkt_polish's entry for this frame as
-    the only item or one item of a stack (estimate_paulsen polishes all
-    trials of a grid spec as one stack); when it is None the round-0
-    polish runs here. Every later polish is a stack of one.
+
+def nearest_enp_alternating(frame, polished=None):
+    """Nearest equal-norm Parseval (ENP) frame: Newton polishes from the
+    input and from seeded restarts, alternating rounds as the fallback.
+
+    With tol = default_certify_tol() (FRAMELAB_TOL), in order:
+    1. a certified input comes back unchanged;
+    2. at n > d, the input's polish comes back if its gap is within the
+       slack 2 sqrt(dist_sq d) tol, which proves it globally nearest;
+    3. otherwise RESTARTS starts v0 + RESTART_KICK sqrt(d/n) G, G from
+       default_rng(0) and each pushed by RESTART_ROUNDS alternating rounds
+       (dropped if its frame operator turns singular), polish as one
+       stack; the nearest certified polish, the input's too, comes back;
+    4. at n = d, or when no polish certifies, alternating rounds from the
+       input until one certifies; at n = d, where the ENP set is O(d), one
+       round gives the polar factor, the global nearest (Fan-Hoffman).
+
+    Returns (frame, dist_sq, rounds), the frame certified at tol and
+    rounds counting every alternating round run: 0 at exits 1 and 2,
+    RESTARTS * RESTART_ROUNDS at exit 3. Step 4 raises SingularOperator
+    at a singular frame operator and NoConvergence after SWEEP_MAX_ROUNDS
+    rounds. polished is the input's polish, this frame's _kkt_polish
+    entry (estimate_paulsen's stack passes it); None polishes here.
     """
     tol = default_certify_tol()
     v0 = frame.vectors
     n, d = v0.shape
     if n < d:
         raise UnsupportedShape(f"need n >= d, got ({d}, {n})")
-    target = math.sqrt(d / n)
-    v = v0.copy()
-    rounds = 0
-    # at n = d the KKT matrix is singular, and one round suffices
-    next_polish = math.inf if n == d else 0
-    best = None  # nearest polished point: (point, dist_sq)
 
-    def slack(ds):
-        # a certified iterate may sit about sqrt(d) tol (Frobenius) off the
-        # ENP set, so its dist_sq may undercut every point of the set by
-        # about 2 sqrt(dist_sq d) tol
-        return 2.0 * math.sqrt(ds * d) * tol
+    def dist_sq(v):
+        return float(np.sum((v - v0) ** 2))
 
-    while True:
-        dec = sym_eig(v.T @ v)
-        lam = dec.eigenvalues
-        eps_p, dev_en = enp_defects(lam, np.sum(v * v, axis=1))
-        if eps_p <= tol and dev_en <= tol:
-            ds = float(np.sum((v - v0) ** 2))
-            if best is not None and best[1] <= ds + slack(ds):
-                return Frame(best[0]), best[1], rounds
-            return Frame(v), ds, rounds
-        if rounds >= max_rounds:
-            raise NoConvergence(dist_sq=float(np.sum((v - v0) ** 2)),
-                                rounds=rounds)
-        if lam[0] <= PSD_FLOOR:
-            raise SingularOperator(
-                f"frame operator has smallest eigenvalue {lam[0]:.3e}")
-        if rounds == next_polish:
-            if rounds or polished is None:
-                polished = _kkt_polish(v0[None], v[None], tol)[0]
-            if polished is not None:
-                point, gap = polished
-                ds = float(np.sum((point - v0) ** 2))
-                if gap <= slack(ds):
-                    return Frame(point), ds, rounds
-                if best is not None and \
-                        float(np.linalg.norm(best[0] - point)) <= SAME_POINT:
-                    return Frame(best[0]), best[1], rounds
-                if best is None or ds < best[1]:
-                    best = (point, ds)
-            next_polish = max(POLISH_FIRST_ROUND, 2 * next_polish)
-        w = v @ inv_sqrt_from_eig(lam, dec.eigenvectors)
-        v, _, _ = rescale_rows(w, target)
+    dec, certified = _enp_certificate(v0, tol)
+    if certified:
+        return frame, 0.0, 0
+    v, rounds = v0, 0
+    if n > d:
+        if polished is None:
+            polished = _kkt_polish(v0[None], v0[None], tol)[0]
+        if polished is not None and \
+                polished[1] <= 2.0 * math.sqrt(dist_sq(polished[0]) * d) * tol:
+            return Frame(polished[0]), dist_sq(polished[0]), 0
+        kicks = np.random.default_rng(0).standard_normal((RESTARTS, n, d))
+        starts = []
+        for start in v0 + RESTART_KICK * math.sqrt(d / n) * kicks:
+            for _ in range(RESTART_ROUNDS):
+                start = _alternating_round(start, sym_eig(start.T @ start))
+                if start is None:
+                    break
+                rounds += 1
+            else:
+                starts.append(start)
+        if starts:
+            starts = _kkt_polish(np.broadcast_to(v0, (len(starts), n, d)),
+                                 np.stack(starts), tol)
+        points = [p[0] for p in [polished, *starts] if p is not None]
+        if points:
+            point = min(points, key=dist_sq)  # the first on a tie
+            return Frame(point), dist_sq(point), rounds
+    for _ in range(SWEEP_MAX_ROUNDS):
+        v = _alternating_round(v, dec)
+        if v is None:
+            raise SingularOperator("frame operator is singular")
         rounds += 1
+        dec, certified = _enp_certificate(v, tol)
+        if certified:
+            return Frame(v), dist_sq(v), rounds
+    raise NoConvergence(dist_sq=dist_sq(v), rounds=rounds)
 
 
 def _sq_pnorm_rows(x, p):
@@ -678,13 +681,11 @@ class SummaryRow:
 def _solve_one(bundle, polished=None):
     """Solver output guarded by the base point as a feasible competitor;
     a stalled solve reports the base distance uncertified. polished is a
-    Hilbert instance's round-0 polish, as nearest_enp_alternating takes
-    it."""
+    Hilbert instance's input polish, as nearest_enp_alternating takes it."""
     base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
         try:
-            _, ds, rounds = nearest_enp_alternating(
-                bundle.instance, SWEEP_MAX_ROUNDS, polished)
+            _, ds, rounds = nearest_enp_alternating(bundle.instance, polished)
         except NoConvergence as exc:
             return base_ds, False, exc.rounds
         return min(ds, base_ds), True, rounds
@@ -698,14 +699,13 @@ def estimate_paulsen(grid, trials):
     """Solve every grid spec for each trial and aggregate per (d, n, p,
     eps).
 
-    Per-trial seeds are spec.seed + trial index. A Hilbert solve runs at
-    most SWEEP_MAX_ROUNDS alternating rounds; at n > d the round-0
-    polishes of a spec's trials run as one _kkt_polish stack, and each
-    trial's solve starts from its own entry. Hilbert records are
-    certified at default_certify_tol (FRAMELAB_TOL), perturbed_asf records
-    at max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so never below 1e-6.
-    Certified Hilbert records are asserted against the 20 eps d^2 ceiling.
-    Returns (records, summary).
+    Per-trial seeds are spec.seed + trial index. At n > d the input
+    polishes of a spec's Hilbert trials run as one _kkt_polish stack, and
+    each trial's solve takes its own entry. Hilbert records are certified
+    at default_certify_tol (FRAMELAB_TOL), perturbed_asf records at
+    max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so never below 1e-6. Certified
+    Hilbert records are asserted against the 20 eps d^2 ceiling. Returns
+    (records, summary).
     """
     grid = list(grid)
     if not grid:

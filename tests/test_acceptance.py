@@ -362,8 +362,7 @@ class TestCriterion9:
             bundle = generate_instance(spec)
             frame = Frame(bundle.instance.vectors)
             try:
-                _, alt_ds, _ = nearest_enp_alternating(
-                    frame, max_rounds=500_000)
+                _, alt_ds, _ = nearest_enp_alternating(frame)
             except NoConvergence as exc:
                 alt_ds = exc.dist_sq
             _, search_ds, _, _ = nearest_enp_asf_search(

@@ -11,6 +11,7 @@ from framelab import lab
 from framelab.asf import PNormSpace, analyze_asf, dual_exponent, generate_asf
 from framelab.documents import SWEEP_COLUMNS
 from framelab.errors import (
+    BoundViolation,
     Infeasible,
     NoConvergence,
     ShapeMismatch,
@@ -38,6 +39,7 @@ from framelab.lab import (
     record_to_row,
     summarize_records,
 )
+from conftest import exact_dist_sq_2_4, exact_dist_sq_next
 
 
 class TestCertifyTol:
@@ -241,22 +243,23 @@ class TestAlternating:
         assert dist_sq == pytest.approx(
             frame_dist(bundle.instance, out) ** 2, rel=1e-9, abs=1e-15)
 
-    def test_no_convergence_carries_rounds(self):
-        # the polish of this input is not proved global (margin <= 0), so
-        # the solver needs alternating rounds
+    def test_no_convergence_carries_rounds(self, monkeypatch):
+        # with no certified polish the solver falls back to alternating
+        # rounds after its restarts, and one round does not certify
+        monkeypatch.setattr(lab, "_kkt_polish", _no_polish)
+        monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
                             epsilon_target=0.1, seed=4)
         bundle = generate_instance(spec)
         with pytest.raises(NoConvergence) as info:
-            nearest_enp_alternating(bundle.instance, max_rounds=1)
+            nearest_enp_alternating(bundle.instance)
         exc = info.value
-        assert exc.rounds == 1
+        assert exc.rounds == 60 + 1  # the restarts' rounds, then one more
         assert exc.dist_sq > 0
 
-    def test_agreeing_start_returns_input_polish(self):
-        # the input's polish has margin <= 0; the polish from the round-5
-        # iterate lands on the same point, which the agreement exit returns
-        # (a local check of the mechanism, not a claim that it is global)
+    def test_restart_beats_input_polish(self):
+        # the input's polish has margin <= 0, and a polish from the seeded
+        # restarts lands on a certified point nearer than it
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
                             epsilon_target=0.1, seed=4)
         v0 = generate_instance(spec).instance.vectors
@@ -264,48 +267,39 @@ class TestAlternating:
         (point, gap), = lab._kkt_polish(v0[None], v0[None],
                                         default_certify_tol())
         assert gap == math.inf
-        assert rounds == 5
+        assert rounds == 60
+        assert dist_sq == float(np.sum((out.vectors - v0) ** 2))
+        assert dist_sq < float(np.sum((point - v0) ** 2))
+        rep = analyze_frame(out)
+        assert rep.eps_parseval <= 1e-8 and rep.eps_equal_norm <= 1e-8
+
+    def test_singular_restarts_are_dropped(self, monkeypatch):
+        # every kicked start counts as singular, so no restart is polished
+        # and the input's polish, though not proved global, comes back
+        monkeypatch.setattr(lab, "PSD_FLOOR", 10.0)
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
+                            epsilon_target=0.1, seed=4)
+        v0 = generate_instance(spec).instance.vectors
+        out, dist_sq, rounds = nearest_enp_alternating(Frame(v0))
+        (point, _), = lab._kkt_polish(v0[None], v0[None],
+                                      default_certify_tol())
+        assert rounds == 0
         assert np.array_equal(out.vectors, point)
         assert dist_sq == float(np.sum((point - v0) ** 2))
 
     def test_proved_global_polish_needs_no_round(self):
-        # the polish of this input is proved globally nearest, so a budget
-        # of one round is not touched
+        # the polish of this input is proved globally nearest, so no
+        # alternating round runs
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
                             epsilon_target=0.1, seed=0)
         v0 = generate_instance(spec).instance.vectors
-        out, dist_sq, rounds = nearest_enp_alternating(Frame(v0),
-                                                       max_rounds=1)
+        out, dist_sq, rounds = nearest_enp_alternating(Frame(v0))
         assert rounds == 0
         (point, gap), = lab._kkt_polish(v0[None], v0[None],
                                         default_certify_tol())
         assert np.array_equal(out.vectors, point)
         assert dist_sq == float(np.sum((point - v0) ** 2))
         assert gap <= 2.0 * math.sqrt(dist_sq * 2) * default_certify_tol()
-
-    def test_certified_iterate_returns_nearer_polish(self, monkeypatch):
-        # with no margin exit and no second polish, the round-0 polish is
-        # only stored; when the iterate certifies (round 37 here) and the
-        # stored point is no farther, that point comes back, bit for bit
-        polish = lab._kkt_polish
-        polished = []
-
-        def unproved_polish(v0, v, tol):
-            out = polish(v0, v, tol)
-            polished.extend(out)
-            return [None if o is None else (o[0], math.inf) for o in out]
-
-        monkeypatch.setattr(lab, "_kkt_polish", unproved_polish)
-        monkeypatch.setattr(lab, "POLISH_FIRST_ROUND", 10 ** 9)
-        spec = InstanceSpec(kind="perturbed_enp", d=3, n=5,
-                            epsilon_target=0.1, seed=1)
-        v0 = generate_instance(spec).instance.vectors
-        out, dist_sq, rounds = nearest_enp_alternating(Frame(v0))
-        assert len(polished) == 1
-        point = polished[0][0]
-        assert rounds == 37
-        assert np.array_equal(out.vectors, point)
-        assert dist_sq == float(np.sum((point - v0) ** 2))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -327,6 +321,11 @@ class TestAlternating:
         assert dist_sq == pytest.approx(polar_ds, rel=1e-12)
 
 
+def _no_polish(v0, v, tol):
+    """A _kkt_polish that certifies no point."""
+    return [None] * len(v)
+
+
 def _alternate(v, rounds):
     """rounds alternating rounds (closest Parseval, then closest equal
     norm sqrt(d/n)) from v."""
@@ -339,8 +338,8 @@ def _alternate(v, rounds):
 
 class TestGlobalCertificate:
     # Whenever the solver returns by the margin exit, a polish from the
-    # start that used to confirm it, or from seeded starts around the
-    # input, reaches no point nearer by more than the exit's slack.
+    # iterate after five alternating rounds, or from seeded starts around
+    # the input, reaches no point nearer by more than the exit's slack.
     @settings(max_examples=30, deadline=None)
     @given(shape=st.integers(2, 4).flatmap(
                lambda d: st.tuples(st.just(d), st.integers(d + 1, 8))),
@@ -373,7 +372,7 @@ class TestGlobalCertificate:
                 and polished[-1][1] <= slack):
             return
         rng = np.random.default_rng(seed)
-        starts = [_alternate(v0, lab.POLISH_FIRST_ROUND)] + [
+        starts = [_alternate(v0, 5)] + [
             _alternate(v0 + 0.3 * math.sqrt(d / n)
                        * rng.standard_normal((n, d)), 5)
             for _ in range(4)]
@@ -382,6 +381,39 @@ class TestGlobalCertificate:
             if other is not None:
                 assert float(np.sum((other[0] - v0) ** 2)) >= \
                     dist_sq - slack
+
+
+def _solver_gap_to(exact, spec):
+    """How far the solver's dist_sq is from the exact one, and its slack
+    2 sqrt(dist_sq d) tol, the amount by which a point certified at tol
+    may undercut the ENP set."""
+    v0 = generate_instance(spec).instance.vectors
+    _, dist_sq, _ = nearest_enp_alternating(Frame(v0))
+    slack = 2.0 * math.sqrt(dist_sq * spec.d) * default_certify_tol()
+    return abs(dist_sq - exact(v0)), slack
+
+
+class TestExactOracles:
+    # where the ENP set is explicit, the solver's distance is the exact
+    # nearest distance within its slack
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 6), eps=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+           seed=st.integers(0, 10**6))
+    def test_one_more_vector_than_dimension(self, d, eps, seed):
+        gap, slack = _solver_gap_to(exact_dist_sq_next, InstanceSpec(
+            kind="perturbed_enp", d=d, n=d + 1, epsilon_target=eps,
+            seed=seed))
+        assert gap <= slack
+
+    @settings(max_examples=40, deadline=None)
+    @given(eps=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+           seed=st.integers(0, 10**6))
+    # the input's polish is a KKT point 1.9% farther than the exact one
+    @example(eps=0.2, seed=89)
+    def test_four_vectors_in_the_plane(self, eps, seed):
+        gap, slack = _solver_gap_to(exact_dist_sq_2_4, InstanceSpec(
+            kind="perturbed_enp", d=2, n=4, epsilon_target=eps, seed=seed))
+        assert gap <= slack
 
 
 def _normal_space_residual(v0, v):
@@ -747,16 +779,17 @@ class TestEstimate:
         # the instance TestAlternating drives into NoConvergence
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
                             epsilon_target=0.1, seed=4)
+        monkeypatch.setattr(lab, "_kkt_polish", _no_polish)
         monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
         records, summary = estimate_paulsen([spec], trials=1)
         assert not records[0].certified
-        assert records[0].iterations == 1
+        assert records[0].iterations == 60 + 1
         assert records[0].achieved_dist_sq == \
             generate_instance(spec).base_dist_sq
         assert summary[0].frac_certified == 0.0
 
-    # trial 979 leaves by the agreement exit after 5 rounds, 980 and 981
-    # by the margin exit at round 0
+    # trial 979 leaves by the restarts after 60 rounds, 980 and 981 by the
+    # margin exit at round 0
     CELL = InstanceSpec(kind="perturbed_enp", d=2, n=4, epsilon_target=0.01,
                         seed=979)
 
@@ -766,7 +799,7 @@ class TestEstimate:
 
     def test_stacked_cell_matches_per_record_solves(self):
         records, _ = estimate_paulsen([self.CELL], trials=3)
-        assert [r.iterations for r in records] == [5, 0, 0]
+        assert [r.iterations for r in records] == [60, 0, 0]
         assert [(float(r.achieved_dist_sq).hex(), r.certified, r.iterations)
                 for r in records] == \
             [(float(ds).hex(), cert, rounds)
@@ -774,10 +807,19 @@ class TestEstimate:
 
     def test_stalled_trial_of_stacked_cell(self, monkeypatch):
         records, _ = estimate_paulsen([self.CELL], trials=3)
+        # no polish of trial 979's input certifies, in the stack or alone
+        first = generate_instance(self.CELL).instance.vectors
+        polish = lab._kkt_polish
+
+        def polish_but_first(v0, v, tol):
+            return [None if np.array_equal(a, first) else p
+                    for a, p in zip(v0, polish(v0, v, tol))]
+
+        monkeypatch.setattr(lab, "_kkt_polish", polish_but_first)
         monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
         stalled, _ = estimate_paulsen([self.CELL], trials=3)
         assert not stalled[0].certified
-        assert stalled[0].iterations == 1
+        assert stalled[0].iterations == 60 + 1
         assert stalled[0].achieved_dist_sq == \
             generate_instance(self.CELL).base_dist_sq
         assert stalled[1:] == records[1:]
@@ -785,6 +827,18 @@ class TestEstimate:
                 for r in stalled] == \
             [(float(ds).hex(), cert, rounds)
              for ds, cert, rounds in self._solved_alone()]
+
+    def test_certified_record_above_ceiling_raises(self, monkeypatch):
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
+                            epsilon_target=0.1, seed=42)
+        bounds = lab._bounds_for
+
+        def tiny_hm(*args):
+            return (1e-30,) + bounds(*args)[1:]
+
+        monkeypatch.setattr(lab, "_bounds_for", tiny_hm)
+        with pytest.raises(BoundViolation, match="above the ceiling 1e-30"):
+            estimate_paulsen([spec], trials=1)
 
     def test_scaled_achieved_matches_closed_form(self):
         spec = InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.2)
@@ -856,9 +910,8 @@ class TestEstimate:
 
 
 class TestHilbertReductionOfSearch:
-    # seeds whose alternating run certifies well inside the round cap;
-    # the smooth search may land strictly below the alternating limit,
-    # so the cross-check is one sided
+    # the smooth search may land strictly below the Hilbert solver's
+    # point, so the cross-check is one sided
     @pytest.mark.parametrize("seed", [2, 3])
     def test_l2_search_never_worse_than_alternating(self, seed):
         spec = InstanceSpec(kind="perturbed_asf", d=2, n=4,
@@ -866,7 +919,7 @@ class TestHilbertReductionOfSearch:
         bundle = generate_instance(spec)
         asf = bundle.instance
         frame = Frame(asf.vectors)
-        _, alt_ds, _ = nearest_enp_alternating(frame, max_rounds=50_000)
+        _, alt_ds, _ = nearest_enp_alternating(frame)
         _, search_ds, certified, _ = nearest_enp_asf_search(asf)
         assert certified
         assert search_ds <= alt_ds + 1e-6
