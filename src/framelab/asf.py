@@ -32,22 +32,13 @@ def dual_exponent(p):
 
 
 def norming_functional(u, p):
-    """A dual vector of q-norm 1 pairing to 1 with the unit-p-norm u, or
-    one such vector per row of an (n, d) array.
-
-    For 1 < p < inf the map is sign(u_i)|u_i|^{p-1}; at the endpoints the
-    sign vector (p = 1) and the signed peak coordinate (p = inf) work.
-    """
+    """sign(u_i)|u_i|^{p-1}: for 1 < p < inf the dual vector of q-norm 1
+    pairing to 1 with the unit-p-norm u, or one such vector per row of an
+    (n, d) array. Other exponents raise UnsupportedExponent."""
+    if not 1.0 < p < math.inf:
+        raise UnsupportedExponent(
+            f"norming functionals need 1 < p < inf, got p = {p}")
     u = np.asarray(u, dtype=float)
-    if p == 1:
-        return np.sign(u) + (u == 0)  # any entry of modulus <= 1 works at zeros
-    if p == math.inf:
-        i = np.argmax(np.abs(u), axis=-1)[..., None]
-        peak = np.take_along_axis(u, i, axis=-1)
-        out = np.zeros_like(u)
-        np.put_along_axis(out, i, np.where(peak != 0, np.sign(peak), 1.0),
-                          axis=-1)
-        return out
     return np.sign(u) * np.abs(u) ** (p - 1.0)
 
 

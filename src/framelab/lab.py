@@ -2,9 +2,10 @@
 solvers, and the empirical ceiling study.
 
 Reported distances are valid upper bounds on the true infima: every
-perturbed or scaled instance remembers the equal-norm Parseval base it came
-from, and that base competes with the solver output; a stalled solve
-reports the base distance, uncertified, instead of poisoning the sweep.
+perturbed or scaled instance carries its distance to the equal-norm
+Parseval base it came from, and that base competes with the solver output;
+a stalled solve reports the base distance, uncertified, instead of
+poisoning the sweep.
 
 The Hilbert solver (nearest_enp_alternating) polishes first: a Newton
 polish of the input (_kkt_polish), proved globally nearest when its final
@@ -64,7 +65,7 @@ INSTANCE_KINDS = HILBERT_KINDS + ASF_KINDS
 
 CHAIN_TOL = 1e-9
 MAX_RETUNES = 24
-MAX_SEED_BUMPS = 32
+MAX_SEED_BUMPS = 512
 SEED_BUMP_STRIDE = 100_000
 
 # Nearest-ENP polish and its restarts (see nearest_enp_alternating).
@@ -149,19 +150,14 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class InstanceBundle:
-    """A generated instance with its base point and measured certificate."""
+    """A generated instance, its measured certificate, and its squared
+    distance to the equal-norm Parseval base it was drawn around."""
 
     spec: InstanceSpec
     instance: object
-    base: object
+    base_dist_sq: float
     eps_parseval: float
     eps_equal_norm: float
-
-    @property
-    def base_dist_sq(self):
-        if isinstance(self.instance, Frame):
-            return frame_dist(self.instance, self.base) ** 2
-        return asf_dist(self.instance, self.base, "default") ** 2
 
 
 def _within(rep, eps):
@@ -170,8 +166,8 @@ def _within(rep, eps):
             and rep.eps_equal_norm is not None and rep.eps_equal_norm <= eps)
 
 
-def _bundle(spec, inst, base, rep):
-    return InstanceBundle(spec=spec, instance=inst, base=base,
+def _bundle(spec, inst, base_dist_sq, rep):
+    return InstanceBundle(spec=spec, instance=inst, base_dist_sq=base_dist_sq,
                           eps_parseval=rep.eps_parseval,
                           eps_equal_norm=rep.eps_equal_norm)
 
@@ -185,18 +181,19 @@ def _harmonic_base(d, n):
 
 def _gen_perturbed_enp(spec):
     """The harmonic frame with each vector displaced inside a ball drawn
-    from spec.seed, the radius halved until both certificates are within
-    the target."""
+    once from spec.seed, the displacement halved until both certificates
+    are within the target. Halving is exact, so each retune has the bits
+    of a fresh draw from spec.seed at half the radius."""
     base = _harmonic_base(spec.d, spec.n)
     eps = spec.epsilon_target
-    delta = 0.5 * eps * math.sqrt(spec.d / spec.n)
+    disp = ball_displacements(np.random.default_rng(spec.seed), spec.n,
+                              spec.d, 0.5 * eps * math.sqrt(spec.d / spec.n))
     for _ in range(MAX_RETUNES):
-        inst = Frame(base.vectors + ball_displacements(
-            np.random.default_rng(spec.seed), spec.n, spec.d, delta))
+        inst = Frame(base.vectors + disp)
         rep = analyze_frame(inst)
         if _within(rep, eps):
-            return _bundle(spec, inst, base, rep)
-        delta *= 0.5
+            return _bundle(spec, inst, frame_dist(inst, base) ** 2, rep)
+        disp = 0.5 * disp
     raise Infeasible(
         f"could not tune a perturbation below epsilon = {eps} for {spec}")
 
@@ -205,7 +202,8 @@ def _gen_scaled_enp(spec):
     """The harmonic frame times sqrt(1 + eps), so S = (1 + eps) I."""
     base = _harmonic_base(spec.d, spec.n)
     inst = Frame(np.sqrt(1.0 + spec.epsilon_target) * base.vectors)
-    return _bundle(spec, inst, base, analyze_frame(inst))
+    return _bundle(spec, inst, frame_dist(inst, base) ** 2,
+                   analyze_frame(inst))
 
 
 def _gen_perturbed_asf(spec):
@@ -213,10 +211,12 @@ def _gen_perturbed_asf(spec):
 
     The base is generate_asf's repeated_basis ASF. Each pair is a radius
     r_j times a unit direction u_j and its norming functional, so
-    |tau|_p^2 = f(tau) = |f|_q^2 = r_j^2 holds to rounding. Magnitudes are
-    tuned by halving; seeds whose frame operator picks up complex spectrum
-    are skipped by a deterministic seed bump, because the offending sign
-    pattern is invariant under shrinking the perturbation.
+    |tau|_p^2 = f(tau) = |f|_q^2 = r_j^2 holds to rounding. The direction
+    displacements and the radius offsets are drawn once per seed and
+    halved until both certificates are within the target, as in
+    _gen_perturbed_enp; seeds whose frame operator picks up complex
+    spectrum are skipped by a deterministic seed bump, because the
+    offending sign pattern is invariant under shrinking the perturbation.
     """
     d, n, p = spec.d, spec.n, spec.p
     eps = spec.epsilon_target
@@ -226,17 +226,15 @@ def _gen_perturbed_asf(spec):
     base = generate_asf("repeated_basis", space, n)
 
     for bump in range(MAX_SEED_BUMPS):
-        eff_seed = spec.seed + SEED_BUMP_STRIDE * bump
-        delta = eps / 2.0
-        rho_scale = eps / 2.5
+        rng = np.random.default_rng(spec.seed + SEED_BUMP_STRIDE * bump)
+        # one draw per row keeps the direction and radius draws of each
+        # row adjacent in the stream
+        disp = np.concatenate(
+            [ball_displacements(rng, 1, d, eps / 2.0, p) for _ in range(n)])
+        rho = rng.uniform(-eps / 2.5, eps / 2.5, size=n)
         for _ in range(MAX_RETUNES):
-            rng = np.random.default_rng(eff_seed)
-            # one draw per row keeps the direction and radius draws of
-            # each row adjacent in the stream
-            w = base_dirs + np.concatenate(
-                [ball_displacements(rng, 1, d, delta, p) for _ in range(n)])
+            w = base_dirs + disp
             u = w / pnorm(w, p)[:, None]
-            rho = rng.uniform(-rho_scale, rho_scale, size=n)
             r = r0 * np.sqrt(1.0 + rho)
             tau = r[:, None] * u
             f = r[:, None] * norming_functional(u, p)
@@ -245,9 +243,8 @@ def _gen_perturbed_asf(spec):
             if not rep.spectrum_real:
                 break
             if _within(rep, eps):
-                return _bundle(spec, inst, base, rep)
-            delta *= 0.5
-            rho_scale *= 0.5
+                return _bundle(spec, inst, asf_dist(inst, base) ** 2, rep)
+            disp, rho = 0.5 * disp, 0.5 * rho
     raise Infeasible(
         f"no real-spectrum perturbation found near seed {spec.seed} for {spec}")
 

@@ -1,10 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from framelab import Frame, PNormSpace
+from framelab import Frame, PNormSpace, lab
+from framelab.asf import (
+    ASF,
+    analyze_asf,
+    asf_dist,
+    generate_asf,
+    norming_functional,
+    pnorm,
+)
+from framelab.frames import analyze_frame, frame_dist
 from framelab.projections import AuerbachSystem
+from framelab.spectral import ball_displacements
 
 ROOT3 = np.sqrt(3.0)
 
@@ -68,3 +79,75 @@ def exact_dist_sq_next(v0):
         proj = v0 - np.outer(s, s @ v0) / n
         best = max(best, np.linalg.norm(proj, "nuc"))
     return float(np.sum(v0 * v0)) + d - 2.0 * best
+
+
+# The re-seeding instance generators that lab's draw-once generators
+# replace, kept as a bit-for-bit reference: every retune re-creates the
+# RNG from the seed and draws again at half the radius, and perturbed_asf
+# gives up after this many seed bumps.
+REFERENCE_SEED_BUMPS = 32
+
+
+def reference_instance(spec):
+    """The bundle the re-seeding generator builds for a perturbed_enp or
+    perturbed_asf spec, or None where it finds no instance."""
+    if spec.kind == "perturbed_enp":
+        return _reference_perturbed_enp(spec)
+    return _reference_perturbed_asf(spec)
+
+
+def _reference_perturbed_enp(spec):
+    base = lab._harmonic_base(spec.d, spec.n)
+    eps = spec.epsilon_target
+    delta = 0.5 * eps * math.sqrt(spec.d / spec.n)
+    for _ in range(lab.MAX_RETUNES):
+        inst = Frame(base.vectors + ball_displacements(
+            np.random.default_rng(spec.seed), spec.n, spec.d, delta))
+        rep = analyze_frame(inst)
+        if lab._within(rep, eps):
+            return lab._bundle(spec, inst, frame_dist(inst, base) ** 2, rep)
+        delta *= 0.5
+    return None
+
+
+def _reference_perturbed_asf(spec):
+    d, n, p = spec.d, spec.n, spec.p
+    eps = spec.epsilon_target
+    base_dirs = np.eye(d)[np.arange(n) % d]
+    r0 = math.sqrt(d / n)
+    space = PNormSpace(dim=d, p=p)
+    base = generate_asf("repeated_basis", space, n)
+    for bump in range(REFERENCE_SEED_BUMPS):
+        eff_seed = spec.seed + lab.SEED_BUMP_STRIDE * bump
+        delta = eps / 2.0
+        rho_scale = eps / 2.5
+        for _ in range(lab.MAX_RETUNES):
+            rng = np.random.default_rng(eff_seed)
+            w = base_dirs + np.concatenate(
+                [ball_displacements(rng, 1, d, delta, p) for _ in range(n)])
+            u = w / pnorm(w, p)[:, None]
+            rho = rng.uniform(-rho_scale, rho_scale, size=n)
+            r = r0 * np.sqrt(1.0 + rho)
+            tau = r[:, None] * u
+            f = r[:, None] * norming_functional(u, p)
+            inst = ASF(space=space, functionals=f, vectors=tau)
+            rep = analyze_asf(inst, tol=lab.CHAIN_TOL)
+            if not rep.spectrum_real:
+                break
+            if lab._within(rep, eps):
+                return lab._bundle(spec, inst, asf_dist(inst, base) ** 2, rep)
+            delta *= 0.5
+            rho_scale *= 0.5
+    return None
+
+
+def assert_same_bundle(got, want):
+    """got and want hold the same instance, certificates and base
+    distance, bit for bit."""
+    assert got.spec == want.spec
+    for side in ("vectors", "functionals"):
+        if hasattr(want.instance, side):
+            a, b = getattr(got.instance, side), getattr(want.instance, side)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for field in ("eps_parseval", "eps_equal_norm", "base_dist_sq"):
+        assert getattr(got, field).hex() == getattr(want, field).hex()

@@ -63,7 +63,7 @@ class TestSpaces:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6),
            d=st.integers(1, 8),
-           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+           p=st.sampled_from([1.25, 1.5, 2.0, 3.0, 4.0]))
     def test_norming_functional_rows(self, seed, n, d, p):
         # unit rows, some with zero coordinates
         rng = np.random.default_rng(seed)
@@ -76,6 +76,11 @@ class TestSpaces:
         assert np.allclose(pnorm(f, dual_exponent(p)), 1.0,
                            rtol=0, atol=1e-12)
         assert np.allclose(np.sum(f * u, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf, 0.5])
+    def test_norming_functional_needs_smooth_exponent(self, p):
+        with pytest.raises(UnsupportedExponent, match="1 < p < inf"):
+            norming_functional(np.array([[1.0, 0.0]]), p)
 
     def test_dual_norm_pinned(self):
         # the dual norm of l^p is the q-norm, q = dual_exponent(p)

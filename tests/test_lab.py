@@ -39,7 +39,12 @@ from framelab.lab import (
     record_to_row,
     summarize_records,
 )
-from conftest import exact_dist_sq_2_4, exact_dist_sq_next
+from conftest import (
+    assert_same_bundle,
+    exact_dist_sq_2_4,
+    exact_dist_sq_next,
+    reference_instance,
+)
 
 
 class TestCertifyTol:
@@ -166,9 +171,11 @@ class TestGenerateInstance:
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=5,
                             epsilon_target=0.1, seed=2)
         bundle = generate_instance(spec)
-        base_rep = analyze_frame(bundle.base)
+        base = lab._harmonic_base(2, 5)
+        base_rep = analyze_frame(base)
         assert base_rep.eps_parseval <= 1e-10
         assert base_rep.eps_equal_norm <= 1e-10
+        assert bundle.base_dist_sq == frame_dist(bundle.instance, base) ** 2
 
     def test_asf_chain_certificate(self):
         spec = InstanceSpec(kind="perturbed_asf", d=2, n=4,
@@ -189,13 +196,17 @@ class TestGenerateInstance:
         assert np.array_equal(a.instance.functionals, b.instance.functionals)
 
     def test_harmonic_base_built_once_per_shape(self):
-        a = generate_instance(InstanceSpec(kind="perturbed_enp", d=3, n=5,
-                                           epsilon_target=0.1, seed=1))
-        b = generate_instance(InstanceSpec(kind="scaled_enp", d=3, n=5,
-                                           epsilon_target=0.2))
-        assert a.base is b.base
-        assert not a.base.vectors.flags.writeable
-        assert np.array_equal(a.base.vectors,
+        base = lab._harmonic_base(3, 5)
+        for spec in (InstanceSpec(kind="perturbed_enp", d=3, n=5,
+                                  epsilon_target=0.1, seed=1),
+                     InstanceSpec(kind="scaled_enp", d=3, n=5,
+                                  epsilon_target=0.2)):
+            bundle = generate_instance(spec)
+            assert bundle.base_dist_sq == \
+                frame_dist(bundle.instance, base) ** 2
+        assert lab._harmonic_base(3, 5) is base
+        assert not base.vectors.flags.writeable
+        assert np.array_equal(base.vectors,
                               generate("harmonic", 3, 5).vectors)
 
     def test_base_dist_sq_positive(self):
@@ -203,6 +214,86 @@ class TestGenerateInstance:
         bundle = generate_instance(spec)
         assert bundle.base_dist_sq == pytest.approx(
             2.0 * (math.sqrt(1.2) - 1.0) ** 2, rel=1e-10)
+
+
+# The perturbed_asf specs of the d <= 4 grid (n in {d, 2d, 3d}, p in
+# {1.25, 1.5, 2, 3, 4}, eps in {0.01, 0.05, 0.1, 0.2}, seeds 0-19) that need
+# more than 32 seed bumps, as (n, p, eps, seeds), all at d = 4; the worst,
+# (4, 12), p = 1.25, eps = 0.2, seed 5, needs 97.
+MANY_BUMP_SPECS = [
+    (4, 1.5, 0.01, (0,)), (4, 1.5, 0.05, (0, 13)), (4, 1.5, 0.1, (13,)),
+    (4, 3.0, 0.01, (2,)), (4, 3.0, 0.05, (2,)), (4, 4.0, 0.01, (2,)),
+    (4, 4.0, 0.2, (2,)),
+    (8, 1.25, 0.01, (0, 15)), (8, 1.25, 0.05, (0, 15)),
+    (8, 1.25, 0.1, (0, 15)), (8, 1.25, 0.2, (0,)),
+    (8, 1.5, 0.01, (0, 13)), (8, 1.5, 0.05, (13,)),
+    (12, 1.25, 0.01, (1, 5, 10, 13, 15, 16)),
+    (12, 1.25, 0.05, (1, 5, 10, 13, 15, 16)),
+    (12, 1.25, 0.1, (1, 5, 10, 13, 15, 16)),
+    (12, 1.25, 0.2, (1, 5, 13, 15)),
+    (12, 1.5, 0.01, (0, 6)), (12, 1.5, 0.05, (6,)), (12, 1.5, 0.1, (6, 12)),
+]
+
+
+class TestDrawOnce:
+    """The draw-once generators against the re-seeding reference in
+    conftest, bit for bit, on every spec the reference builds."""
+
+    @staticmethod
+    def check(spec):
+        want = reference_instance(spec)
+        if want is not None:
+            assert_same_bundle(generate_instance(spec), want)
+        return want
+
+    def test_banach_search_specs(self):
+        # perfbench's banach_search inputs, which retune and bump seeds
+        for seed in range(7, 19):
+            for p in (1.5, 3.0):
+                assert self.check(InstanceSpec(
+                    kind="perturbed_asf", d=2, n=2, epsilon_target=0.05,
+                    p=p, seed=seed)) is not None
+
+    def test_criterion_9_specs(self):
+        for p in (1.5, 3.0, 2.0):
+            for seed in range(7, 12):
+                assert self.check(InstanceSpec(
+                    kind="perturbed_asf", d=2, n=4, epsilon_target=0.05,
+                    p=p, seed=seed)) is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(dn=st.sampled_from([(d, n) for d in range(2, 6)
+                               for n in range(d, 11)]),
+           eps=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+           seed=st.integers(977, 996))
+    def test_corpus_grid(self, dn, eps, seed):
+        d, n = dn
+        assert self.check(InstanceSpec(kind="perturbed_enp", d=d, n=n,
+                                       epsilon_target=eps, seed=seed)) \
+            is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 3),
+           p=st.sampled_from([1.25, 1.5, 2.0, 3.0, 4.0]),
+           eps=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+           seed=st.integers(0, 19))
+    def test_asf_grid(self, d, m, p, eps, seed):
+        self.check(InstanceSpec(kind="perturbed_asf", d=d, n=m * d,
+                                epsilon_target=eps, p=p, seed=seed))
+
+    def test_many_bump_specs_generate(self):
+        # each needs more seed bumps than the reference's 32 and raises
+        # Infeasible there
+        specs = [InstanceSpec(kind="perturbed_asf", d=4, n=n,
+                              epsilon_target=eps, p=p, seed=seed)
+                 for n, p, eps, seeds in MANY_BUMP_SPECS for seed in seeds]
+        assert len(specs) == 45
+        for spec in specs:
+            assert reference_instance(spec) is None
+            bundle = generate_instance(spec)
+            assert bundle.eps_parseval <= spec.epsilon_target
+            assert bundle.eps_equal_norm <= spec.epsilon_target
+            assert bundle.base_dist_sq > 0.0
 
 
 class TestAlternating:
