@@ -18,7 +18,13 @@ from .errors import (
     UnsupportedShape,
     ZeroVector,
 )
-from .spectral import PSD_FLOOR, inv_sqrt_psd, row_norms, sym_eig
+from .spectral import (
+    PSD_FLOOR,
+    frobenius_norm,
+    inv_sqrt_psd,
+    row_norms,
+    sym_eig,
+)
 
 ZERO_NORM_FLOOR = 1e-300
 NAIMARK_TOL = 1e-8
@@ -100,16 +106,23 @@ def analyze_frame(frame):
     eps_equal_norm = dev_e if dev_e < 1.0 else None
 
     center = float(np.trace(s)) / d
-    eye = np.eye(d)
     return FrameReport(
         frame_bounds=(a, b),
         eps_parseval=eps_parseval,
         eps_equal_norm=eps_equal_norm,
-        tightness_defect_hs=float(np.linalg.norm(s - center * eye)),
-        unit_defect_hs=float(np.linalg.norm(s - (n / d) * eye)),
+        tightness_defect_hs=_diagonal_shift_norm(s, center),
+        unit_defect_hs=_diagonal_shift_norm(s, n / d),
         frame_potential=float(np.sum(lam * lam)),
         norms_sq=norms_sq,
     )
+
+
+def _diagonal_shift_norm(s, c):
+    """Frobenius norm of S - c I, shifting the diagonal of a copy of S
+    in place instead of building the identity."""
+    t = s.copy()
+    t.ravel()[:: t.shape[0] + 1] -= c
+    return frobenius_norm(t)
 
 
 def frame_dist(a, b):

@@ -19,7 +19,8 @@ and a solve its restarts. The Banach search is a penalized local search
 by L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped
 at its first certified penalty round (later rounds only trade distance
 for feasibility); it certifies to the residual it is given
-(SEARCH_CERTIFY_TOL by default).
+(SEARCH_CERTIFY_TOL by default). scipy.optimize loads on the first Banach
+search, so the Hilbert, flow and check commands start without it.
 """
 
 import functools
@@ -29,7 +30,6 @@ import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .asf import (
     ASF,
@@ -499,9 +499,10 @@ def nearest_enp_alternating(frame, polished=None):
     if n > d:
         if polished is None:
             polished = _kkt_polish(v0[None], v0[None], tol)[0]
-        if polished is not None and \
-                polished[1] <= 2.0 * math.sqrt(dist_sq(polished[0]) * d) * tol:
-            return Frame(polished[0]), dist_sq(polished[0]), 0
+        if polished is not None:
+            ds = dist_sq(polished[0])
+            if polished[1] <= 2.0 * math.sqrt(ds * d) * tol:
+                return Frame(polished[0]), ds, 0
         kicks = np.random.default_rng(0).standard_normal((RESTARTS, n, d))
         starts = []
         for start in v0 + RESTART_KICK * math.sqrt(d / n) * kicks:
@@ -563,6 +564,13 @@ def _search_terms(z, mu, f_in, tau_in, p, q):
     grad_tau = 0.5 * tau_grad[:n] + 2.0 * mu * (
         f @ g.T + a[:, None] * tau_grad[n:] + c[:, None] * f)
     return dist, resid_sq, np.concatenate([grad_f.ravel(), grad_tau.ravel()])
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call: the Banach
+    search is its only user, and every other command starts without it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def nearest_enp_asf_search(asf, certify_tol=SEARCH_CERTIFY_TOL):

@@ -62,11 +62,21 @@ def sym_eig(a):
     eigh's bits without its Python wrapper; non-convergence raises
     np.linalg.LinAlgError, as eigh does.
     """
-    a = _require_square(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if float(np.linalg.norm(a - a.T)) > SYM_TOL * scale:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got ndim {a.ndim}")
+    norm = frobenius_norm(a)
+    # a finite norm proves every entry finite; only a NaN or overflowed
+    # norm needs the entrywise scan
+    if not norm < math.inf and not np.all(np.isfinite(a)):
+        raise ShapeMismatch("matrix entries must be finite")
+    if a.shape[0] != a.shape[1]:
+        raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
+    scale = max(1.0, norm)
+    asymmetry = frobenius_norm(a - a.T)
+    if asymmetry > SYM_TOL * scale:
         raise AsymmetricInput(
-            f"asymmetry {np.linalg.norm(a - a.T):.3e} exceeds tol {SYM_TOL:g}"
+            f"asymmetry {asymmetry:.3e} exceeds tol {SYM_TOL:g}"
             f" (relative to {scale:.3g})")
     sym = 0.5 * (a + a.T)
     n = sym.shape[0]
@@ -106,6 +116,13 @@ def general_spectrum(a):
     """Eigenvalues of a general (possibly nonsymmetric) real matrix."""
     a = _require_square(a)
     return np.linalg.eigvals(a)
+
+
+def frobenius_norm(x):
+    """Frobenius norm of an ndarray, the arithmetic of np.linalg.norm(x)
+    without its Python wrapper."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def row_norms(x):

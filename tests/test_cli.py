@@ -38,13 +38,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """The command line as `python -m framelab.cli` in a fresh process."""
+def run_python(*argv):
+    """python with this framelab on its path, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(framelab.__file__)))
-    return subprocess.run([sys.executable, "-m", "framelab.cli", *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def run_module(*argv):
+    """The command line as `python -m framelab.cli` in a fresh process."""
+    return run_python("-m", "framelab.cli", *argv)
 
 
 class TestCheck:
@@ -330,6 +334,46 @@ class TestEstimate:
         assert proc.stdout == out
         assert (tmp_path / "b.csv").read_bytes() == \
             (tmp_path / "a.csv").read_bytes()
+
+
+# run in a fresh process: pytest and test_lab import scipy.optimize here
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import framelab.cli
+def loaded():
+    return "scipy.optimize" in sys.modules
+steps = [loaded()]
+doc, out = sys.argv[1], sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [framelab.cli.run_cli(args) for args in [
+        ["estimate", "--d", "2", "3", "--n", "3", "4", "--eps", "0.05",
+         "--trials", "2", "--seed", "977", "--out", out],
+        ["flow", doc, "--t", "0.05", "--renorm-every", "25"]]]
+    steps.append(loaded())
+    codes.append(framelab.cli.run_cli(
+        ["estimate", "--kind", "perturbed_asf", "--d", "2", "--n", "2",
+         "--p", "1.5", "--eps", "0.05", "--trials", "1", "--seed", "7",
+         "--out", out]))
+steps.append(loaded())
+print(json.dumps({"codes": codes, "loaded": steps}))
+"""
+
+
+class TestImportFootprint:
+    def test_scipy_optimize_loads_with_the_first_banach_search(
+            self, tmp_path):
+        from framelab import Frame
+        v = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        doc = tmp_path / "frame.json"
+        write_frame_doc(Frame(v), doc)
+        proc = run_python("-c", FOOTPRINT_SCRIPT, str(doc),
+                          str(tmp_path / "x.csv"))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0, 0]
+        # absent after the import, after a Hilbert grid and a flow run;
+        # present after a perturbed_asf estimate
+        assert result["loaded"] == [False, False, True]
 
 
 class TestParsing:
