@@ -17,7 +17,8 @@ from .errors import (
     ShapeMismatch,
     UnsupportedExponent,
 )
-from .spectral import ball_displacements, general_spectrum, pnorm
+from .spectral import (ball_displacements, diagonal_shift_norm,
+                       general_spectrum, pnorm)
 
 SPECTRUM_REALITY_TOL = 1e-9
 INVERTIBILITY_FLOOR = 1e-12
@@ -128,17 +129,16 @@ def analyze_asf(asf, tol=1e-8):
     n = asf.n
     p, q = asf.space.p, asf.space.q
     s = asf_operator(asf)
-    eye = np.eye(d)
+    spec = general_spectrum(s)  # also the guard against an overflowed S
 
     sigma = np.linalg.svd(s, compute_uv=False)
     sigma_min = float(sigma[-1])
     invertible = sigma_min > INVERTIBILITY_FLOOR
 
     lam = float(np.trace(s)) / d
-    tight_lambda = lam if float(np.linalg.norm(s - lam * eye)) <= tol else None
-    parseval = float(np.linalg.norm(s - eye)) <= tol
+    tight_lambda = lam if diagonal_shift_norm(s, lam) <= tol else None
+    parseval = diagonal_shift_norm(s, 1.0) <= tol
 
-    spec = general_spectrum(s)
     spectrum_real = bool(np.max(np.abs(spec.imag)) <= SPECTRUM_REALITY_TOL)
     eps_parseval = None
     if spectrum_real and invertible:

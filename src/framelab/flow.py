@@ -9,8 +9,8 @@ the periodic maintenance renormalization offered by FlowConfig. A row whose
 
 A step works on arrays of a few dozen entries, so its cost is numpy call
 overhead, not arithmetic: _rotate handles all rows at once, and run_flow's
-loop calls the ufuncs and reductions behind np.linalg.norm, np.sum and
-np.max directly, which gives the same bits without their Python wrappers.
+loop calls the ufuncs and reductions behind numpy's norm, sum and max
+directly, which gives the same bits without their Python wrappers.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotUnitNorm, StepTooLarge
 from .frames import Frame
-from .spectral import row_norms
+from .spectral import frobenius_norm, row_norms
 
 # how far a row norm may stray from 1, at the start and at the end of a run
 UNIT_TOL = 1e-9
@@ -166,4 +166,4 @@ def run_flow(frame, config):
     return Frame(v), FlowTrace(
         unit_defect_hs=defects, frame_potential=potentials,
         max_tangent_norm=tangents, termination=termination, final_index=k,
-        displacement_hs=float(np.linalg.norm(v.T @ v - s0)))
+        displacement_hs=frobenius_norm(v.T @ v - s0))

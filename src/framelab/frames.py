@@ -20,9 +20,9 @@ from .errors import (
 )
 from .spectral import (
     PSD_FLOOR,
-    frobenius_norm,
+    diagonal_shift_norm,
     inv_sqrt_psd,
-    row_norms,
+    pnorm,
     sym_eig,
 )
 
@@ -110,19 +110,11 @@ def analyze_frame(frame):
         frame_bounds=(a, b),
         eps_parseval=eps_parseval,
         eps_equal_norm=eps_equal_norm,
-        tightness_defect_hs=_diagonal_shift_norm(s, center),
-        unit_defect_hs=_diagonal_shift_norm(s, n / d),
+        tightness_defect_hs=diagonal_shift_norm(s, center),
+        unit_defect_hs=diagonal_shift_norm(s, n / d),
         frame_potential=float(np.sum(lam * lam)),
         norms_sq=norms_sq,
     )
-
-
-def _diagonal_shift_norm(s, c):
-    """Frobenius norm of S - c I, shifting the diagonal of a copy of S
-    in place instead of building the identity."""
-    t = s.copy()
-    t.ravel()[:: t.shape[0] + 1] -= c
-    return frobenius_norm(t)
 
 
 def frame_dist(a, b):
@@ -146,7 +138,8 @@ def closest_equal_norm(frame, target=None):
 
     With no explicit target the optimal common norm is the mean of the
     input norms. The construction divides by each |tau_j|, so zero vectors
-    are rejected.
+    are rejected. Rows get norm c at any scale; the squared distance is
+    inf once a term (|tau_j| - c)^2 overflows, from |tau_j| near 1e154.
     """
     w, norms, c = rescale_rows(frame.vectors, target)
     dist_sq = float(np.sum((norms - c) ** 2))
@@ -156,11 +149,12 @@ def closest_equal_norm(frame, target=None):
 def rescale_rows(v, c=None):
     """Rows of v rescaled to the common norm c, by default their mean norm.
 
-    Returns (rescaled rows, input row norms, c). Raises ZeroVector for the
-    first row whose norm is at or below ZERO_NORM_FLOOR, then ShapeMismatch
-    for a c that is not positive.
+    Returns (rescaled rows, input row norms, c), the norms pnorm's at p = 2,
+    free of overflow and underflow. Raises ZeroVector for the first row
+    whose norm is at or below ZERO_NORM_FLOOR, then ShapeMismatch for a c
+    that is not positive.
     """
-    norms = row_norms(v)
+    norms = pnorm(v, 2.0)
     small = np.nonzero(norms <= ZERO_NORM_FLOOR)[0]
     if small.size:
         raise ZeroVector(int(small[0]))
@@ -173,7 +167,7 @@ def rescale_rows(v, c=None):
 def naimark_complement(frame):
     """Parseval frame for R^{n-d} whose Gram projection completes the input's.
 
-    The analysis matrix is re-orthonormalized through S^{-1/2} before the
+    The input is replaced by its closest Parseval frame before the
     orthogonal completion, so the Gram identity holds to machine precision
     for any input that is Parseval within NAIMARK_TOL.
     """
@@ -186,10 +180,11 @@ def naimark_complement(frame):
         raise NoComplement("n = d leaves a zero-dimensional complement")
     if n < d:
         raise NoComplement(f"n = {n} < d = {d}")
-    theta = frame.vectors @ inv_sqrt_psd(frame.vectors.T @ frame.vectors)
-    q, _ = np.linalg.qr(theta, mode="complete")
-    # The first d columns of q span col(theta); the rest span its
-    # orthocomplement, giving the complementary Gram projection.
+    w = closest_parseval(frame)[0].vectors
+    q, _ = np.linalg.qr(w, mode="complete")
+    # w has orthonormal columns, so the first d columns of q span its
+    # range and the last n - d the orthocomplement: their rows form a
+    # Parseval frame for R^{n-d} with Gram projection I - w w^T.
     return Frame(q[:, d:])
 
 

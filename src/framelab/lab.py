@@ -220,10 +220,10 @@ def _gen_perturbed_asf(spec):
     """
     d, n, p = spec.d, spec.n, spec.p
     eps = spec.epsilon_target
-    base_dirs = np.eye(d)[np.arange(n) % d]
     r0 = math.sqrt(d / n)
     space = PNormSpace(dim=d, p=p)
     base = generate_asf("repeated_basis", space, n)
+    base_dirs = base.vectors / r0  # exactly 1.0 and 0.0
 
     for bump in range(MAX_SEED_BUMPS):
         rng = np.random.default_rng(spec.seed + SEED_BUMP_STRIDE * bump)

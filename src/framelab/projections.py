@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     ZeroRank,
 )
-from .spectral import general_spectrum
+from .spectral import frobenius_norm, general_spectrum, square_matrix
 
 PROJ_TOL = 1e-8
 RANK_EIG_TOL = 1e-8
@@ -84,14 +84,10 @@ class AuerbachSystem:
 
 
 def certify_projection(m):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeMismatch("entries must be finite")
+    m, _ = square_matrix(m)
     d = m.shape[0]
 
-    defect = float(np.linalg.norm(m @ m - m))
+    defect = frobenius_norm(m @ m - m)
     if defect > PROJ_TOL:
         raise NotIdempotent(
             f"idempotency defect {defect:.3e} exceeds {PROJ_TOL:.3e}")
@@ -107,7 +103,7 @@ def certify_projection(m):
 
     return ProjectionOp(dim=d, matrix=m, idempotency_defect=defect,
                         rank=rank_eig,
-                        self_adjoint_defect=float(np.linalg.norm(m - m.T)))
+                        self_adjoint_defect=frobenius_norm(m - m.T))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Dense small-matrix kernels shared by the rest of the package.
 
 All matrices are real ndarrays. Eigenvalues of symmetric matrices are
-returned ascending so downstream reports are deterministic. The row-wise
-Euclidean and p-norms and the p-ball sampler live here too, where frames,
-flow and asf can all import them (asf imports frames, so frames cannot
-import asf).
+returned ascending so downstream reports are deterministic. The
+square-matrix guard, the Frobenius and row-wise norms and the p-ball
+sampler live here too, where every other module can import them (asf
+imports frames, so frames cannot import asf).
 """
 
 import functools
@@ -31,15 +31,20 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def _require_square(a):
+def square_matrix(a):
+    """a as a float matrix and its Frobenius norm; ShapeMismatch, in this
+    order, if a is not 2-D, has a non-finite entry or is not square."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim {a.ndim}")
-    if not np.all(np.isfinite(a)):
+    norm = frobenius_norm(a)
+    # a finite norm proves every entry finite; only a NaN or overflowed
+    # norm needs the entrywise scan
+    if not norm < math.inf and not np.all(np.isfinite(a)):
         raise ShapeMismatch("matrix entries must be finite")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
-    return a
+    return a, norm
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,16 +67,7 @@ def sym_eig(a):
     eigh's bits without its Python wrapper; non-convergence raises
     np.linalg.LinAlgError, as eigh does.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got ndim {a.ndim}")
-    norm = frobenius_norm(a)
-    # a finite norm proves every entry finite; only a NaN or overflowed
-    # norm needs the entrywise scan
-    if not norm < math.inf and not np.all(np.isfinite(a)):
-        raise ShapeMismatch("matrix entries must be finite")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
+    a, norm = square_matrix(a)
     scale = max(1.0, norm)
     asymmetry = frobenius_norm(a - a.T)
     if asymmetry > SYM_TOL * scale:
@@ -114,20 +110,27 @@ def inv_sqrt_from_eig(lam, q):
 
 def general_spectrum(a):
     """Eigenvalues of a general (possibly nonsymmetric) real matrix."""
-    a = _require_square(a)
-    return np.linalg.eigvals(a)
+    return np.linalg.eigvals(square_matrix(a)[0])
 
 
 def frobenius_norm(x):
-    """Frobenius norm of an ndarray, the arithmetic of np.linalg.norm(x)
+    """Frobenius norm of an ndarray, the arithmetic of numpy.linalg.norm(x)
     without its Python wrapper."""
     flat = x.ravel(order="K")
     return math.sqrt(flat.dot(flat))
 
 
+def diagonal_shift_norm(s, c):
+    """Frobenius norm of S - c I, the bits of numpy.linalg.norm(s - c * I)
+    for finite c, shifting the diagonal of a copy of S in place."""
+    t = s.copy()
+    t.ravel()[:: t.shape[0] + 1] -= c
+    return frobenius_norm(t)
+
+
 def row_norms(x):
     """Euclidean norms over the last axis, the arithmetic of
-    np.linalg.norm(x, axis=-1) without its Python wrapper."""
+    numpy.linalg.norm(x, axis=-1) without its Python wrapper."""
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 

@@ -94,6 +94,25 @@ class TestNearest:
         assert code == 0
         assert float(out) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("first_row, printed", [
+        # every row is rescaled; only the squared distance overflows
+        ([1e200, 0.0], math.inf),
+        # far above ZERO_NORM_FLOOR, though its squared norm underflows
+        ([1e-170, 0.0], 4.0 + 1.0 + (2.0 - math.sqrt(2.0)) ** 2),
+    ])
+    def test_equalnorm_at_extreme_row_scales(self, capsys, tmp_path,
+                                             first_row, printed):
+        from framelab import Frame
+        path, out_path = tmp_path / "f.json", tmp_path / "out.json"
+        write_frame_doc(Frame(np.array([first_row, [0.0, 1.0], [1.0, 1.0]])),
+                        path)
+        code, out, _ = run(capsys, "nearest", "equalnorm", str(path),
+                           "--target", "2", "--out", str(out_path))
+        assert code == 0
+        assert float(out) == pytest.approx(printed)
+        for row in read_frame_doc(out_path).vectors:
+            assert math.hypot(*row) == pytest.approx(2.0, rel=1e-15)
+
     def test_singular_input_fails_cleanly(self, capsys, tmp_path):
         from framelab import Frame
         path = tmp_path / "bad.json"
@@ -201,6 +220,17 @@ class TestASFCheck:
         doc = json.loads(proc.stdout)
         assert doc["norms_p_sq"] == [9.0, 9.0]
         assert doc["norm_triple_defect"] == 0.0
+
+    def test_overflowing_operator_is_one_error_line(self, tmp_path):
+        # finite entries whose frame operator S overflows: S is checked
+        # before anything else reads it, so no numpy warning precedes the
+        # typed error
+        path = tmp_path / "asf.json"
+        write_asf_doc(ASF(PNormSpace(2, 2.0), 1e200 * np.eye(2),
+                          1e200 * np.eye(2)), path)
+        proc = run_module("asf", "check", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: matrix entries must be finite\n"
 
     def test_key_layout(self, capsys, tmp_path, mb):
         path = tmp_path / "asf.json"

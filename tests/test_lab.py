@@ -15,7 +15,9 @@ from framelab.errors import (
     Infeasible,
     NoConvergence,
     ShapeMismatch,
+    SingularOperator,
     UnsupportedExponent,
+    UnsupportedShape,
 )
 from framelab.frames import (
     Frame,
@@ -297,6 +299,17 @@ class TestDrawOnce:
 
 
 class TestAlternating:
+    def test_rejects_fewer_vectors_than_dimensions(self):
+        with pytest.raises(UnsupportedShape):
+            nearest_enp_alternating(Frame(np.eye(3)[:2]))
+
+    def test_singular_square_input(self):
+        # n = d goes straight to the alternating rounds, whose first
+        # Parseval map needs an invertible frame operator
+        with pytest.raises(SingularOperator):
+            nearest_enp_alternating(Frame(np.array([[1.0, 0.0],
+                                                    [1.0, 0.0]])))
+
     def test_tight_input_zero_rounds(self):
         frame = generate("harmonic", d=2, n=5)
         out, dist_sq, rounds = nearest_enp_alternating(frame)

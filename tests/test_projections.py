@@ -11,6 +11,7 @@ from framelab.errors import (
     NegativeChordal,
     NotIdempotent,
     RankMismatch,
+    ShapeMismatch,
     ZeroRank,
 )
 from framelab.projections import (
@@ -61,6 +62,17 @@ class TestCertify:
     def test_non_idempotent(self):
         with pytest.raises(NotIdempotent):
             certify_projection(np.array([[0.5, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("m, message", [
+        (np.ones((2, 3)), "expected a square matrix, got (2, 3)"),
+        (np.ones(3), "expected a matrix, got ndim 1"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]),
+         "matrix entries must be finite"),
+    ])
+    def test_rejects_what_is_not_a_finite_square_matrix(self, m, message):
+        with pytest.raises(ShapeMismatch) as exc:
+            certify_projection(m)
+        assert str(exc.value) == message
 
     def test_identity_and_zero(self):
         assert certify_projection(np.eye(3)).rank == 3

@@ -10,6 +10,8 @@ from framelab.errors import AsymmetricInput, ShapeMismatch, SingularOperator
 from framelab.frames import generate
 from framelab.spectral import (
     ball_displacements,
+    diagonal_shift_norm,
+    frobenius_norm,
     general_spectrum,
     inv_sqrt_psd,
     pnorm,
@@ -180,6 +182,36 @@ def rows_over_magnitudes(seed, n, d, span):
 
 # finite exponents up to 1e4, with the Euclidean case p = 2 always drawn
 FINITE_EXPONENTS = st.one_of(st.just(2.0), st.floats(1.0, 1e4))
+
+
+class TestFrobeniusKernels:
+    """Bit for bit the np.linalg.norm expressions they replace, for
+    matrices in either memory order."""
+
+    @staticmethod
+    def matrix(seed, rows, cols, scale, fortran):
+        x = scale * np.random.default_rng(seed).standard_normal((rows, cols))
+        return np.asfortranarray(x) if fortran else x
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), rows=st.integers(0, 8),
+           cols=st.integers(0, 8), scale=st.floats(1e-3, 1e3),
+           fortran=st.booleans())
+    def test_frobenius_norm_is_linalg_norm(self, seed, rows, cols, scale,
+                                           fortran):
+        x = self.matrix(seed, rows, cols, scale, fortran)
+        assert frobenius_norm(x) == float(np.linalg.norm(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 8),
+           scale=st.floats(1e-3, 1e3), c=st.floats(-1e3, 1e3),
+           fortran=st.booleans())
+    def test_diagonal_shift_norm_is_linalg_norm(self, seed, d, scale, c,
+                                                fortran):
+        s = self.matrix(seed, d, d, scale, fortran)
+        ref = float(np.linalg.norm(s - c * np.eye(d)))
+        assert diagonal_shift_norm(s, c) == ref
+        assert np.array_equal(s, self.matrix(seed, d, d, scale, fortran))
 
 
 class TestRowKernels:
