@@ -18,7 +18,7 @@ from .asf import (
     generate_asf,
 )
 from .documents import sweep_csv_text, write_flow_trace_csv
-from .errors import NoConvergence, ShapeMismatch
+from .errors import ShapeMismatch
 from .flow import FlowConfig, flow_step, run_flow, tangent_family
 from .frames import (
     Frame,

@@ -85,22 +85,6 @@ class InvalidSystem(FrameLabError):
     """A reference system violates its normalization or biorthogonality."""
 
 
-class NoConvergence(FrameLabError):
-    """An iterative solver exhausted its round budget.
-
-    Carries the last iterate's squared distance to the input (dist_sq)
-    and the rounds spent. Criterion 9 compares dist_sq with the Banach
-    search; sweeps and the perfbench tracer read rounds, and a sweep
-    reports the base distance uncertified.
-    """
-
-    def __init__(self, dist_sq, rounds):
-        self.dist_sq = dist_sq
-        self.rounds = rounds
-        super().__init__(f"no certification after {rounds} rounds "
-                         f"(last dist_sq {dist_sq:.6g})")
-
-
 class BoundViolation(FrameLabError):
     """A certified record exceeded a ceiling it must satisfy."""
 

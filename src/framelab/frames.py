@@ -6,6 +6,7 @@ their certificate kernel, the two closest-point constructions, the Naimark
 complement, and the seeded generators live here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,13 @@ class FrameReport:
 
 
 def frame_operator(frame):
+    """S = V^T V. Finite entries can still overflow S, from about 1e154 on;
+    that raises ShapeMismatch naming S, before anything reads it."""
     v = frame.vectors
-    return v.T @ v
+    s = v.T @ v
+    if not np.all(np.isfinite(s)):
+        raise ShapeMismatch("frame operator S = V^T V overflows")
+    return s
 
 
 def enp_defects(lam, norms_sq):
@@ -96,7 +102,7 @@ def enp_defects(lam, norms_sq):
 def analyze_frame(frame):
     v = frame.vectors
     n, d = v.shape
-    s = v.T @ v
+    s = frame_operator(frame)
     lam = sym_eig(s).eigenvalues
     a, b = float(lam[0]), float(lam[-1])
     norms_sq = np.sum(v * v, axis=1)
@@ -127,8 +133,7 @@ def frame_dist(a, b):
 def closest_parseval(frame):
     """Nearest Parseval frame S^{-1/2} tau_j and its squared distance."""
     v = frame.vectors
-    root = inv_sqrt_psd(v.T @ v)
-    w = v @ root
+    w = v @ inv_sqrt_psd(frame_operator(frame))
     dist_sq = float(np.sum((w - v) ** 2))
     return Frame(w), dist_sq
 
@@ -158,9 +163,15 @@ def rescale_rows(v, c=None):
     small = np.nonzero(norms <= ZERO_NORM_FLOOR)[0]
     if small.size:
         raise ZeroVector(int(small[0]))
-    if c is not None and not c > 0:
+    if c is None:
+        # the mean of the norms times 2^-k, k = n.bit_length(), cannot
+        # overflow; scaling by a power of two is exact, so c has the bits
+        # of the plain mean wherever that is finite
+        k = len(norms).bit_length()
+        c = math.ldexp(float(np.mean(np.ldexp(norms, -k))), k)
+    elif not c > 0:
         raise ShapeMismatch(f"target norm must be positive, got {c}")
-    c = float(np.mean(norms)) if c is None else float(c)
+    c = float(c)
     return (c / norms)[:, None] * v, norms, c
 
 

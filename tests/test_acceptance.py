@@ -15,7 +15,6 @@ from framelab import (
     FlowConfig,
     Frame,
     InstanceSpec,
-    NoConvergence,
     PNormSpace,
     analyze_asf,
     analyze_frame,
@@ -361,10 +360,7 @@ class TestCriterion9:
                                 epsilon_target=0.05, p=2.0, seed=7 + i)
             bundle = generate_instance(spec)
             frame = Frame(bundle.instance.vectors)
-            try:
-                _, alt_ds, _ = nearest_enp_alternating(frame)
-            except NoConvergence as exc:
-                alt_ds = exc.dist_sq
+            _, alt_ds, _ = nearest_enp_alternating(frame)
             _, search_ds, _, _ = nearest_enp_asf_search(
                 bundle.instance, certify_tol=1e-6)
             gaps.append(search_ds - alt_ds)

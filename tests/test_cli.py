@@ -113,6 +113,33 @@ class TestNearest:
         for row in read_frame_doc(out_path).vectors:
             assert math.hypot(*row) == pytest.approx(2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("command", [["check"], ["nearest", "parseval"]])
+    def test_overflowing_frame_operator_is_one_error_line(self, tmp_path,
+                                                          command):
+        # finite entries whose frame operator S overflows: the error names
+        # S, not the entries, and no numpy warning precedes it
+        from framelab import Frame
+        path = tmp_path / "f.json"
+        write_frame_doc(Frame(np.array([[1e200, 0.0], [0.0, 1.0],
+                                        [1.0, 1.0]])), path)
+        proc = run_module(*command, str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: frame operator S = V^T V overflows\n"
+
+    def test_equalnorm_mean_of_huge_rows(self, tmp_path):
+        # the norms sum past the largest float, their mean does not
+        from framelab import Frame
+        path, out_path = tmp_path / "f.json", tmp_path / "out.json"
+        write_frame_doc(Frame(np.array([[1.5e308, 0.0], [1.5e308, 0.0],
+                                        [0.0, 1.0]])), path)
+        proc = run_module("nearest", "equalnorm", str(path),
+                          "--out", str(out_path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert float(proc.stdout) == math.inf
+        for row in read_frame_doc(out_path).vectors:
+            assert math.hypot(*row) == pytest.approx(1e308, rel=1e-15)
+
     def test_singular_input_fails_cleanly(self, capsys, tmp_path):
         from framelab import Frame
         path = tmp_path / "bad.json"

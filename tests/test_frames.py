@@ -20,6 +20,7 @@ from framelab.frames import (
     frame_operator,
     generate,
     naimark_complement,
+    rescale_rows,
 )
 from conftest import random_frame
 
@@ -197,6 +198,19 @@ class TestClosestEqualNorm:
         norms = np.linalg.norm(out.vectors, axis=1)
         c = np.mean(np.linalg.norm(frame.vectors, axis=1))
         assert np.max(np.abs(norms - c)) <= 1e-12 * max(1.0, c)
+
+    def test_mean_target_has_the_plain_mean_bits(self, mb):
+        # the default target is the mean of the norms taken at 2^-k and
+        # scaled back, which is exact: the plain mean's bits on this
+        # class's inputs
+        frames = [Frame(np.array([[1.0, 0.0], [0.0, 2.0]])), mb] + [
+            random_frame(seed, d, n) for seed in range(20)
+            for d, n in ((1, 2), (3, 5), (4, 6))]
+        for frame in frames:
+            w, norms, c = rescale_rows(frame.vectors)
+            plain = float(np.mean(norms))
+            assert c.hex() == plain.hex()
+            assert np.array_equal(w, (plain / norms)[:, None] * frame.vectors)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), shift=st.floats(-0.5, 0.5))

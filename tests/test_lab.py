@@ -13,7 +13,6 @@ from framelab.documents import SWEEP_COLUMNS
 from framelab.errors import (
     BoundViolation,
     Infeasible,
-    NoConvergence,
     ShapeMismatch,
     SingularOperator,
     UnsupportedExponent,
@@ -347,19 +346,14 @@ class TestAlternating:
         assert dist_sq == pytest.approx(
             frame_dist(bundle.instance, out) ** 2, rel=1e-9, abs=1e-15)
 
-    def test_no_convergence_carries_rounds(self, monkeypatch):
-        # with no certified polish the solver falls back to alternating
-        # rounds after its restarts, and one round does not certify
+    def test_no_certified_polish_returns_no_point(self, monkeypatch):
+        # no polish certifies, so after its restarts the solver has no
+        # point to return
         monkeypatch.setattr(lab, "_kkt_polish", _no_polish)
-        monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
                             epsilon_target=0.1, seed=4)
         bundle = generate_instance(spec)
-        with pytest.raises(NoConvergence) as info:
-            nearest_enp_alternating(bundle.instance)
-        exc = info.value
-        assert exc.rounds == 60 + 1  # the restarts' rounds, then one more
-        assert exc.dist_sq > 0
+        assert nearest_enp_alternating(bundle.instance) == (None, None, 60)
 
     def test_restart_beats_input_polish(self):
         # the input's polish has margin <= 0, and a polish from the seeded
@@ -879,18 +873,32 @@ class TestEstimate:
         assert len(summary) == 1
         assert summary[0].frac_certified == 1.0
 
-    def test_stalled_solve_is_uncertified(self, monkeypatch):
-        # the instance TestAlternating drives into NoConvergence
+    def test_no_certified_polish_is_uncertified(self, monkeypatch):
+        # the instance TestAlternating leaves with no certified polish
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
                             epsilon_target=0.1, seed=4)
         monkeypatch.setattr(lab, "_kkt_polish", _no_polish)
-        monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
         records, summary = estimate_paulsen([spec], trials=1)
         assert not records[0].certified
-        assert records[0].iterations == 60 + 1
+        assert records[0].iterations == 60
         assert records[0].achieved_dist_sq == \
             generate_instance(spec).base_dist_sq
         assert summary[0].frac_certified == 0.0
+
+    def test_uncertified_square_round(self, monkeypatch):
+        # at n = d the one round's output fails its forced certificate,
+        # so the record carries the base distance, uncertified
+        certificate = lab._enp_certificate
+        monkeypatch.setattr(lab, "_enp_certificate",
+                            lambda v, tol: (certificate(v, tol)[0], False))
+        spec = InstanceSpec(kind="perturbed_enp", d=3, n=3,
+                            epsilon_target=0.1, seed=0)
+        bundle = generate_instance(spec)
+        assert nearest_enp_alternating(bundle.instance) == (None, None, 1)
+        records, _ = estimate_paulsen([spec], trials=1)
+        assert not records[0].certified
+        assert records[0].iterations == 1
+        assert records[0].achieved_dist_sq == bundle.base_dist_sq
 
     # trial 979 leaves by the restarts after 60 rounds, 980 and 981 by the
     # margin exit at round 0
@@ -909,7 +917,7 @@ class TestEstimate:
             [(float(ds).hex(), cert, rounds)
              for ds, cert, rounds in self._solved_alone()]
 
-    def test_stalled_trial_of_stacked_cell(self, monkeypatch):
+    def test_uncertified_trial_of_stacked_cell(self, monkeypatch):
         records, _ = estimate_paulsen([self.CELL], trials=3)
         # no polish of trial 979's input certifies, in the stack or alone
         first = generate_instance(self.CELL).instance.vectors
@@ -920,15 +928,14 @@ class TestEstimate:
                     for a, p in zip(v0, polish(v0, v, tol))]
 
         monkeypatch.setattr(lab, "_kkt_polish", polish_but_first)
-        monkeypatch.setattr(lab, "SWEEP_MAX_ROUNDS", 1)
-        stalled, _ = estimate_paulsen([self.CELL], trials=3)
-        assert not stalled[0].certified
-        assert stalled[0].iterations == 60 + 1
-        assert stalled[0].achieved_dist_sq == \
+        uncertified, _ = estimate_paulsen([self.CELL], trials=3)
+        assert not uncertified[0].certified
+        assert uncertified[0].iterations == 60
+        assert uncertified[0].achieved_dist_sq == \
             generate_instance(self.CELL).base_dist_sq
-        assert stalled[1:] == records[1:]
+        assert uncertified[1:] == records[1:]
         assert [(float(r.achieved_dist_sq).hex(), r.certified, r.iterations)
-                for r in stalled] == \
+                for r in uncertified] == \
             [(float(ds).hex(), cert, rounds)
              for ds, cert, rounds in self._solved_alone()]
 
