@@ -124,7 +124,7 @@ def asf_operator(asf):
     return asf.vectors.T @ asf.functionals
 
 
-def analyze_asf(asf, tol=1e-8):
+def analyze_asf(asf, tol):
     d = asf.space.dim
     n = asf.n
     p, q = asf.space.p, asf.space.q

@@ -188,10 +188,11 @@ def build_parser():
     p_flow = sub.add_parser("flow", help="run the unit-sphere tightening flow")
     p_flow.add_argument("file")
     p_flow.add_argument("--t", type=float, required=True)
-    p_flow.add_argument("--max-iters", type=int, default=100_000)
-    p_flow.add_argument("--stop", type=float, default=1e-6)
+    p_flow.add_argument("--max-iters", type=int, default=FlowConfig.max_iters)
+    p_flow.add_argument("--stop", type=float, default=FlowConfig.stop_defect)
     p_flow.add_argument("--trace")
-    p_flow.add_argument("--renorm-every", type=int, default=0)
+    p_flow.add_argument("--renorm-every", type=int,
+                        default=FlowConfig.renorm_every)
     p_flow.add_argument("--out")
     p_flow.set_defaults(func=_cmd_flow)
 
@@ -225,10 +226,10 @@ def build_parser():
     p_est.add_argument("--d", type=int, nargs="+", required=True)
     p_est.add_argument("--n", type=int, nargs="+", required=True)
     p_est.add_argument("--eps", type=float, nargs="+", required=True)
-    p_est.add_argument("--p", type=float, nargs="+", default=[2.0])
+    p_est.add_argument("--p", type=float, nargs="+", default=[InstanceSpec.p])
     p_est.add_argument("--kind", default="perturbed_enp")
     p_est.add_argument("--trials", type=int, required=True)
-    p_est.add_argument("--seed", type=int, default=0)
+    p_est.add_argument("--seed", type=int, default=InstanceSpec.seed)
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=_cmd_estimate)
 

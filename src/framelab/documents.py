@@ -20,7 +20,7 @@ SWEEP_COLUMNS = (
     "d", "n", "p", "kind", "eps_target",
     "eps_measured_parseval", "eps_measured_equalnorm",
     "dist_sq", "certified", "rounds",
-    "bound_hm", "bound_bc", "lower_ref",
+    "bound_hm", "bound_bc",
 )
 
 FLOW_TRACE_COLUMNS = ("iter", "unit_defect_hs", "frame_potential",

@@ -34,7 +34,7 @@ class NotParseval(FrameLabError):
 
 
 class NoComplement(FrameLabError):
-    """No complement exists (the ambient and frame dimensions coincide)."""
+    """No complement exists: the frame has n <= d vectors in R^d."""
 
 
 class UnsupportedShape(FrameLabError):

@@ -83,7 +83,8 @@ def frame_operator(frame):
     """S = V^T V. Finite entries can still overflow S, from about 1e154 on;
     that raises ShapeMismatch naming S, before anything reads it."""
     v = frame.vectors
-    s = v.T @ v
+    with np.errstate(over="ignore"):  # the check below reports it
+        s = v.T @ v
     if not np.all(np.isfinite(s)):
         raise ShapeMismatch("frame operator S = V^T V overflows")
     return s
@@ -182,15 +183,15 @@ def naimark_complement(frame):
     orthogonal completion, so the Gram identity holds to machine precision
     for any input that is Parseval within NAIMARK_TOL.
     """
-    report = analyze_frame(frame)
-    if report.eps_parseval is None or report.eps_parseval > NAIMARK_TOL:
-        raise NotParseval(f"eps_parseval {report.eps_parseval} exceeds "
-                          f"tol {NAIMARK_TOL:g}")
     n, d = frame.n, frame.dim
-    if n == d:
-        raise NoComplement("n = d leaves a zero-dimensional complement")
-    if n < d:
-        raise NoComplement(f"n = {n} < d = {d}")
+    if n <= d:
+        raise NoComplement(f"a complement needs n > d, got n = {n}, d = {d}")
+    eps = analyze_frame(frame).eps_parseval
+    if eps is None:
+        raise NotParseval("no Parseval certificate: S has an eigenvalue "
+                          "outside (0, 2)")
+    if eps > NAIMARK_TOL:
+        raise NotParseval(f"eps_parseval {eps} exceeds tol {NAIMARK_TOL:g}")
     w = closest_parseval(frame)[0].vectors
     q, _ = np.linalg.qr(w, mode="complete")
     # w has orthonormal columns, so the first d columns of q span its

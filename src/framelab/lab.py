@@ -22,8 +22,8 @@ one stack, and a solve its restarts. The Banach search is a penalized
 local search by L-BFGS-B on the exact gradient of one row-vectorized
 kernel, stopped at its first certified penalty round (later rounds only
 trade distance for feasibility); it certifies to the residual it is
-given (SEARCH_CERTIFY_TOL by default). scipy.optimize loads on the first
-Banach search, so the Hilbert, flow and check commands start without it.
+given. scipy.optimize loads on the first Banach search, so the Hilbert,
+flow and check commands start without it.
 """
 
 import functools
@@ -86,8 +86,7 @@ MU0 = 1.0
 MU_FACTOR = 10.0
 MU_MAX = 1e13
 SEARCH_MAX_ITERS = 400
-# the residual a Banach search certifies to, and the floor of the
-# tolerance estimate_paulsen certifies perturbed_asf records at
+# the floor of the residual perturbed_asf records are certified at
 SEARCH_CERTIFY_TOL = 1e-6
 
 
@@ -570,7 +569,7 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def nearest_enp_asf_search(asf, certify_tol=SEARCH_CERTIFY_TOL):
+def nearest_enp_asf_search(asf, certify_tol):
     """Penalized local search for the nearest equal-norm Parseval ASF.
 
     Minimizes squared distance plus mu times the feasibility residual by
@@ -625,7 +624,7 @@ def nearest_enp_asf_search(asf, certify_tol=SEARCH_CERTIFY_TOL):
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One solved instance with its measured certificate and bounds."""
+    """One solved instance: measured eps, distance, certificate, ceilings."""
 
     spec: InstanceSpec
     measured_eps_parseval: float
@@ -635,16 +634,15 @@ class ExperimentRecord:
     iterations: int
     bound_hm: float
     bound_bc: float
-    lower_ref: float
 
 
 def _bounds_for(spec, eps_p, eps_en):
+    """The Hamilton-Moitra and Bodmann-Casazza ceilings on dist_sq."""
     eps = max(eps_p, eps_en)
     d, n = spec.d, spec.n
     bound_hm = 20.0 * eps * d * d
     bound_bc = (29.0 / 8.0) * d * d * n * (n - 1) ** 8 * eps
-    lower_ref = eps * eps * d
-    return bound_hm, bound_bc, lower_ref
+    return bound_hm, bound_bc
 
 
 def record_to_row(rec):
@@ -661,7 +659,6 @@ def record_to_row(rec):
         "rounds": rec.iterations,
         "bound_hm": rec.bound_hm,
         "bound_bc": rec.bound_bc,
-        "lower_ref": rec.lower_ref,
     }
 
 
@@ -680,10 +677,10 @@ class SummaryRow:
     max_ratio_bc: float
 
 
-def _solve_one(bundle, polished=None):
+def _solve_one(bundle, polished):
     """Solver output guarded by the base point as a feasible competitor;
     a solve that certifies no point reports the base distance uncertified.
-    polished is a Hilbert instance's input polish, as
+    polished is a Hilbert instance's input polish, or None, as
     nearest_enp_alternating takes it."""
     if isinstance(bundle.instance, Frame):
         out, ds, rounds = nearest_enp_alternating(bundle.instance, polished)
@@ -725,7 +722,7 @@ def estimate_paulsen(grid, trials):
         for bundle, first in zip(bundles, polished):
             t_spec = bundle.spec
             ds, certified, rounds = _solve_one(bundle, first)
-            bound_hm, bound_bc, lower_ref = _bounds_for(
+            bound_hm, bound_bc = _bounds_for(
                 t_spec, bundle.eps_parseval, bundle.eps_equal_norm)
             if certified and t_spec.kind in HILBERT_KINDS and ds > bound_hm:
                 raise BoundViolation(
@@ -740,7 +737,6 @@ def estimate_paulsen(grid, trials):
                 iterations=rounds,
                 bound_hm=bound_hm,
                 bound_bc=bound_bc,
-                lower_ref=lower_ref,
             ))
 
     summary = summarize_records(records)

@@ -121,7 +121,7 @@ class BanachBalance:
     failures: tuple
 
 
-def balance_epsilon_banach(proj, sys, tol=1e-8):
+def balance_epsilon_banach(proj, sys, tol):
     d = proj.dim
     if proj.rank == 0:
         raise ZeroRank("balance is undefined for the zero projection")

@@ -257,3 +257,45 @@ class TestGenerateASF:
         a = generate_asf("random", PNormSpace(2, 2.0), n=4, seed=9)
         b = generate_asf("random", PNormSpace(2, 2.0), n=4, seed=9)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+L2 = PNormSpace(2, 2.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: PNormSpace(0, 2.0), ShapeMismatch,
+                 "dim must be positive", id="space-dim"),
+    pytest.param(lambda: ASF(space=L2, functionals=np.zeros((3, 2)),
+                             vectors=np.zeros((3, 3))), ShapeMismatch,
+                 "functionals (3, 2) and vectors (3, 3) must both be (n, 2)",
+                 id="asf-shape"),
+    pytest.param(lambda: ASF(space=L2, functionals=np.zeros((0, 2)),
+                             vectors=np.zeros((0, 2))), ShapeMismatch,
+                 "need at least one pair", id="asf-empty"),
+    pytest.param(lambda: ASF(space=L2, functionals=np.eye(2),
+                             vectors=np.array([[1.0, np.inf], [0.0, 1.0]])),
+                 ShapeMismatch, "entries must be finite", id="asf-nonfinite"),
+    pytest.param(lambda: asf_dist(random_asf(0, 2, 3), random_asf(0, 2, 4)),
+                 ShapeMismatch, "family sizes differ: 3 vs 4",
+                 id="dist-sizes"),
+    pytest.param(lambda: asf_dist(random_asf(0, 2, 3), random_asf(1, 2, 3),
+                                  variant="taxicab"), ShapeMismatch,
+                 "unknown distance variant 'taxicab'", id="dist-variant"),
+    pytest.param(lambda: asf_dist(random_asf(0, 2, 3), random_asf(1, 2, 3),
+                                  variant=0), UnsupportedExponent,
+                 "variant exponent must be positive, got 0.0",
+                 id="dist-exponent"),
+    pytest.param(lambda: generate_asf("repeated_basis", L2), ShapeMismatch,
+                 "repeated_basis needs n", id="repeated-basis-n"),
+    pytest.param(lambda: generate_asf("random", L2, n=0), ShapeMismatch,
+                 "random needs n", id="random-n"),
+    pytest.param(lambda: generate_asf("perturb", L2, delta=0.1),
+                 ShapeMismatch, "perturb needs a base ASF and delta >= 0",
+                 id="perturb-base"),
+    pytest.param(lambda: generate_asf("canonical", L2, n=2), ShapeMismatch,
+                 "unknown kind 'canonical'", id="unknown-kind"),
+])
+def test_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -20,6 +20,7 @@ from framelab.documents import (
     write_frame_doc,
     write_projection_doc,
 )
+from framelab.flow import FlowConfig, run_flow
 from framelab.frames import FrameReport, naimark_complement
 from framelab.lab import InstanceSpec, estimate_paulsen, record_to_row
 from conftest import ROOT3, auerbach_system
@@ -173,6 +174,20 @@ class TestFlow:
         code, _, _ = run(capsys, "flow", mb_doc)
         assert code == 2
 
+    def test_out_doc_is_the_final_frame(self, capsys, tmp_path):
+        from framelab import Frame
+        angles = np.array([0.0, 0.3, 1.2, 2.0])
+        frame = Frame(np.column_stack([np.cos(angles), np.sin(angles)]))
+        path, out_path = tmp_path / "f.json", tmp_path / "out.json"
+        write_frame_doc(frame, path)
+        code, _, _ = run(capsys, "flow", str(path), "--t", "0.05",
+                         "--max-iters", "40", "--out", str(out_path))
+        assert code == 0
+        final, _ = run_flow(frame, FlowConfig(step_t=0.05, max_iters=40))
+        assert read_frame_doc(out_path).vectors.tobytes() == \
+            final.vectors.tobytes()
+        assert not np.array_equal(final.vectors, frame.vectors)
+
 
 class TestNaimark:
     def test_stdout_doc(self, capsys, tmp_path, mb):
@@ -201,6 +216,27 @@ class TestNaimark:
         code, _, err = run(capsys, "naimark", mb_doc)
         assert code == 1
         assert "error:" in err
+
+    def test_too_few_vectors_is_one_error_line(self, capsys, tmp_path):
+        from framelab import Frame
+        path = tmp_path / "f.json"
+        write_frame_doc(Frame(np.eye(3)[:2]), path)
+        code, out, err = run(capsys, "naimark", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: a complement needs n > d, got n = 2, d = 3\n"
+
+    def test_out_doc_is_the_complement(self, capsys, tmp_path, mb):
+        from framelab import Frame
+        frame = Frame(math.sqrt(2.0 / 3.0) * mb.vectors)
+        path, out_path = tmp_path / "p.json", tmp_path / "comp.json"
+        write_frame_doc(frame, path)
+        code, out, _ = run(capsys, "naimark", str(path),
+                           "--out", str(out_path))
+        assert code == 0
+        assert out == ""
+        assert read_frame_doc(out_path).vectors.tobytes() == \
+            naimark_complement(frame).vectors.tobytes()
 
 
 class TestChordal:

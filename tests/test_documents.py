@@ -189,7 +189,7 @@ class TestSweepCSV:
             "eps_target": 0.1, "eps_measured_parseval": 0.05,
             "eps_measured_equalnorm": 0.04, "dist_sq": 0.001,
             "certified": True, "rounds": 7, "bound_hm": 8.0,
-            "bound_bc": 9.0, "lower_ref": 0.02,
+            "bound_bc": 9.0,
         }
         row.update(overrides)
         return row

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,17 @@ class TestOperators:
         s = frame_operator(frame)
         cols = np.column_stack([v.T @ (v @ e) for e in np.eye(d)])
         assert np.linalg.norm(cols - s) <= 1e-12 * max(1.0, np.linalg.norm(s))
+
+    @pytest.mark.parametrize("fn", [analyze_frame, closest_parseval])
+    def test_overflowing_operator_raises_only_shape_mismatch(self, fn):
+        # finite entries whose S overflows: the typed error and no numpy
+        # overflow warning before it
+        frame = Frame(np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch) as exc:
+                fn(frame)
+        assert str(exc.value) == "frame operator S = V^T V overflows"
 
 
 class TestAnalyzeFrame:
@@ -244,6 +257,20 @@ class TestNaimark:
         with pytest.raises(NotParseval):
             naimark_complement(mb)
 
+    def test_too_few_vectors_checked_before_parseval(self):
+        # two vectors in R^3 have a singular S, so no Parseval certificate
+        # either; the shape is what the error names
+        with pytest.raises(NoComplement) as exc:
+            naimark_complement(Frame(np.eye(3)[:2]))
+        assert str(exc.value) == "a complement needs n > d, got n = 2, d = 3"
+
+    def test_no_parseval_certificate_is_named(self):
+        with pytest.raises(NotParseval) as exc:
+            naimark_complement(Frame(np.array([[1.0, 0.0], [2.0, 0.0],
+                                               [3.0, 0.0]])))
+        assert str(exc.value) == \
+            "no Parseval certificate: S has an eigenvalue outside (0, 2)"
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(2, 5),
            extra=st.integers(1, 4))
@@ -307,3 +334,22 @@ class TestGenerate:
     def test_random_parseval_certificate(self):
         rep = analyze_frame(generate("random_parseval", 3, 6, seed=2))
         assert rep.eps_parseval is not None and rep.eps_parseval <= 1e-10
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: rescale_rows(np.eye(2), 0.0), ShapeMismatch,
+                 "target norm must be positive, got 0.0", id="zero-target"),
+    pytest.param(lambda: rescale_rows(np.eye(2), -1.0), ShapeMismatch,
+                 "target norm must be positive, got -1.0",
+                 id="negative-target"),
+    pytest.param(lambda: generate("gaussian", 2, 3), ShapeMismatch,
+                 "unknown kind 'gaussian'", id="unknown-kind"),
+    pytest.param(lambda: generate("harmonic", 0, 3), ShapeMismatch,
+                 "d and n must be positive", id="zero-d"),
+    pytest.param(lambda: generate("random_parseval", 2, 0), ShapeMismatch,
+                 "d and n must be positive", id="zero-n"),
+])
+def test_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -104,32 +104,32 @@ class TestHilbertBalance:
         proj = certify_projection(np.diag([1.0, 0.0]))
         r = math.sqrt(0.5)
         onb = np.array([[r, r], [r, -r]])
-        bal = balance_epsilon_banach(proj, auerbach_system(onb))
+        bal = balance_epsilon_banach(proj, auerbach_system(onb), tol=1e-8)
         assert bal.eps == pytest.approx(0.0, abs=1e-12)
         assert bal.failures == ()
 
     def test_identity(self):
         proj = certify_projection(np.eye(3))
-        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(3)))
+        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(3)), tol=1e-8)
         assert bal.eps == pytest.approx(0.0, abs=1e-15)
 
     def test_unbalanced_absent(self):
         # rank-1 aligned with a basis vector: values {1, 0}, spread 1
         proj = certify_projection(np.diag([1.0, 0.0, 0.0]))
-        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(3)))
+        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(3)), tol=1e-8)
         assert bal.eps is None
         assert bal.failures == ()
 
     def test_rotated_balance(self):
         # rank-1 line at 45 degrees sees both basis vectors equally
         proj = certify_projection(np.full((2, 2), 0.5))
-        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(2)))
+        bal = balance_epsilon_banach(proj, auerbach_system(np.eye(2)), tol=1e-8)
         assert bal.eps == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_rank_rejected(self):
         with pytest.raises(ZeroRank):
             balance_epsilon_banach(certify_projection(np.zeros((2, 2))),
-                                   auerbach_system(np.eye(2)))
+                                   auerbach_system(np.eye(2)), tol=1e-8)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(2, 6))
@@ -175,7 +175,7 @@ class TestBanachBalance:
     def test_l2_coordinate(self):
         sys = auerbach_system(np.eye(2))
         proj = certify_projection(np.full((2, 2), 0.5))
-        bal = balance_epsilon_banach(proj, sys)
+        bal = balance_epsilon_banach(proj, sys, tol=1e-8)
         assert bal.eps == pytest.approx(0.0, abs=1e-12)
         assert bal.chain_defect <= 1e-12
         assert bal.failures == ()
@@ -184,7 +184,7 @@ class TestBanachBalance:
         for p in (1.0, 1.5, 3.0, math.inf):
             sys = auerbach_system(np.eye(3), p)
             proj = certify_projection(np.eye(3))
-            bal = balance_epsilon_banach(proj, sys)
+            bal = balance_epsilon_banach(proj, sys, tol=1e-8)
             assert bal.eps == pytest.approx(0.0, abs=1e-12)
             assert bal.failures == ()
 
@@ -208,7 +208,7 @@ class TestBanachBalance:
         u, _ = np.linalg.qr(rng.standard_normal((d, d)))
         vals = np.sum((u @ proj.matrix.T) ** 2, axis=1)
         dev = float(np.max(np.abs((d / proj.rank) * vals - 1.0)))
-        bal = balance_epsilon_banach(proj, auerbach_system(u))
+        bal = balance_epsilon_banach(proj, auerbach_system(u), tol=1e-8)
         assert bal.chain_defect <= 1e-12
         assert bal.failures == ()
         assert (bal.eps is None) == (dev >= 1.0)
@@ -361,3 +361,36 @@ class TestNormsHelper:
         for p in (1.0, 1.5, 2.0, math.inf):
             per_row = [pnorm(r, p) for r in rows]
             assert all(v >= 0 for v in per_row)
+
+
+def _system(u, z, p=2.0):
+    return AuerbachSystem(space=PNormSpace(3, p), basis_vectors=u,
+                          dual_functionals=z)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: _system(np.eye(2), np.eye(2)), InvalidSystem,
+                 "need 3 basis vectors and 3 functionals of length 3",
+                 id="system-shape"),
+    pytest.param(lambda: _system(np.eye(3), np.diag([1.0, np.nan, 1.0])),
+                 InvalidSystem, "entries must be finite",
+                 id="system-nonfinite"),
+    pytest.param(lambda: _system(np.eye(3), np.diag([1.0, 2.0, 1.0])),
+                 InvalidSystem, "functional 1 is not unit in the dual norm",
+                 id="system-functional"),
+    pytest.param(lambda: balance_epsilon_banach(
+        certify_projection(np.eye(2)), auerbach_system(np.eye(3)),
+        tol=1e-8), ShapeMismatch, "system dimension 3 does not match 2",
+        id="balance-dim"),
+    pytest.param(lambda: projection_pair_distance(
+        certify_projection(np.eye(2)), certify_projection(np.eye(2)),
+        auerbach_system(np.eye(3))), ShapeMismatch,
+        "projections and system must share a dimension", id="pair-dim"),
+    pytest.param(lambda: chordal_distance(
+        certify_projection(np.eye(2)), certify_projection(np.eye(3))),
+        ShapeMismatch, "dimensions differ: 2 vs 3", id="chordal-dim"),
+])
+def test_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
