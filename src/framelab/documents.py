@@ -1,11 +1,18 @@
 """JSON and CSV documents.
 
 All floats serialize as shortest round-trip decimals (Python repr).
-Readers reject NaN, infinities, ragged rows, and wrong shapes with
-DocumentError; the infinite exponent of an ASF space is encoded as the
-string "inf" since JSON has no infinity literal.
+The JSON writer lays out the text itself, byte for byte what
+json.dumps(doc, indent=2) gives, without the pure-Python encoder that
+indent selects. The reader checks each matrix's row structure, converts
+it with one np.array call and checks it finite once; only a matrix that
+fails those checks is walked again, to name its first bad entry. Readers
+reject NaN, infinities (an integer beyond float range among them),
+booleans, ragged rows, and wrong shapes with DocumentError; the infinite
+exponent of an ASF space is encoded as the string "inf" since JSON has
+no infinity literal.
 """
 
+import itertools
 import json
 import math
 
@@ -42,10 +49,17 @@ def _reject_constant(name):
     raise DocumentError(f"non-finite literal {name!r} is not allowed")
 
 
+# the types json.load gives a JSON number (bool, an int subclass, excluded)
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _as_number(x, where):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if type(x) not in _NUMBER_TYPES:
         raise DocumentError(f"{where} must be a number")
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        raise DocumentError(f"{where} must be finite") from None
     if not math.isfinite(v):
         raise DocumentError(f"{where} must be finite")
     return v
@@ -56,16 +70,25 @@ def _as_rows(doc, key, dim, path):
     if not isinstance(rows, list) or not rows:
         raise DocumentError(
             f"{path}: {key!r} must be a list of at least 1 row(s)")
-    out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise DocumentError(f"{path}: {key}[{i}] must be a list")
         if len(row) != dim:
             raise DocumentError(
                 f"{path}: {key}[{i}] has length {len(row)}, expected {dim}")
-        out.append([_as_number(x, f"{path}: {key}[{i}][{j}]")
-                    for j, x in enumerate(row)])
-    return np.array(out, dtype=float)
+    entries = itertools.chain.from_iterable(rows)
+    if _NUMBER_TYPES.issuperset(map(type, entries)):
+        try:
+            m = np.array(rows, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(m).all():
+                return m
+    # some entry is bad: the walk raises at the first one, by name
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            _as_number(x, f"{path}: {key}[{i}][{j}]")
 
 
 def _read_doc(path, kind):
@@ -76,7 +99,11 @@ def _read_doc(path, kind):
             doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except DocumentError as exc:  # a NaN or Infinity literal
+        raise DocumentError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, an integer literal past the digit
+        # limit of int(), or bytes that are not UTF-8
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: top level must be an object")
@@ -102,21 +129,33 @@ def _read_doc(path, kind):
     return (dim, p, *mats)
 
 
+def _matrix_text(rows):
+    """rows (non-empty lists of floats) as json.dumps(indent=2) lays out
+    a list of lists one level below the top; a 0 x 0 projection has no
+    rows."""
+    if not rows:
+        return "[]"
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(repr, row)) + "\n    ]"
+        for row in rows) + "\n  ]"
+
+
 def _doc_text(kind, dim, p, *matrices):
-    """The kind document's JSON: kind, p (if the kind has it), dim, then
-    the matrices under their _SCHEMA keys; the exponent infinity is the
-    string "inf"."""
+    """The kind document's JSON, the bytes of json.dumps(doc, indent=2)
+    plus a newline: kind, p (if the kind has it), dim, then the matrices
+    under their _SCHEMA keys; the exponent infinity is the string "inf"."""
     keys, has_p, _ = _SCHEMA[kind]
-    doc = {"kind": kind}
+    fields = [f'"kind": "{kind}"']
     if has_p:
-        doc["p"] = "inf" if p == math.inf else float(p)
-    doc["dim"] = dim
+        fields.append('"p": "inf"' if p == math.inf
+                      else f'"p": {float(p)!r}')
+    fields.append(f'"dim": {dim:d}')
     for key, m in zip(keys, matrices):
         m = np.asarray(m, dtype=float)
         if not np.all(np.isfinite(m)):
             raise DocumentError("non-finite entries cannot be serialized")
-        doc[key] = m.tolist()
-    return json.dumps(doc, allow_nan=False, indent=2) + "\n"
+        fields.append(f'"{key}": {_matrix_text(m.tolist())}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _write_text(text, path):

@@ -74,6 +74,27 @@ class TestCheck:
         assert code == 1
         assert "error:" in err
 
+    # integer literals beyond the float range and past int()'s digit limit
+    @pytest.mark.parametrize("command, text, message", [
+        (["check"], '{"kind": "hilbert_frame", "dim": 2, "vectors": [[1'
+         + "0" * 400 + ', 0], [0, 1], [1, 1]]}',
+         ": vectors[0][0] must be finite"),
+        (["asf", "check"], '{"kind": "asf", "p": 1' + "0" * 400
+         + ', "dim": 1, "functionals": [[1.0]], "vectors": [[1.0]]}',
+         ": 'p' must be finite"),
+        (["check"], '{"kind": "hilbert_frame", "dim": 1, "vectors": [['
+         + "1" * 5000 + ']]}', " is not valid JSON: "),
+    ], ids=["huge-int-entry", "huge-int-p", "int-past-digit-limit"])
+    def test_huge_integer_is_one_error_line(self, tmp_path, command, text,
+                                            message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_module(*command, str(path))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}{message}")
+
 
 class TestNearest:
     def test_parseval_value_and_doc(self, capsys, mb_doc, tmp_path, mb):

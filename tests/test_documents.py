@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab.asf import ASF, PNormSpace
 from framelab.documents import (
     FLOW_TRACE_COLUMNS,
     SWEEP_COLUMNS,
+    _SCHEMA,
+    _doc_text,
+    _read_doc,
     read_asf_doc,
     read_auerbach_doc,
     read_frame_doc,
@@ -127,7 +132,78 @@ class TestAuerbachDocs:
         assert np.array_equal(back.dual_functionals, sys.dual_functionals)
 
 
+# a positive magnitude in [1e-300, 1e300] with either sign, an integral
+# value, or a signed zero
+_ENTRIES = st.one_of(
+    st.builds(lambda x, sign: sign * x, st.floats(1e-300, 1e300),
+              st.sampled_from([1.0, -1.0])),
+    st.integers(-10**17, 10**17).map(float),
+    st.sampled_from([0.0, -0.0, 1e16, 1e22, -1e300, 5e-300]),
+)
+
+
+@st.composite
+def _documents(draw, kind):
+    """(dim, p, matrices) of a kind document: n <= 8 rows (dim rows for
+    the square kinds) of dim <= 6 entries."""
+    keys, has_p, square = _SCHEMA[kind]
+    dim = draw(st.integers(1, 6))
+    n = dim if square else draw(st.integers(1, 8))
+    p = draw(st.sampled_from([1.0, 1.5, 3.0, math.inf])) if has_p else None
+    mats = [np.array(draw(st.lists(
+        st.lists(_ENTRIES, min_size=dim, max_size=dim),
+        min_size=n, max_size=n))) for _ in keys]
+    return dim, p, mats
+
+
+class TestCodec:
+    @pytest.mark.parametrize("kind", sorted(_SCHEMA))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_text_is_json_dumps_indent_2(self, tmp_path_factory, kind,
+                                         data):
+        dim, p, mats = data.draw(_documents(kind))
+        keys, has_p, _ = _SCHEMA[kind]
+        # json.dumps is the oracle only: the writer lays out its text itself
+        doc = {"kind": kind}
+        if has_p:
+            doc["p"] = "inf" if p == math.inf else p
+        doc["dim"] = dim
+        doc.update((key, m.tolist()) for key, m in zip(keys, mats))
+        text = _doc_text(kind, dim, p, *mats)
+        assert text == json.dumps(doc, allow_nan=False, indent=2) + "\n"
+        # and it reads back to the same bits, signed zeros included
+        path = tmp_path_factory.getbasetemp() / f"{kind}.json"
+        path.write_text(text)
+        back = _read_doc(path, kind)
+        assert back[:2] == (dim, p)
+        for got, want in zip(back[2:], mats):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_integer_entries_read_as_float_of_the_literal(self, tmp_path):
+        rows = [[0, -7], [2**53 + 1, -(2**64) - 3], [10**300 + 1, 3**600],
+                [1, 0.5]]
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"kind": "hilbert_frame", "dim": 2,
+                                    "vectors": rows}))
+        got = read_frame_doc(path).vectors
+        want = np.array([[float(x) for x in row] for row in rows])
+        assert got.tobytes() == want.tobytes()
+
+    def test_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "hilbert_frame", "dim": 1,'
+                         b' "vectors": [[1.0]], "note": "\xe9"}')
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            read_frame_doc(path)
+
+
 _ASF_ROWS = '"dim": 1, "functionals": [[1.0]], "vectors": [[1.0]]'
+# an integer literal beyond the float range, and one past the digit limit
+# of int() (4300 digits by default)
+_HUGE_INT = "1" + "0" * 400
+_LONG_INT = "1" * 5000
 
 # (function, document text or matrix to write, the rule's message)
 REJECTED = [
@@ -135,6 +211,25 @@ REJECTED = [
                  ' "vectors": [[1.0]]', "not valid JSON", id="truncated"),
     pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
                  ' "vectors": [[1e999]]}', "must be finite", id="overflow"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
+                 ' "vectors": [[NaN]]}',
+                 r"doc\.json: non-finite literal 'NaN' is not allowed",
+                 id="nan-literal-names-file"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 2,'
+                 ' "vectors": [[' + _HUGE_INT + ', 0], [0, 1], [1, 1]]}',
+                 r"vectors\[0\]\[0\] must be finite", id="huge-int-entry"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
+                 ' "vectors": [[' + _LONG_INT + ']]}', "not valid JSON",
+                 id="int-past-digit-limit"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
+                 ' "vectors": ' + "[" * 100000 + "]" * 100000 + '}',
+                 "not valid JSON", id="nested-too-deep"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 2,'
+                 ' "vectors": [[1.0, 0.0], [0.0, "1"]]}',
+                 r"vectors\[1\]\[1\] must be a number", id="string-entry"),
+    pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 2,'
+                 ' "vectors": [[1, 0.5], [false, 2]]}',
+                 r"vectors\[1\]\[0\] must be a number", id="bool-entry"),
     pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1,'
                  ' "vectors": []}', "at least 1 row", id="empty-rows"),
     pytest.param(read_frame_doc, '{"kind": "hilbert_frame", "dim": 1}',
@@ -149,6 +244,12 @@ REJECTED = [
                  "must be a number", id="asf-p-missing"),
     pytest.param(read_asf_doc, '{"kind": "asf", "p": "Infinity", '
                  + _ASF_ROWS + '}', "must be a number", id="asf-p-string"),
+    pytest.param(read_asf_doc, '{"kind": "asf", "p": ' + _HUGE_INT + ', '
+                 + _ASF_ROWS + '}', "'p' must be finite", id="asf-p-huge-int"),
+    pytest.param(read_asf_doc, '{"kind": "asf", "p": 2.0, "dim": 1,'
+                 ' "functionals": [[1.0]], "vectors": [[1e999]]}',
+                 r"vectors\[0\]\[0\] must be finite",
+                 id="asf-second-matrix-overflow"),
     pytest.param(read_asf_doc, '{"kind": "asf", "p": 2.0, "dim": 1,'
                  ' "functionals": [[1.0]], "vectors": [[1.0], [1.0]]}',
                  "functionals.*vectors", id="asf-row-counts"),

@@ -298,6 +298,44 @@ class TestDrawOnce:
             assert bundle.base_dist_sq > 0.0
 
 
+class TestGeneratorsGiveUp:
+    """The Infeasible ends of the perturbing generators, reached by making
+    every draw fail its check."""
+
+    def test_perturbed_enp_after_max_retunes(self, monkeypatch):
+        checked = []
+
+        def never_within(rep, eps):
+            checked.append(eps)
+            return False
+
+        monkeypatch.setattr(lab, "_within", never_within)
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
+                            epsilon_target=0.1, seed=5)
+        with pytest.raises(Infeasible) as exc:
+            generate_instance(spec)
+        assert str(exc.value) == (
+            f"could not tune a perturbation below epsilon = 0.1 for {spec}")
+        assert checked == [0.1] * lab.MAX_RETUNES
+
+    def test_perturbed_asf_after_max_seed_bumps(self, monkeypatch):
+        analyzed = []
+
+        def complex_spectrum(inst, tol):
+            analyzed.append(tol)
+            return replace(analyze_asf(inst, tol=tol), spectrum_real=False)
+
+        monkeypatch.setattr(lab, "analyze_asf", complex_spectrum)
+        spec = InstanceSpec(kind="perturbed_asf", d=2, n=4,
+                            epsilon_target=0.05, p=1.5, seed=7)
+        with pytest.raises(Infeasible) as exc:
+            generate_instance(spec)
+        assert str(exc.value) == (
+            f"no real-spectrum perturbation found near seed 7 for {spec}")
+        # each bump is dropped at its first analysis
+        assert analyzed == [lab.CHAIN_TOL] * lab.MAX_SEED_BUMPS
+
+
 class TestAlternating:
     def test_rejects_fewer_vectors_than_dimensions(self):
         with pytest.raises(UnsupportedShape):

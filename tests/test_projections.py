@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import projections
 from framelab.asf import PNormSpace
 from framelab.errors import (
     InvalidSystem,
@@ -62,6 +63,17 @@ class TestCertify:
     def test_non_idempotent(self):
         with pytest.raises(NotIdempotent):
             certify_projection(np.array([[0.5, 0.0], [0.0, 0.0]]))
+
+    def test_ambiguous_rank(self, monkeypatch):
+        # an eigenvalue 1 + 1e-6 is no unit eigenvalue, while its singular
+        # value 1 is above the split: the two rank counts disagree
+        monkeypatch.setattr(projections, "general_spectrum",
+                            lambda m: np.array([1.0 + 1e-6, 0.0]))
+        with pytest.raises(NotIdempotent) as exc:
+            certify_projection(np.diag([1.0, 0.0]))
+        assert str(exc.value) == (
+            "rank is ambiguous: 0 unit eigenvalues vs 1 singular values"
+            " above 0.5")
 
     @pytest.mark.parametrize("m, message", [
         (np.ones((2, 3)), "expected a square matrix, got (2, 3)"),

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import spectral
 from framelab.errors import AsymmetricInput, ShapeMismatch, SingularOperator
 from framelab.frames import generate
 from framelab.spectral import (
@@ -47,6 +49,18 @@ class TestSymEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeMismatch):
             sym_eig(np.ones((2, 3)))
+
+    def test_dsyevr_failure_is_linalg_error(self, monkeypatch):
+        lapack = scipy.linalg.lapack
+
+        def failing(a, **kwargs):
+            return (*lapack.dsyevr(a, **kwargs)[:4], 2)
+
+        monkeypatch.setattr(spectral, "lapack", types.SimpleNamespace(
+            dsyevr=failing, dsyevr_lwork=lapack.dsyevr_lwork))
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            sym_eig(np.eye(2))
+        assert str(exc.value) == "dsyevr failed with info = 2"
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 8))
