@@ -221,8 +221,8 @@ def build_parser():
 
     p_est = sub.add_parser(
         "estimate", help="run a sweep over a (d, n, p, eps) grid, skipping "
-                         "pairs with n < d, and for perturbed_asf pairs "
-                         "where d does not divide n")
+                         "pairs with n < d or n = 1, and for perturbed_asf "
+                         "pairs where d does not divide n")
     p_est.add_argument("--d", type=int, nargs="+", required=True)
     p_est.add_argument("--n", type=int, nargs="+", required=True)
     p_est.add_argument("--eps", type=float, nargs="+", required=True)

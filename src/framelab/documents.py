@@ -9,7 +9,8 @@ fails those checks is walked again, to name its first bad entry. Readers
 reject NaN, infinities (an integer beyond float range among them),
 booleans, ragged rows, and wrong shapes with DocumentError; the infinite
 exponent of an ASF space is encoded as the string "inf" since JSON has
-no infinity literal.
+no infinity literal. A path that cannot be read or written is a
+DocumentError too.
 """
 
 import itertools
@@ -159,8 +160,11 @@ def _doc_text(kind, dim, p, *matrices):
 
 
 def _write_text(text, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def frame_doc_text(frame):

@@ -1,9 +1,10 @@
 """Finite frames in real inner-product spaces.
 
 A frame is stored as an (n, d) array whose rows are the vectors tau_j,
-and its frame operator is S = sum_j tau_j tau_j^T. Nearness reports and
-their certificate kernel, the two closest-point constructions, the Naimark
-complement, and the seeded generators live here.
+and its frame operator is S = sum_j tau_j tau_j^T. The certificate kernel
+(frame_certificate: S, its sym_eig and the two nearness certificates) and
+the nearness report built on it, the two closest-point constructions, the
+Naimark complement, and the seeded generators live here.
 """
 
 import math
@@ -21,6 +22,7 @@ from .errors import (
 )
 from .spectral import (
     PSD_FLOOR,
+    SpectralDecomposition,
     diagonal_shift_norm,
     inv_sqrt_psd,
     pnorm,
@@ -41,7 +43,7 @@ class Frame:
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ShapeMismatch(f"expected an (n, d) array, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ShapeMismatch("frame entries must be finite")
         v = v.copy()
         v.setflags(write=False)
@@ -85,7 +87,7 @@ def frame_operator(frame):
     v = frame.vectors
     with np.errstate(over="ignore"):  # the check below reports it
         s = v.T @ v
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ShapeMismatch("frame operator S = V^T V overflows")
     return s
 
@@ -93,34 +95,57 @@ def frame_operator(frame):
 def enp_defects(lam, norms_sq):
     """Parseval and equal-norm deviations of n vectors in R^d, given the
     ascending eigenvalues lam of their frame operator and their squared
-    norms: max(1 - lam_min, lam_max - 1) and max_j |(n/d)|v_j|^2 - 1|."""
+    norms: max(1 - lam_min, lam_max - 1) and max_j |(n/d)|v_j|^2 - 1|.
+    It runs several times per corpus record, so it calls the array
+    methods, not numpy's wrapper functions."""
     n, d = norms_sq.size, lam.size
     dev_p = max(1.0 - float(lam[0]), float(lam[-1]) - 1.0)
-    dev_e = float(np.max(np.abs((n / d) * norms_sq - 1.0)))
+    dev_e = float(np.abs((n / d) * norms_sq - 1.0).max())
     return dev_p, dev_e
 
 
-def analyze_frame(frame):
+@dataclass(frozen=True)
+class FrameCertificate:
+    """The frame operator S, its sym_eig, the squared vector norms, and
+    the two certificates, present by FrameReport's rules."""
+
+    operator: np.ndarray
+    decomposition: SpectralDecomposition
+    norms_sq: np.ndarray
+    eps_parseval: float | None
+    eps_equal_norm: float | None
+
+
+def frame_certificate(frame):
+    """The certificate kernel: S = V^T V (frame_operator, with its
+    overflow error), one sym_eig of S, and enp_defects. The instance
+    generator keeps the decomposition for the Hilbert solver, which would
+    otherwise decompose the same S again."""
     v = frame.vectors
-    n, d = v.shape
     s = frame_operator(frame)
-    lam = sym_eig(s).eigenvalues
-    a, b = float(lam[0]), float(lam[-1])
-    norms_sq = np.sum(v * v, axis=1)
-
+    dec = sym_eig(s)
+    lam = dec.eigenvalues
+    norms_sq = (v * v).sum(axis=1)
     dev_p, dev_e = enp_defects(lam, norms_sq)
-    eps_parseval = dev_p if dev_p < 1.0 and a > PSD_FLOOR else None
-    eps_equal_norm = dev_e if dev_e < 1.0 else None
+    return FrameCertificate(
+        operator=s, decomposition=dec, norms_sq=norms_sq,
+        eps_parseval=dev_p if dev_p < 1.0 and lam[0] > PSD_FLOOR else None,
+        eps_equal_norm=dev_e if dev_e < 1.0 else None)
 
-    center = float(np.trace(s)) / d
+
+def analyze_frame(frame):
+    """The nearness report of frame, built on frame_certificate."""
+    n, d = frame.vectors.shape
+    cert = frame_certificate(frame)
+    s, lam = cert.operator, cert.decomposition.eigenvalues
     return FrameReport(
-        frame_bounds=(a, b),
-        eps_parseval=eps_parseval,
-        eps_equal_norm=eps_equal_norm,
-        tightness_defect_hs=diagonal_shift_norm(s, center),
+        frame_bounds=(float(lam[0]), float(lam[-1])),
+        eps_parseval=cert.eps_parseval,
+        eps_equal_norm=cert.eps_equal_norm,
+        tightness_defect_hs=diagonal_shift_norm(s, float(np.trace(s)) / d),
         unit_defect_hs=diagonal_shift_norm(s, n / d),
         frame_potential=float(np.sum(lam * lam)),
-        norms_sq=norms_sq,
+        norms_sq=cert.norms_sq,
     )
 
 

@@ -18,12 +18,15 @@ the Lagrangian convex, else the nearest of it and the polishes of seeded
 restarts, or no point when no polish certifies. The polish runs over a
 stack of same-shape inputs and gives each item the bits of that item
 polished alone: estimate_paulsen polishes all trials of a grid spec as
-one stack, and a solve its restarts. The Banach search is a penalized
-local search by L-BFGS-B on the exact gradient of one row-vectorized
-kernel, stopped at its first certified penalty round (later rounds only
-trade distance for feasibility); it certifies to the residual it is
-given. scipy.optimize loads on the first Banach search, so the Hilbert,
-flow and check commands start without it.
+one stack, and a solve its restarts. A perturbed_enp instance is
+certified once: the generator's sym_eig of V^T V travels in its bundle to
+the solver, which decomposes only the frames it makes itself, one per
+alternating round. The Banach search is a penalized local search by
+L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
+its first certified penalty round (later rounds only trade distance for
+feasibility); it certifies to the residual it is given. scipy.optimize
+loads on the first Banach search, so the Hilbert, flow and check commands
+start without it.
 """
 
 import functools
@@ -55,11 +58,18 @@ from .frames import (
     Frame,
     analyze_frame,
     enp_defects,
+    frame_certificate,
     frame_dist,
     generate,
     rescale_rows,
 )
-from .spectral import PSD_FLOOR, ball_displacements, inv_sqrt_from_eig, sym_eig
+from .spectral import (
+    PSD_FLOOR,
+    SpectralDecomposition,
+    ball_displacements,
+    inv_sqrt_from_eig,
+    sym_eig,
+)
 
 HILBERT_KINDS = ("perturbed_enp", "scaled_enp")
 ASF_KINDS = ("perturbed_asf",)
@@ -108,6 +118,9 @@ def pair_error(kind, d, n):
     """Why no instance of kind has n vectors in R^d, or None when one can."""
     if d < 1 or n < d:
         return f"need 1 <= d <= n, got d = {d}, n = {n}"
+    if n == 1:
+        # the (n - 1)^8 factor makes the Bodmann-Casazza ceiling 0
+        return "need n >= 2: the Bodmann-Casazza ceiling is 0 at n = 1"
     if kind in ASF_KINDS and n % d != 0:
         return f"perturbed_asf needs d | n, got d = {d}, n = {n}"
     return None
@@ -150,13 +163,16 @@ class InstanceSpec:
 @dataclass(frozen=True)
 class InstanceBundle:
     """A generated instance, its measured certificate, and its squared
-    distance to the equal-norm Parseval base it was drawn around."""
+    distance to the equal-norm Parseval base it was drawn around.
+    decomposition is the sym_eig of a perturbed_enp instance's frame
+    operator, which its solve reuses; None for the other kinds."""
 
     spec: InstanceSpec
     instance: object
     base_dist_sq: float
     eps_parseval: float
     eps_equal_norm: float
+    decomposition: SpectralDecomposition | None = None
 
 
 def _within(rep, eps):
@@ -165,10 +181,11 @@ def _within(rep, eps):
             and rep.eps_equal_norm is not None and rep.eps_equal_norm <= eps)
 
 
-def _bundle(spec, inst, base_dist_sq, rep):
+def _bundle(spec, inst, base_dist_sq, rep, decomposition=None):
     return InstanceBundle(spec=spec, instance=inst, base_dist_sq=base_dist_sq,
                           eps_parseval=rep.eps_parseval,
-                          eps_equal_norm=rep.eps_equal_norm)
+                          eps_equal_norm=rep.eps_equal_norm,
+                          decomposition=decomposition)
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,16 +199,18 @@ def _gen_perturbed_enp(spec):
     """The harmonic frame with each vector displaced inside a ball drawn
     once from spec.seed, the displacement halved until both certificates
     are within the target. Halving is exact, so each retune has the bits
-    of a fresh draw from spec.seed at half the radius."""
+    of a fresh draw from spec.seed at half the radius. Each draw costs one
+    frame_certificate; the bundle keeps the accepted one's decomposition."""
     base = _harmonic_base(spec.d, spec.n)
     eps = spec.epsilon_target
     disp = ball_displacements(np.random.default_rng(spec.seed), spec.n,
                               spec.d, 0.5 * eps * math.sqrt(spec.d / spec.n))
     for _ in range(MAX_RETUNES):
         inst = Frame(base.vectors + disp)
-        rep = analyze_frame(inst)
-        if _within(rep, eps):
-            return _bundle(spec, inst, frame_dist(inst, base) ** 2, rep)
+        cert = frame_certificate(inst)
+        if _within(cert, eps):
+            return _bundle(spec, inst, frame_dist(inst, base) ** 2, cert,
+                           cert.decomposition)
         disp = 0.5 * disp
     raise Infeasible(
         f"could not tune a perturbation below epsilon = {eps} for {spec}")
@@ -443,11 +462,17 @@ def _kkt_polish(v0, v, tol):
     return out
 
 
+def _is_enp(v, lam, tol):
+    """Whether v, whose frame operator has eigenvalues lam, is ENP within
+    tol."""
+    eps_p, dev_en = enp_defects(lam, (v * v).sum(axis=1))
+    return eps_p <= tol and dev_en <= tol
+
+
 def _enp_certificate(v, tol):
     """sym_eig of the frame operator V^T V; whether v is ENP within tol."""
     dec = sym_eig(v.T @ v)
-    eps_p, dev_en = enp_defects(dec.eigenvalues, np.sum(v * v, axis=1))
-    return dec, eps_p <= tol and dev_en <= tol
+    return dec, _is_enp(v, dec.eigenvalues, tol)
 
 
 def _alternating_round(v, dec):
@@ -459,7 +484,7 @@ def _alternating_round(v, dec):
     return rescale_rows(w, math.sqrt(v.shape[1] / len(v)))[0]
 
 
-def nearest_enp_alternating(frame, polished=None):
+def nearest_enp_alternating(frame, polished=None, decomposition=None):
     """Nearest equal-norm Parseval (ENP) frame: one alternating round at
     n = d, else Newton polishes from the input and from seeded restarts.
 
@@ -481,6 +506,9 @@ def nearest_enp_alternating(frame, polished=None):
     or every polish of exit 4 fails the certificate, frame and dist_sq
     are None. polished is the input's polish, this frame's _kkt_polish
     entry (estimate_paulsen's stack passes it); None polishes here.
+    decomposition is the sym_eig of the input's frame operator V^T V
+    (estimate_paulsen passes the generator's, which the round of exit 2
+    reuses); None decomposes here. Either way the result has the same bits.
     """
     tol = default_certify_tol()
     v0 = frame.vectors
@@ -491,11 +519,14 @@ def nearest_enp_alternating(frame, polished=None):
     def dist_sq(v):
         return float(np.sum((v - v0) ** 2))
 
-    dec, certified = _enp_certificate(v0, tol)
+    if decomposition is None:
+        decomposition, certified = _enp_certificate(v0, tol)
+    else:
+        certified = _is_enp(v0, decomposition.eigenvalues, tol)
     if certified:
         return frame, 0.0, 0
     if n == d:
-        v = _alternating_round(v0, dec)
+        v = _alternating_round(v0, decomposition)
         if v is None:
             raise SingularOperator("frame operator is singular")
         if _enp_certificate(v, tol)[1]:
@@ -681,9 +712,11 @@ def _solve_one(bundle, polished):
     """Solver output guarded by the base point as a feasible competitor;
     a solve that certifies no point reports the base distance uncertified.
     polished is a Hilbert instance's input polish, or None, as
-    nearest_enp_alternating takes it."""
+    nearest_enp_alternating takes it; the bundle's decomposition goes with
+    it."""
     if isinstance(bundle.instance, Frame):
-        out, ds, rounds = nearest_enp_alternating(bundle.instance, polished)
+        out, ds, rounds = nearest_enp_alternating(
+            bundle.instance, polished, bundle.decomposition)
         certified = out is not None
     else:
         _, ds, certified, rounds = nearest_enp_asf_search(
@@ -699,11 +732,11 @@ def estimate_paulsen(grid, trials):
 
     Per-trial seeds are spec.seed + trial index. At n > d the input
     polishes of a spec's Hilbert trials run as one _kkt_polish stack, and
-    each trial's solve takes its own entry. Hilbert records are certified
-    at default_certify_tol (FRAMELAB_TOL), perturbed_asf records at
-    max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so never below 1e-6. Certified
-    Hilbert records are asserted against the 20 eps d^2 ceiling. Returns
-    (records, summary).
+    each trial's solve takes its own entry and its bundle's decomposition.
+    Hilbert records are certified at default_certify_tol (FRAMELAB_TOL),
+    perturbed_asf records at max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so
+    never below 1e-6. Certified Hilbert records are asserted against the
+    20 eps d^2 ceiling. Returns (records, summary).
     """
     grid = list(grid)
     if not grid:

@@ -344,6 +344,25 @@ def sweep_bytes(grid, trials):
     return sweep_csv_text([record_to_row(r) for r in records]).encode()
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--d", "2", "--n", "3", "--eps", "0.1", "--trials", "1",
+         "--out"],
+        ["flow", "{doc}", "--t", "0.05", "--trace"],
+        ["nearest", "parseval", "{doc}", "--out"],
+    ], ids=["estimate-out", "flow-trace", "nearest-out"])
+    def test_missing_directory_is_one_error_line(self, tmp_path, mb_doc,
+                                                 command):
+        path = tmp_path / "missing" / "x.csv"
+        proc = run_module(*(a.format(doc=mb_doc) for a in command),
+                          str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: cannot write {path}: [Errno 2] No such file or "
+            f"directory: '{path}'"]
+
+
 class TestEstimate:
     def test_csv_and_summary(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -368,6 +387,26 @@ class TestEstimate:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "error: need 1 <= d <= n, got d = 3, n = 2" in err
+
+    def test_single_vector_is_one_error_line(self, tmp_path):
+        # the Bodmann-Casazza ceiling is 0 at n = 1, so its ratio would
+        # divide by zero
+        out_path = tmp_path / "x.csv"
+        proc = run_module("estimate", "--d", "1", "--n", "1", "--eps", "0.1",
+                          "--trials", "1", "--out", str(out_path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: need n >= 2: the Bodmann-Casazza "
+                               "ceiling is 0 at n = 1\n")
+        assert not out_path.exists()
+
+    def test_single_vector_pair_is_skipped(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "estimate", "--d", "1", "2",
+                           "--n", "1", "2", "--eps", "0.1", "--trials", "1",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert [line.split(" records=")[0] for line in out.splitlines()] \
+            == ["d=1 n=2 p=2 eps=0.1", "d=2 n=2 p=2 eps=0.1"]
 
     def test_grid_matches_nested_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

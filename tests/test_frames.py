@@ -18,12 +18,14 @@ from framelab.frames import (
     analyze_frame,
     closest_equal_norm,
     closest_parseval,
+    frame_certificate,
     frame_dist,
     frame_operator,
     generate,
     naimark_complement,
     rescale_rows,
 )
+from framelab.spectral import PSD_FLOOR, sym_eig
 from conftest import random_frame
 
 
@@ -60,7 +62,8 @@ class TestOperators:
         cols = np.column_stack([v.T @ (v @ e) for e in np.eye(d)])
         assert np.linalg.norm(cols - s) <= 1e-12 * max(1.0, np.linalg.norm(s))
 
-    @pytest.mark.parametrize("fn", [analyze_frame, closest_parseval])
+    @pytest.mark.parametrize("fn", [frame_certificate, analyze_frame,
+                                    closest_parseval])
     def test_overflowing_operator_raises_only_shape_mismatch(self, fn):
         # finite entries whose S overflows: the typed error and no numpy
         # overflow warning before it
@@ -94,6 +97,38 @@ class TestAnalyzeFrame:
         assert rep.frame_bounds == pytest.approx((1.0, 4.0))
         assert rep.eps_parseval is None
         assert rep.tightness_defect_hs == pytest.approx(1.5 * np.sqrt(2.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 5),
+           n=st.integers(1, 8), scale=st.sampled_from([1e-3, 0.3, 1.0]))
+    def test_report_is_built_on_the_certificate(self, seed, d, n, scale):
+        frame = Frame(scale * random_frame(seed, d, n).vectors)
+        cert = frame_certificate(frame)
+        s = frame_operator(frame)
+        dec = sym_eig(s)
+        assert cert.operator.tobytes() == s.tobytes()
+        assert cert.decomposition.eigenvalues.tobytes() == \
+            dec.eigenvalues.tobytes()
+        assert cert.decomposition.eigenvectors.tobytes() == \
+            dec.eigenvectors.tobytes()
+        rep = analyze_frame(frame)
+        assert rep.frame_bounds == (dec.eigenvalues[0], dec.eigenvalues[-1])
+        assert rep.eps_parseval == cert.eps_parseval
+        assert rep.eps_equal_norm == cert.eps_equal_norm
+        assert rep.norms_sq.tobytes() == cert.norms_sq.tobytes()
+
+    def test_certificate_presence_rules(self):
+        # dev_p = 1 - 1e-13 < 1, but lambda_min = 1e-13 is at or below
+        # PSD_FLOOR: no Parseval certificate; dev_e = 1 - 1e-13 as well
+        cert = frame_certificate(Frame(np.array([[1.0, 0.0],
+                                                 [0.0, 10 ** -6.5]])))
+        assert cert.decomposition.eigenvalues[0] <= PSD_FLOOR
+        assert cert.eps_parseval is None
+        assert cert.eps_equal_norm == pytest.approx(1.0 - 1e-13, abs=1e-15)
+        cert = frame_certificate(Frame(np.array([[1.0, 0.0], [0.0, 2.0]])))
+        assert cert.eps_parseval is None and cert.eps_equal_norm is None
+        cert = frame_certificate(Frame(np.eye(3)))
+        assert cert.eps_parseval == 0.0 and cert.eps_equal_norm == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 5),

@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from framelab import lab
+from framelab import frames, lab
 from framelab.asf import PNormSpace, analyze_asf, dual_exponent, generate_asf
 from framelab.documents import SWEEP_COLUMNS
 from framelab.errors import (
@@ -23,6 +23,7 @@ from framelab.frames import (
     analyze_frame,
     closest_parseval,
     frame_dist,
+    frame_operator,
     generate,
     rescale_rows,
 )
@@ -41,6 +42,7 @@ from framelab.lab import (
     record_to_row,
     summarize_records,
 )
+from framelab.spectral import sym_eig
 from conftest import (
     assert_same_bundle,
     exact_dist_sq_2_4,
@@ -149,6 +151,11 @@ class TestInstanceSpec:
         assert pair_error("perturbed_asf", 3, 4) == \
             "perturbed_asf needs d | n, got d = 3, n = 4"
         assert pair_error("perturbed_enp", 3, 4) is None
+        # the Bodmann-Casazza ceiling is 0 at n = 1, and a record's BC
+        # ratio would divide by it, so no kind takes a single vector
+        for kind in lab.INSTANCE_KINDS:
+            assert pair_error(kind, 1, 1) == \
+                "need n >= 2: the Bodmann-Casazza ceiling is 0 at n = 1"
 
 
 class TestGenerateInstance:
@@ -280,6 +287,7 @@ class TestDrawOnce:
            eps=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
            seed=st.integers(0, 19))
     def test_asf_grid(self, d, m, p, eps, seed):
+        assume(m * d > 1)  # pair_error rejects n = 1
         self.check(InstanceSpec(kind="perturbed_asf", d=d, n=m * d,
                                 epsilon_target=eps, p=p, seed=seed))
 
@@ -1058,6 +1066,69 @@ class TestEstimate:
         for s in summary:
             assert s.max_dist_sq >= s.mean_dist_sq >= 0.0
             assert s.max_ratio_hm < 1.0
+
+
+class TestSharedDecomposition:
+    """A perturbed_enp instance is decomposed once: the generator's sym_eig
+    of V^T V goes to the solver, with the bits the solver computes alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dn=st.sampled_from([(d, n) for d in range(2, 6)
+                               for n in range(d, 11)]),
+           eps=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+           seed=st.integers(977, 996))
+    @example(dn=(2, 4), eps=0.01, seed=979)  # the restart path
+    @example(dn=(3, 3), eps=0.1, seed=977)  # n = d, after one retune
+    def test_corpus_grid(self, dn, eps, seed):
+        d, n = dn
+        bundle = generate_instance(InstanceSpec(
+            kind="perturbed_enp", d=d, n=n, epsilon_target=eps, seed=seed))
+        frame = bundle.instance
+        want = sym_eig(frame_operator(frame))
+        got = bundle.decomposition
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        shared = nearest_enp_alternating(frame, None, got)
+        alone = nearest_enp_alternating(frame)
+        assert shared[0].vectors.tobytes() == alone[0].vectors.tobytes()
+        assert shared[1].hex() == alone[1].hex()
+        assert shared[2] == alone[2]
+
+    def test_only_perturbed_enp_keeps_it(self):
+        for spec in (InstanceSpec(kind="scaled_enp", d=2, n=4,
+                                  epsilon_target=0.2),
+                     InstanceSpec(kind="perturbed_asf", d=2, n=4,
+                                  epsilon_target=0.1, p=1.5, seed=3)):
+            assert generate_instance(spec).decomposition is None
+
+    def test_one_sym_eig_per_attempt_and_per_round(self, monkeypatch):
+        # (2, 3): margin exits, seed 978 after a retune; (3, 3): n = d
+        # rounds; (2, 4) seed 979: the 60 restart rounds
+        eig_calls, attempts = [], []
+
+        def counted_eig(a):
+            eig_calls.append(a.shape)
+            return sym_eig(a)
+
+        def counted_within(rep, eps):
+            attempts.append(eps)
+            return within(rep, eps)
+
+        within = lab._within
+        monkeypatch.setattr(lab, "sym_eig", counted_eig)
+        monkeypatch.setattr(frames, "sym_eig", counted_eig)
+        monkeypatch.setattr(lab, "_within", counted_within)
+        grid = [InstanceSpec(kind="perturbed_enp", d=2, n=3,
+                             epsilon_target=0.05, seed=977),
+                InstanceSpec(kind="perturbed_enp", d=3, n=3,
+                             epsilon_target=0.1, seed=977),
+                InstanceSpec(kind="perturbed_enp", d=2, n=4,
+                             epsilon_target=0.01, seed=979)]
+        records, _ = estimate_paulsen(grid, trials=3)
+        rounds = [r.iterations for r in records]
+        assert rounds == [0, 0, 0, 1, 1, 1, 60, 0, 0]
+        assert len(attempts) > len(records)
+        assert len(eig_calls) == len(attempts) + sum(rounds)
 
 
 class TestHilbertReductionOfSearch:
