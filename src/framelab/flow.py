@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitNorm, StepTooLarge
+from .errors import NotUnitNorm, ShapeMismatch, StepTooLarge
 from .frames import Frame
 from .spectral import frobenius_norm, row_norms
 
@@ -35,13 +35,26 @@ class FlowConfig:
     step_t must satisfy 0 < t < 1/(2n) (checked against the frame at run
     time). renorm_every = 0 disables maintenance renormalization; a positive
     value rescales all rows to unit norm every that many steps, which keeps
-    the radial instability at the rounding floor.
+    the radial instability at the rounding floor. A negative max_iters or
+    renorm_every, or a stop_defect that is not >= 0 (NaN included), raises
+    ShapeMismatch.
     """
 
     step_t: float
     max_iters: int = 100_000
     stop_defect: float = 1e-6
     renorm_every: int = 0
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ShapeMismatch(
+                f"max_iters must be non-negative, got {self.max_iters}")
+        if self.renorm_every < 0:
+            raise ShapeMismatch(
+                f"renorm_every must be non-negative, got {self.renorm_every}")
+        if not self.stop_defect >= 0.0:
+            raise ShapeMismatch(
+                f"stop_defect must be non-negative, got {self.stop_defect}")
 
 
 @dataclass(frozen=True)

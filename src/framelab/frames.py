@@ -119,8 +119,8 @@ class FrameCertificate:
 def frame_certificate(frame):
     """The certificate kernel: S = V^T V (frame_operator, with its
     overflow error), one sym_eig of S, and enp_defects. The instance
-    generator keeps the decomposition for the Hilbert solver, which would
-    otherwise decompose the same S again."""
+    generator hands the certificate of its accepted draw to the Hilbert
+    solver, which would otherwise compute it again."""
     v = frame.vectors
     s = frame_operator(frame)
     dec = sym_eig(s)
@@ -170,10 +170,12 @@ def closest_equal_norm(frame, target=None):
     With no explicit target the optimal common norm is the mean of the
     input norms. The construction divides by each |tau_j|, so zero vectors
     are rejected. Rows get norm c at any scale; the squared distance is
-    inf once a term (|tau_j| - c)^2 overflows, from |tau_j| near 1e154.
+    inf once a term (|tau_j| - c)^2 overflows, from |tau_j| or c near
+    1e154.
     """
     w, norms, c = rescale_rows(frame.vectors, target)
-    dist_sq = float(np.sum((norms - c) ** 2))
+    with np.errstate(over="ignore"):  # the overflow is the documented inf
+        dist_sq = float(np.sum((norms - c) ** 2))
     return Frame(w), dist_sq
 
 
@@ -181,9 +183,10 @@ def rescale_rows(v, c=None):
     """Rows of v rescaled to the common norm c, by default their mean norm.
 
     Returns (rescaled rows, input row norms, c), the norms pnorm's at p = 2,
-    free of overflow and underflow. Raises ZeroVector for the first row
-    whose norm is at or below ZERO_NORM_FLOOR, then ShapeMismatch for a c
-    that is not positive.
+    free of overflow and underflow. Each row is (c / |v_j|) v_j, or
+    (v_j / |v_j|) c where that overflows. Raises ZeroVector for the
+    first row whose norm is at or below ZERO_NORM_FLOOR, then ShapeMismatch
+    for a c that is not finite or not positive.
     """
     norms = pnorm(v, 2.0)
     small = np.nonzero(norms <= ZERO_NORM_FLOOR)[0]
@@ -195,10 +198,18 @@ def rescale_rows(v, c=None):
         # of the plain mean wherever that is finite
         k = len(norms).bit_length()
         c = math.ldexp(float(np.mean(np.ldexp(norms, -k))), k)
+    elif not math.isfinite(c):
+        raise ShapeMismatch(f"target norm must be finite, got {c}")
     elif not c > 0:
         raise ShapeMismatch(f"target norm must be positive, got {c}")
     c = float(c)
-    return (c / norms)[:, None] * v, norms, c
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (c / norms)[:, None] * v
+    # c / |v_j| overflows, or for c within a few ulps of the largest
+    # float its product with v_j does
+    over = ~np.isfinite(w).all(axis=1)
+    w[over] = (v[over] / norms[over, None]) * c
+    return w, norms, c
 
 
 def naimark_complement(frame):

@@ -19,9 +19,9 @@ restarts, or no point when no polish certifies. The polish runs over a
 stack of same-shape inputs and gives each item the bits of that item
 polished alone: estimate_paulsen polishes all trials of a grid spec as
 one stack, and a solve its restarts. A perturbed_enp instance is
-certified once: the generator's sym_eig of V^T V travels in its bundle to
-the solver, which decomposes only the frames it makes itself, one per
-alternating round. The Banach search is a penalized local search by
+certified once: the FrameCertificate that accepted the generator's draw
+travels in its bundle to the solver, which certifies only the frames it
+makes itself. The Banach search is a penalized local search by
 L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
 its first certified penalty round (later rounds only trade distance for
 feasibility); it certifies to the residual it is given. scipy.optimize
@@ -56,6 +56,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
+    FrameCertificate,
     analyze_frame,
     enp_defects,
     frame_certificate,
@@ -65,7 +66,6 @@ from .frames import (
 )
 from .spectral import (
     PSD_FLOOR,
-    SpectralDecomposition,
     ball_displacements,
     inv_sqrt_from_eig,
     sym_eig,
@@ -164,28 +164,32 @@ class InstanceSpec:
 class InstanceBundle:
     """A generated instance, its measured certificate, and its squared
     distance to the equal-norm Parseval base it was drawn around.
-    decomposition is the sym_eig of a perturbed_enp instance's frame
-    operator, which its solve reuses; None for the other kinds."""
+    certificate is the FrameCertificate that accepted a perturbed_enp
+    draw, which its solve reuses; None for the other kinds."""
 
     spec: InstanceSpec
     instance: object
     base_dist_sq: float
     eps_parseval: float
     eps_equal_norm: float
-    decomposition: SpectralDecomposition | None = None
+    certificate: FrameCertificate | None = None
 
 
 def _within(rep, eps):
-    """The retune acceptance rule: both certificates present, both <= eps."""
+    """Whether both certificates are present and <= eps: the retune
+    acceptance rule, and the Hilbert solver's test of a whole frame."""
     return (rep.eps_parseval is not None and rep.eps_parseval <= eps
             and rep.eps_equal_norm is not None and rep.eps_equal_norm <= eps)
 
 
-def _bundle(spec, inst, base_dist_sq, rep, decomposition=None):
+def _bundle(spec, inst, base_dist_sq, rep):
+    """The bundle keeps rep as its certificate when it is a
+    FrameCertificate, the report the perturbed_enp generator accepts."""
+    cert = rep if isinstance(rep, FrameCertificate) else None
     return InstanceBundle(spec=spec, instance=inst, base_dist_sq=base_dist_sq,
                           eps_parseval=rep.eps_parseval,
                           eps_equal_norm=rep.eps_equal_norm,
-                          decomposition=decomposition)
+                          certificate=cert)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,7 +204,7 @@ def _gen_perturbed_enp(spec):
     once from spec.seed, the displacement halved until both certificates
     are within the target. Halving is exact, so each retune has the bits
     of a fresh draw from spec.seed at half the radius. Each draw costs one
-    frame_certificate; the bundle keeps the accepted one's decomposition."""
+    frame_certificate, and the bundle keeps the accepted one."""
     base = _harmonic_base(spec.d, spec.n)
     eps = spec.epsilon_target
     disp = ball_displacements(np.random.default_rng(spec.seed), spec.n,
@@ -209,8 +213,7 @@ def _gen_perturbed_enp(spec):
         inst = Frame(base.vectors + disp)
         cert = frame_certificate(inst)
         if _within(cert, eps):
-            return _bundle(spec, inst, frame_dist(inst, base) ** 2, cert,
-                           cert.decomposition)
+            return _bundle(spec, inst, frame_dist(inst, base) ** 2, cert)
         disp = 0.5 * disp
     raise Infeasible(
         f"could not tune a perturbation below epsilon = {eps} for {spec}")
@@ -462,19 +465,6 @@ def _kkt_polish(v0, v, tol):
     return out
 
 
-def _is_enp(v, lam, tol):
-    """Whether v, whose frame operator has eigenvalues lam, is ENP within
-    tol."""
-    eps_p, dev_en = enp_defects(lam, (v * v).sum(axis=1))
-    return eps_p <= tol and dev_en <= tol
-
-
-def _enp_certificate(v, tol):
-    """sym_eig of the frame operator V^T V; whether v is ENP within tol."""
-    dec = sym_eig(v.T @ v)
-    return dec, _is_enp(v, dec.eigenvalues, tol)
-
-
 def _alternating_round(v, dec):
     """The closest Parseval map, then the closest equal-norm map, from v
     and the sym_eig of its frame operator; None if that is singular."""
@@ -484,11 +474,12 @@ def _alternating_round(v, dec):
     return rescale_rows(w, math.sqrt(v.shape[1] / len(v)))[0]
 
 
-def nearest_enp_alternating(frame, polished=None, decomposition=None):
+def nearest_enp_alternating(frame, polished=None, certificate=None):
     """Nearest equal-norm Parseval (ENP) frame: one alternating round at
     n = d, else Newton polishes from the input and from seeded restarts.
 
-    With tol = default_certify_tol() (FRAMELAB_TOL), in order:
+    With tol = default_certify_tol() (FRAMELAB_TOL), a frame is certified
+    when _within(frame_certificate(frame), tol). In order:
     1. a certified input comes back unchanged;
     2. at n = d, where the ENP set is O(d), one alternating round gives
        the polar factor, the global nearest (Fan-Hoffman); it raises
@@ -506,9 +497,9 @@ def nearest_enp_alternating(frame, polished=None, decomposition=None):
     or every polish of exit 4 fails the certificate, frame and dist_sq
     are None. polished is the input's polish, this frame's _kkt_polish
     entry (estimate_paulsen's stack passes it); None polishes here.
-    decomposition is the sym_eig of the input's frame operator V^T V
-    (estimate_paulsen passes the generator's, which the round of exit 2
-    reuses); None decomposes here. Either way the result has the same bits.
+    certificate is the input's frame_certificate (estimate_paulsen passes
+    the generator's, whose decomposition the round of exit 2 reuses); None
+    certifies here. Either way the result has the same bits.
     """
     tol = default_certify_tol()
     v0 = frame.vectors
@@ -519,18 +510,17 @@ def nearest_enp_alternating(frame, polished=None, decomposition=None):
     def dist_sq(v):
         return float(np.sum((v - v0) ** 2))
 
-    if decomposition is None:
-        decomposition, certified = _enp_certificate(v0, tol)
-    else:
-        certified = _is_enp(v0, decomposition.eigenvalues, tol)
-    if certified:
+    if certificate is None:
+        certificate = frame_certificate(frame)
+    if _within(certificate, tol):
         return frame, 0.0, 0
     if n == d:
-        v = _alternating_round(v0, decomposition)
+        v = _alternating_round(v0, certificate.decomposition)
         if v is None:
             raise SingularOperator("frame operator is singular")
-        if _enp_certificate(v, tol)[1]:
-            return Frame(v), dist_sq(v), 1
+        out = Frame(v)
+        if _within(frame_certificate(out), tol):
+            return out, dist_sq(v), 1
         return None, None, 1
     if polished is None:
         polished = _kkt_polish(v0[None], v0[None], tol)[0]
@@ -712,11 +702,11 @@ def _solve_one(bundle, polished):
     """Solver output guarded by the base point as a feasible competitor;
     a solve that certifies no point reports the base distance uncertified.
     polished is a Hilbert instance's input polish, or None, as
-    nearest_enp_alternating takes it; the bundle's decomposition goes with
-    it."""
+    nearest_enp_alternating takes it; the bundle's certificate goes with
+    it, so a perturbed_enp input is not certified again."""
     if isinstance(bundle.instance, Frame):
         out, ds, rounds = nearest_enp_alternating(
-            bundle.instance, polished, bundle.decomposition)
+            bundle.instance, polished, bundle.certificate)
         certified = out is not None
     else:
         _, ds, certified, rounds = nearest_enp_asf_search(
@@ -732,7 +722,7 @@ def estimate_paulsen(grid, trials):
 
     Per-trial seeds are spec.seed + trial index. At n > d the input
     polishes of a spec's Hilbert trials run as one _kkt_polish stack, and
-    each trial's solve takes its own entry and its bundle's decomposition.
+    each trial's solve takes its own entry and its bundle's certificate.
     Hilbert records are certified at default_certify_tol (FRAMELAB_TOL),
     perturbed_asf records at max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so
     never below 1e-6. Certified Hilbert records are asserted against the

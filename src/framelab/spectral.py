@@ -3,8 +3,9 @@
 All matrices are real ndarrays. Eigenvalues of symmetric matrices are
 returned ascending so downstream reports are deterministic. The
 square-matrix guard, the Frobenius and row-wise norms and the p-ball
-sampler live here too, where every other module can import them (asf
-imports frames, so frames cannot import asf).
+sampler live here too, where every other module can import them: this
+module imports only errors, and asf imports only errors and this module,
+so frames and asf share these kernels without either importing the other.
 """
 
 import functools

@@ -162,6 +162,25 @@ class TestNearest:
         for row in read_frame_doc(out_path).vectors:
             assert math.hypot(*row) == pytest.approx(1e308, rel=1e-15)
 
+    def test_equalnorm_target_near_the_float_limit(self, tmp_path):
+        # c / |v_j| overflows for the rows of norm below 1
+        from framelab import Frame
+        path, out_path = tmp_path / "f.json", tmp_path / "out.json"
+        write_frame_doc(Frame(np.array([[0.5, 0.0], [0.3, 0.4],
+                                        [0.0, 1.0]])), path)
+        proc = run_module("nearest", "equalnorm", str(path),
+                          "--target", "1e308", "--out", str(out_path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert float(proc.stdout) == math.inf
+        for row in read_frame_doc(out_path).vectors:
+            assert math.hypot(*row) == pytest.approx(1e308, rel=1e-15)
+
+    def test_equalnorm_infinite_target_is_one_error_line(self, mb_doc):
+        proc = run_module("nearest", "equalnorm", mb_doc, "--target", "inf")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: target norm must be finite, got inf\n"
+
     def test_singular_input_fails_cleanly(self, capsys, tmp_path):
         from framelab import Frame
         path = tmp_path / "bad.json"
@@ -190,6 +209,19 @@ class TestFlow:
         code, _, err = run(capsys, "flow", mb_doc, "--t", "0.5")
         assert code == 2
         assert "usage error:" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iters", "-3", "max_iters must be non-negative, got -3"),
+        ("--renorm-every", "-1", "renorm_every must be non-negative, got -1"),
+        ("--stop", "nan", "stop_defect must be non-negative, got nan"),
+    ])
+    def test_bad_setting_is_one_error_line(self, capsys, mb_doc, flag,
+                                           value, message):
+        code, out, err = run(capsys, "flow", mb_doc, "--t", "0.05", flag,
+                             value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_t_flag(self, capsys, mb_doc):
         code, _, _ = run(capsys, "flow", mb_doc)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab.errors import NotUnitNorm, StepTooLarge
+from framelab.errors import NotUnitNorm, ShapeMismatch, StepTooLarge
 from framelab.flow import (ZERO_THRESHOLD, FlowConfig, _omegas, _rotate,
                            flow_step, run_flow, tangent_family)
 from framelab.frames import Frame, frame_operator, generate
@@ -20,6 +20,25 @@ def perturbed_unit_frame(d, n, seed, delta=0.01):
     noisy = generate("harmonic", d, n).vectors + ball_displacements(
         np.random.default_rng(seed), n, d, delta)
     return Frame(unit_rows(noisy / np.sqrt(d / n)))
+
+
+class TestFlowConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iters", -3, "max_iters must be non-negative, got -3"),
+        ("renorm_every", -1, "renorm_every must be non-negative, got -1"),
+        ("stop_defect", math.nan, "stop_defect must be non-negative, got nan"),
+    ])
+    def test_rejects_bad_setting(self, field, value, message):
+        with pytest.raises(ShapeMismatch) as exc:
+            FlowConfig(step_t=0.05, **{field: value})
+        assert str(exc.value) == message
+
+    def test_zero_settings_are_valid(self):
+        # 0 steps, no maintenance and an exact-tightness stop all mean what
+        # they say
+        config = FlowConfig(step_t=0.05, max_iters=0, stop_defect=0.0,
+                            renorm_every=0)
+        assert config.max_iters == 0
 
 
 class TestTangentFamily:

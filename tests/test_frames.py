@@ -260,6 +260,25 @@ class TestClosestEqualNorm:
             assert c.hex() == plain.hex()
             assert np.array_equal(w, (plain / norms)[:, None] * frame.vectors)
 
+    @pytest.mark.parametrize("c, rows", [
+        # c / |v_j| overflows for the two rows of norm 0.5
+        (1e308, [[0.5, 0.0], [0.3, 0.4], [0.0, 1.0]]),
+        # (c / 3) * 3 rounds past the largest float
+        (np.finfo(float).max, [[3.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_target_near_the_float_limit(self, c, rows):
+        # the overflowing rows take (v_j / |v_j|) c; the last, unit row
+        # keeps the bits of (c / |v_j|) v_j
+        frame = Frame(np.array(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, dist_sq = closest_equal_norm(frame, target=c)
+        assert dist_sq == np.inf
+        for row in out.vectors:
+            assert np.hypot(*row) == pytest.approx(c, rel=1e-15)
+        assert out.vectors[-1].tobytes() == \
+            ((c / 1.0) * frame.vectors[-1]).tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), shift=st.floats(-0.5, 0.5))
     def test_mean_radius_is_optimal(self, seed, shift):
@@ -377,6 +396,10 @@ class TestGenerate:
     pytest.param(lambda: rescale_rows(np.eye(2), -1.0), ShapeMismatch,
                  "target norm must be positive, got -1.0",
                  id="negative-target"),
+    pytest.param(lambda: rescale_rows(np.eye(2), np.inf), ShapeMismatch,
+                 "target norm must be finite, got inf", id="infinite-target"),
+    pytest.param(lambda: rescale_rows(np.eye(2), np.nan), ShapeMismatch,
+                 "target norm must be finite, got nan", id="nan-target"),
     pytest.param(lambda: generate("gaussian", 2, 3), ShapeMismatch,
                  "unknown kind 'gaussian'", id="unknown-kind"),
     pytest.param(lambda: generate("harmonic", 0, 3), ShapeMismatch,

@@ -22,8 +22,8 @@ from framelab.frames import (
     Frame,
     analyze_frame,
     closest_parseval,
+    frame_certificate,
     frame_dist,
-    frame_operator,
     generate,
     rescale_rows,
 )
@@ -935,13 +935,21 @@ class TestEstimate:
 
     def test_uncertified_square_round(self, monkeypatch):
         # at n = d the one round's output fails its forced certificate,
-        # so the record carries the base distance, uncertified
-        certificate = lab._enp_certificate
-        monkeypatch.setattr(lab, "_enp_certificate",
-                            lambda v, tol: (certificate(v, tol)[0], False))
+        # so the record carries the base distance, uncertified; every
+        # frame but the instance fails it, and the draws the generator
+        # rejects fail it anyway
         spec = InstanceSpec(kind="perturbed_enp", d=3, n=3,
                             epsilon_target=0.1, seed=0)
         bundle = generate_instance(spec)
+        certificate = lab.frame_certificate
+
+        def failed_but_instance(frame):
+            cert = certificate(frame)
+            if np.array_equal(frame.vectors, bundle.instance.vectors):
+                return cert
+            return replace(cert, eps_parseval=None)
+
+        monkeypatch.setattr(lab, "frame_certificate", failed_but_instance)
         assert nearest_enp_alternating(bundle.instance) == (None, None, 1)
         records, _ = estimate_paulsen([spec], trials=1)
         assert not records[0].certified
@@ -1069,8 +1077,9 @@ class TestEstimate:
 
 
 class TestSharedDecomposition:
-    """A perturbed_enp instance is decomposed once: the generator's sym_eig
-    of V^T V goes to the solver, with the bits the solver computes alone."""
+    """A perturbed_enp instance is certified once: the generator's
+    frame_certificate goes to the solver, with the bits the solver computes
+    alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(dn=st.sampled_from([(d, n) for d in range(2, 6)
@@ -1084,10 +1093,17 @@ class TestSharedDecomposition:
         bundle = generate_instance(InstanceSpec(
             kind="perturbed_enp", d=d, n=n, epsilon_target=eps, seed=seed))
         frame = bundle.instance
-        want = sym_eig(frame_operator(frame))
-        got = bundle.decomposition
-        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        want = frame_certificate(frame)
+        got = bundle.certificate
+        for a, b in ((got.operator, want.operator),
+                     (got.decomposition.eigenvalues,
+                      want.decomposition.eigenvalues),
+                     (got.decomposition.eigenvectors,
+                      want.decomposition.eigenvectors),
+                     (got.norms_sq, want.norms_sq)):
+            assert a.tobytes() == b.tobytes()
+        assert got.eps_parseval.hex() == want.eps_parseval.hex()
+        assert got.eps_equal_norm.hex() == want.eps_equal_norm.hex()
         shared = nearest_enp_alternating(frame, None, got)
         alone = nearest_enp_alternating(frame)
         assert shared[0].vectors.tobytes() == alone[0].vectors.tobytes()
@@ -1099,25 +1115,36 @@ class TestSharedDecomposition:
                                   epsilon_target=0.2),
                      InstanceSpec(kind="perturbed_asf", d=2, n=4,
                                   epsilon_target=0.1, p=1.5, seed=3)):
-            assert generate_instance(spec).decomposition is None
+            assert generate_instance(spec).certificate is None
 
     def test_one_sym_eig_per_attempt_and_per_round(self, monkeypatch):
         # (2, 3): margin exits, seed 978 after a retune; (3, 3): n = d
-        # rounds; (2, 4) seed 979: the 60 restart rounds
-        eig_calls, attempts = [], []
+        # rounds, each certifying its output; (2, 4) seed 979: the 60
+        # restart rounds. An attempt is a certificate made by the generator
+        eig_calls, attempts, generating = [], [], []
 
         def counted_eig(a):
             eig_calls.append(a.shape)
             return sym_eig(a)
 
-        def counted_within(rep, eps):
-            attempts.append(eps)
-            return within(rep, eps)
+        def counted_generate(spec):
+            generating.append(spec)
+            try:
+                return generate_alone(spec)
+            finally:
+                generating.pop()
 
-        within = lab._within
+        def counted_certificate(frame):
+            if generating:
+                attempts.append(frame)
+            return certificate(frame)
+
+        generate_alone, certificate = (lab.generate_instance,
+                                       lab.frame_certificate)
         monkeypatch.setattr(lab, "sym_eig", counted_eig)
         monkeypatch.setattr(frames, "sym_eig", counted_eig)
-        monkeypatch.setattr(lab, "_within", counted_within)
+        monkeypatch.setattr(lab, "generate_instance", counted_generate)
+        monkeypatch.setattr(lab, "frame_certificate", counted_certificate)
         grid = [InstanceSpec(kind="perturbed_enp", d=2, n=3,
                              epsilon_target=0.05, seed=977),
                 InstanceSpec(kind="perturbed_enp", d=3, n=3,
@@ -1129,6 +1156,29 @@ class TestSharedDecomposition:
         assert rounds == [0, 0, 0, 1, 1, 1, 60, 0, 0]
         assert len(attempts) > len(records)
         assert len(eig_calls) == len(attempts) + sum(rounds)
+
+    def test_solve_leaves_the_bundle_certificate_unrecomputed(
+            self, monkeypatch):
+        # a margin exit certifies no frame; at n = d only the round's
+        # output is certified, never the input again
+        bundles = [generate_instance(InstanceSpec(
+            kind="perturbed_enp", d=d, n=n, epsilon_target=eps, seed=977))
+            for d, n, eps in ((2, 3, 0.05), (3, 3, 0.1))]
+        calls = []
+        certificate = lab.frame_certificate
+
+        def counted_certificate(frame):
+            calls.append(frame)
+            return certificate(frame)
+
+        monkeypatch.setattr(lab, "frame_certificate", counted_certificate)
+        for bundle, want in zip(bundles, (0, 1)):
+            calls.clear()
+            _, certified, rounds = lab._solve_one(bundle, None)
+            assert certified and rounds == want
+            assert len(calls) == want
+            assert not any(np.array_equal(f.vectors, bundle.instance.vectors)
+                           for f in calls)
 
 
 class TestHilbertReductionOfSearch:
