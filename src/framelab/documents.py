@@ -11,11 +11,19 @@ booleans, ragged rows, and wrong shapes with DocumentError; the infinite
 exponent of an ASF space is encoded as the string "inf" since JSON has
 no infinity literal. A path that cannot be read or written is a
 DocumentError too.
+
+One writer, _write_text, writes every JSON and CSV document. It
+overwrites an existing file in place and cuts it only when it was
+longer, because truncating at open makes ext4 flush the file on close.
+It does not fsync: after a crash a rewritten file holds the old bytes,
+the new ones or a block-wise mix, where the old writer could leave it
+empty; a torn document mostly reads back as a DocumentError.
 """
 
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -160,9 +168,33 @@ def _doc_text(kind, dim, p, *matrices):
 
 
 def _write_text(text, path):
+    """Write text's UTF-8 bytes to path over the old ones from offset 0,
+    then cut the file to their length only when it was longer.
+
+    open(path, "w") truncates at open, and ext4 then flushes the file on
+    close (auto_da_alloc): about 110 us against 7 us in place for an
+    800-byte rewrite. A rename over the old file is flushed the same way,
+    and unlinking it first would unlink /dev/null and break hard links.
+    In place, the inode and its links stay, a new file gets 0o666 less
+    the umask, and /dev/null (size 0) is never truncated. Neither this
+    writer nor open(path, "w") fsyncs: after a crash the old writer could
+    leave an empty file, this one the old bytes, the new ones or a
+    block-wise mix. A torn document reads back as a DocumentError (the
+    CLI's one error: line), unless a block boundary splices two
+    documents of the same layout into one that parses. Any OSError is a
+    DocumentError naming path.
+    """
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 

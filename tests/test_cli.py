@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -393,6 +394,47 @@ class TestUnwritableOutput:
         assert proc.stderr.splitlines() == [
             f"error: cannot write {path}: [Errno 2] No such file or "
             f"directory: '{path}'"]
+
+
+    def test_directory_is_one_error_line(self, capsys, tmp_path):
+        code, _, err = run(capsys, "estimate", "--d", "2", "--n", "3",
+                           "--eps", "0.1", "--trials", "1",
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: cannot write {tmp_path}: [Errno {errno.EISDIR}] "
+            f"{os.strerror(errno.EISDIR)}: '{tmp_path}'"]
+
+    def test_disk_full_partway_is_one_error_line(self, capsys, tmp_path,
+                                                  mb_doc, monkeypatch):
+        path = tmp_path / "out.json"
+        real_write, calls = os.write, []
+
+        def write(fd, data):
+            # half the bytes on the first call, then the disk is full
+            calls.append(len(data))
+            if len(calls) == 1:
+                return real_write(fd, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(os, "write", write)
+        code, out, err = run(capsys, "nearest", "parseval", mb_doc,
+                             "--out", str(path))
+        monkeypatch.undo()
+        assert (code, out, len(calls)) == (1, "", 2)
+        assert err.splitlines() == [
+            f"error: cannot write {path}: [Errno {errno.ENOSPC}] "
+            f"{os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_estimate_out_null_device(capsys):
+    # /dev/null has size 0, so the writer never truncates it: ftruncate
+    # fails with EINVAL on a character device
+    code, out, err = run(capsys, "estimate", "--d", "2", "--n", "3",
+                         "--eps", "0.1", "--trials", "1",
+                         "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert out.startswith("d=2 n=3 ")
 
 
 class TestEstimate:

@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -27,8 +30,9 @@ from framelab.documents import (
 )
 from framelab.errors import DocumentError
 from framelab.flow import FlowTrace
+from framelab.frames import Frame, generate
 from framelab.projections import certify_projection
-from conftest import auerbach_system
+from conftest import auerbach_system, random_frame
 
 
 class TestFrameDocs:
@@ -342,3 +346,106 @@ class TestFlowTraceCSV:
         assert path.read_bytes() == (",".join(FLOW_TRACE_COLUMNS)
                                      + "\n0,0.5,4.5,0.25\n1,0.1,4.51,0.05\n"
                                      ).encode()
+
+
+_SWEEP_ROW = st.fixed_dictionaries({
+    "d": st.integers(1, 99), "n": st.integers(1, 999),
+    "p": st.sampled_from([1.5, 2.0, 3.0]),
+    "kind": st.sampled_from(["perturbed_enp", "scaled_enp"]),
+    "eps_target": _ENTRIES, "eps_measured_parseval": _ENTRIES,
+    "eps_measured_equalnorm": _ENTRIES, "dist_sq": _ENTRIES,
+    "certified": st.booleans(), "rounds": st.integers(0, 60),
+    "bound_hm": _ENTRIES, "bound_bc": _ENTRIES,
+})
+
+
+@st.composite
+def _written(draw):
+    """(write, check) for one frame, ASF, projection or sweep CSV
+    document: write(path) writes it, check(path) asserts that path reads
+    back to it bit for bit."""
+    kind = draw(st.sampled_from(["hilbert_frame", "asf", "projection",
+                                 "sweep"]))
+    if kind == "sweep":
+        rows = draw(st.lists(_SWEEP_ROW, max_size=12))
+
+        def check(path):
+            assert path.read_text() == sweep_csv_text(rows)
+        return functools.partial(write_sweep_csv, rows), check
+    dim, p, mats = draw(_documents(kind))
+    if kind == "hilbert_frame":
+        write = functools.partial(write_frame_doc, Frame(mats[0]))
+    elif kind == "asf":
+        write = functools.partial(write_asf_doc,
+                                  ASF(PNormSpace(dim, p), *mats))
+    else:
+        write = functools.partial(write_projection_doc, mats[0])
+
+    def check(path):
+        back = _read_doc(path, kind)
+        assert back[:2] == (dim, p)
+        for got, want in zip(back[2:], mats):
+            assert got.tobytes() == want.tobytes()
+    return write, check
+
+
+class TestRewrite:
+    """_write_text overwrites in place: a rewrite leaves the bytes a fresh
+    write gives, on the same inode."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(docs=st.lists(_written(), min_size=2, max_size=6))
+    def test_rewrite_equals_fresh_write(self, tmp_path_factory, docs):
+        base = tmp_path_factory.getbasetemp()
+        path, fresh = base / "rewrite.doc", base / "fresh.doc"
+        for write, check in docs:
+            write(path)
+            fresh.unlink(missing_ok=True)
+            write(fresh)
+            assert path.read_bytes() == fresh.read_bytes()
+            check(path)
+
+    def test_shrink_leaves_no_trailing_bytes(self, tmp_path):
+        path, fresh = tmp_path / "f.json", tmp_path / "fresh.json"
+        write_frame_doc(random_frame(0, 5, 10), path)
+        long_size = path.stat().st_size
+        small = generate("harmonic", 2, 3)
+        write_frame_doc(small, path)
+        write_frame_doc(small, fresh)
+        assert path.stat().st_size < long_size
+        assert path.read_bytes() == fresh.read_bytes()
+        assert read_frame_doc(path).vectors.tobytes() == \
+            small.vectors.tobytes()
+
+    def test_inode_and_hard_link_kept(self, tmp_path, mb):
+        path, link = tmp_path / "f.json", tmp_path / "link.json"
+        write_frame_doc(random_frame(0, 5, 10), path)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        write_frame_doc(mb, path)
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == path.read_bytes()
+        write_frame_doc(random_frame(1, 4, 9), path)
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_is_open_w_mode(self, tmp_path, mb, umask):
+        old = os.umask(umask)
+        try:
+            write_frame_doc(mb, tmp_path / "f.json")
+            with open(tmp_path / "w.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "f.json").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        assert mode == stat.S_IMODE((tmp_path / "w.json").stat().st_mode)
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull),
+                        reason="no null device")
+    def test_null_device(self, mb):
+        # a character device of size 0: never truncated, which would fail
+        # with EINVAL
+        write_frame_doc(mb, os.devnull)
+        write_sweep_csv([], os.devnull)
