@@ -247,7 +247,8 @@ def read_auerbach_doc(path):
 
 
 def _cell(x):
-    if isinstance(x, bool):
+    # np.bool_ is no Python bool, and str() would spell it True/False
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))

@@ -3,8 +3,9 @@ solvers, and the empirical ceiling study.
 
 Every perturbed or scaled instance carries its distance to the
 equal-norm Parseval base it came from, and that base competes with the
-solver output; a solve that certifies no point reports the base distance,
-uncertified, instead of poisoning the sweep. A reported distance is an
+solver output; a solve that certifies no point reports the base distance
+instead of poisoning the sweep, certified only when the base is proved
+globally nearest (Hilbert side). A reported distance is an
 upper bound on the true infimum only as far as its certificate goes: a
 Hilbert record certifies at FRAMELAB_TOL, but a perturbed_asf record at
 1e-6 or above, so its point may sit up to that residual off the ENP set
@@ -15,7 +16,10 @@ round at n = d, which gives the orthogonal polar factor, the global
 nearest point. At n > d it polishes: a Newton polish of the input
 (_kkt_polish), proved globally nearest when its final multipliers make
 the Lagrangian convex, else the nearest of it and the polishes of seeded
-restarts, or no point when no polish certifies. The polish runs over a
+restarts, or no point when no polish certifies. One kernel,
+_lagrangian_gaps, certifies and proves every candidate: each polish
+under Newton's final multipliers, and the harmonic base under
+least-squares ones when no polish certifies. The polish runs over a
 stack of same-shape inputs and gives each item the bits of that item
 polished alone: estimate_paulsen polishes all trials of a grid spec as
 one stack, and a solve its restarts. A perturbed_enp instance is
@@ -324,6 +328,79 @@ def _dots(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
+def _residual(v0, v, mult):
+    """The stationarity residuals r = V - V0 - A mult, the halved
+    constraints c, the Jacobians A (one flat scatter from v) and the KKT
+    norms |(r, c)| of a stack of points v with multipliers mult."""
+    b, n, d = v.shape
+    half, upper, _, _, a_dst, a_src = _polish_layout(n, d)
+    k = mult.shape[1]
+    a = np.zeros((b, n * d * k))
+    a[:, a_dst] = v.reshape(b, n * d)[:, a_src]
+    a = a.reshape(b, n * d, k)
+    gram = (v.transpose(0, 2, 1) @ v - np.eye(d)).reshape(b, d * d)
+    c = np.concatenate([half * gram[:, upper],
+                        0.5 * (np.sum(v[:, :-1] ** 2, axis=2) - d / n)],
+                       axis=1)
+    r = (v - v0).reshape(b, n * d) - (a @ mult[:, :, None])[:, :, 0]
+    return r, c, a, np.sqrt(_dots(r, r) + _dots(c, c))
+
+
+def _lambda_mu(mult, n, d):
+    """Each item's symmetric Lambda of Parseval multipliers, and its
+    equal-norm multipliers mu with 0 for the dropped constraint."""
+    half, upper, lower = _polish_layout(n, d)[:3]
+    lam = np.empty((len(mult), d * d))
+    lam[:, upper] = lam[:, lower] = mult[:, :half.size]
+    mu = np.concatenate([mult[:, half.size:], np.zeros((len(mult), 1))],
+                        axis=1)
+    return lam.reshape(-1, d, d), mu
+
+
+def _lagrangian_gaps(v0, w, mult, r, c, tol):
+    """The certificate of a stack of candidate ENP frames w for the
+    inputs v0, one entry per item: None unless w holds both certificates
+    at tol and is stationary, else a gap such that every ENP frame W has
+    |W - V0|^2 >= |w - v0|^2 - gap.
+
+    r and c are _residual's at (w, mult), which the polish has at hand.
+    mult may be any multipliers: the bound holds for each. The
+    Lagrangian |V - V0|^2 / 2 - mult . c(V) is a quadratic with gradient
+    r at w and Hessian blocks (1 - mu_j) I - Lambda, so at least margin
+    I with margin = 1 - max_j mu_j - lambda_max(Lambda). On the ENP set
+    (c = 0) it is |W - V0|^2 / 2, and when margin > 0 it is nowhere
+    below its value at w minus |r|^2 / (2 margin) (the Lagrangian
+    sufficiency theorem). So gap = 2 |mult . c| + |r|^2 / margin, or inf
+    when margin <= 0. Each gap is a Python float, and every stacked call
+    gives each item the bits of its 2-D call.
+    """
+    b, n, d = w.shape
+    diff = (w - v0).reshape(b, n * d)
+    lam, mu = _lambda_mu(mult, n, d)
+    # one stacked eigvalsh: the spectra of the frame operators, then
+    # those of Lambda
+    spectra = np.linalg.eigvalsh(
+        np.concatenate([w.transpose(0, 2, 1) @ w, lam]))
+    margin = 1.0 - mu.max(axis=1) - spectra[b:, -1]
+    r_sq = _dots(r, r)
+    # stationarity keeps out Newton iterates short of a KKT point: a
+    # 1e-8-feasible one can undercut the true minimum, as on scaled_enp
+    # (4, 6) eps 0.2 (0.03643907988904813 against the exact
+    # 0.036439079917342125) with the test removed
+    stationary = np.sqrt(r_sq) <= STATIONARY_TOL * np.sqrt(_dots(diff, diff))
+    gaps = []
+    for eig, norms_sq, st, mg, mc, rr in zip(
+            spectra[:b], np.sum(w * w, axis=2), stationary, margin,
+            _dots(mult, c), r_sq):
+        eps_p, dev_en = enp_defects(eig, norms_sq)
+        if not (eps_p <= tol and dev_en <= tol and st):
+            gaps.append(None)
+        else:
+            gaps.append(math.inf if mg <= 0.0
+                        else float(2.0 * abs(mc) + rr / mg))
+    return gaps
+
+
 def _kkt_polish(v0, v, tol):
     """Newton's method on the KKT system of the nearest-ENP problem, over a
     stack of b same-shape inputs.
@@ -339,17 +416,8 @@ def _kkt_polish(v0, v, tol):
     matrix is singular, when MAX_HALVINGS halvings do not bring the step
     under that test, or when its residual falls to CONVERGED relative to
     |V - V0|. v0 and v have shape (b, n, d). Returns a list of b entries:
-    (V, gap) when the item's end point V holds both certificates at tol
-    and V - V0 lies in the normal space there within STATIONARY_TOL
-    (relative), otherwise None.
-
-    Every ENP frame W has |W - V0|^2 >= |V - V0|^2 - gap. The final
-    multipliers give Lambda and mu, and the Hessian of the Lagrangian has
-    the blocks (1 - mu_j) I - Lambda. When margin = 1 - max_j mu_j -
-    lambda_max(Lambda) is positive, the Lagrangian is convex (the
-    Lagrangian sufficiency theorem), and gap = 2 |mult . c| + |r|^2 /
-    margin, with c and r the final constraint and stationarity residuals.
-    Otherwise gap is inf.
+    (V, gap), the item's end point and its _lagrangian_gaps gap under
+    Newton's final multipliers, or None where that certificate is None.
 
     Each step works on the items still stepping as one stack, so an item's
     result has the bits of that item polished alone: every stacked call
@@ -359,37 +427,14 @@ def _kkt_polish(v0, v, tol):
     and the multipliers of Lambda are scattered in.
     """
     b, n, d = v.shape
-    half, upper, lower, block, a_dst, a_src = _polish_layout(n, d)
-    m = half.size
-    nd, k = n * d, m + n - 1
+    half, _, _, block, _, _ = _polish_layout(n, d)
+    nd, k = n * d, half.size + n - 1
     size = nd + k
     eye_d = np.eye(d)
 
-    def residual(v0, v, mult):
-        s = len(v)
-        a = np.zeros((s, nd * k))
-        a[:, a_dst] = v.reshape(s, nd)[:, a_src]
-        a = a.reshape(s, nd, k)
-        gram = (v.transpose(0, 2, 1) @ v - eye_d).reshape(s, d * d)
-        c = np.concatenate([half * gram[:, upper],
-                            0.5 * (np.sum(v[:, :-1] ** 2, axis=2) - d / n)],
-                           axis=1)
-        r = (v - v0).reshape(s, nd) - (a @ mult[:, :, None])[:, :, 0]
-        return r, c, a, np.sqrt(_dots(r, r) + _dots(c, c))
-
-    def lambdas(mult):
-        # the symmetric Lambda of each item's Parseval multipliers
-        lam = np.empty((len(mult), d * d))
-        lam[:, upper] = lam[:, lower] = mult[:, :m]
-        return lam.reshape(-1, d, d)
-
-    def mus(mult):
-        # the equal-norm multipliers, with 0 for the dropped constraint
-        return np.concatenate([mult[:, m:], np.zeros((len(mult), 1))], axis=1)
-
     v = v.copy()  # accepted steps are written into their rows
     mult = np.zeros((b, k))
-    r, c, a, f_norm = residual(v0, v, mult)
+    r, c, a, f_norm = _residual(v0, v, mult)
     live = np.arange(b)  # the items still stepping
     for _ in range(POLISH_STEPS):
         if not live.size:
@@ -397,9 +442,10 @@ def _kkt_polish(v0, v, tol):
         s = live.size
         mult_s, a_s = mult[live], a[live]
         # Hessian of the Lagrangian: block j is (1 - mu_j) I - Lambda
+        lam, mu = _lambda_mu(mult_s, n, d)
         kkt = np.zeros((s, size * size))
-        kkt[:, block] = ((1.0 - mus(mult_s))[:, :, None, None] * eye_d
-                         - lambdas(mult_s)[:, None]).reshape(s, -1)
+        kkt[:, block] = ((1.0 - mu)[:, :, None, None] * eye_d
+                         - lam[:, None]).reshape(s, -1)
         kkt = kkt.reshape(s, size, size)
         kkt[:, :nd, nd:] = -a_s
         kkt[:, nd:, :nd] = a_s.transpose(0, 2, 1)
@@ -423,7 +469,7 @@ def _kkt_polish(v0, v, tol):
             idx = live[pos]
             v_new = v[idx] + step[pos, :nd].reshape(-1, n, d)
             mult_new = mult[idx] + step[pos, nd:]
-            t_r, t_c, t_a, t_f = residual(v0[idx], v_new, mult_new)
+            t_r, t_c, t_a, t_f = _residual(v0[idx], v_new, mult_new)
             ok = t_f <= MERIT_GROWTH * f_norm[idx]
             acc = idx[ok]
             v[acc], mult[acc] = v_new[ok], mult_new[ok]
@@ -439,30 +485,8 @@ def _kkt_polish(v0, v, tol):
         diff = (v[stepped] - v0[stepped]).reshape(-1, nd)
         live = stepped[f_norm[stepped]
                        > CONVERGED * np.sqrt(_dots(diff, diff))]
-    diff = (v - v0).reshape(b, nd)
-    dist = np.sqrt(_dots(diff, diff))
-    spectra = np.linalg.eigvalsh(v.transpose(0, 2, 1) @ v)
-    norms_sq = np.sum(v * v, axis=2)
-    r_norm = np.sqrt(_dots(r, r))
-    held = []
-    for i in range(b):
-        eps_p, dev_en = enp_defects(spectra[i], norms_sq[i])
-        if eps_p <= tol and dev_en <= tol \
-                and r_norm[i] <= STATIONARY_TOL * dist[i]:
-            held.append(i)
-    out = [None] * b
-    if not held:
-        return out
-    # The Lagrangian |V - V0|^2 / 2 - mult . c(V) is a quadratic with
-    # gradient r at v and Hessian blocks (1 - mu_j) I - Lambda, so at
-    # least margin I. On the ENP set (c = 0) it is |W - V0|^2 / 2, and it
-    # is nowhere below its value at v minus |r|^2 / (2 margin).
-    mult, r, c = mult[held], r[held], c[held]
-    margin = (1.0 - mus(mult).max(axis=1)
-              - np.linalg.eigvalsh(lambdas(mult))[:, -1])
-    for i, mg, mc, rr in zip(held, margin, _dots(mult, c), _dots(r, r)):
-        out[i] = (v[i], math.inf if mg <= 0.0 else 2.0 * abs(mc) + rr / mg)
-    return out
+    gaps = _lagrangian_gaps(v0, v, mult, r, c, tol)
+    return [None if gap is None else (v[i], gap) for i, gap in enumerate(gaps)]
 
 
 def _alternating_round(v, dec):
@@ -479,7 +503,9 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     n = d, else Newton polishes from the input and from seeded restarts.
 
     With tol = default_certify_tol() (FRAMELAB_TOL), a frame is certified
-    when _within(frame_certificate(frame), tol). In order:
+    when _within(frame_certificate(frame), tol), and a polish when
+    _lagrangian_gaps gives it a gap under Newton's final multipliers
+    (both certificates at tol, and stationary). In order:
     1. a certified input comes back unchanged;
     2. at n = d, where the ENP set is O(d), one alternating round gives
        the polar factor, the global nearest (Fan-Hoffman); it raises
@@ -489,14 +515,16 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     4. otherwise RESTARTS starts v0 + RESTART_KICK sqrt(d/n) G, G from
        default_rng(0) and each pushed by RESTART_ROUNDS alternating rounds
        (dropped if its frame operator turns singular), polish as one
-       stack; the nearest certified polish, the input's too, comes back.
+       stack; the nearest certified polish, the input's too, comes back,
+       proved or not.
 
     Returns (frame, dist_sq, rounds), the frame certified at tol and
     rounds counting every alternating round run: 0 at exits 1 and 3, 1 at
     exit 2, RESTARTS * RESTART_ROUNDS at exit 4. When the round of exit 2
     or every polish of exit 4 fails the certificate, frame and dist_sq
-    are None. polished is the input's polish, this frame's _kkt_polish
-    entry (estimate_paulsen's stack passes it); None polishes here.
+    are None, and _solve_one judges the base. polished is the input's
+    polish, this frame's _kkt_polish entry (estimate_paulsen's stack
+    passes it); None polishes here.
     certificate is the input's frame_certificate (estimate_paulsen passes
     the generator's, whose decomposition the round of exit 2 reuses); None
     certifies here. Either way the result has the same bits.
@@ -698,21 +726,45 @@ class SummaryRow:
     max_ratio_bc: float
 
 
+def _base_proved(bundle):
+    """Whether a Hilbert bundle's harmonic base is proved the globally
+    nearest ENP frame to its instance: its _lagrangian_gaps gap is within
+    the slack 2 sqrt(base_dist_sq d) tol, tol = default_certify_tol().
+    The multipliers solve W - V0 = A(W) mult by least squares. At a
+    rank-deficient base, such as the harmonic frame at (2, 4), they are
+    not unique, and lstsq's minimum-norm ones are only one valid choice:
+    the bound holds for each."""
+    spec, tol = bundle.spec, default_certify_tol()
+    v0 = bundle.instance.vectors[None]
+    w = _harmonic_base(spec.d, spec.n).vectors[None]
+    k = _polish_layout(spec.n, spec.d)[0].size + spec.n - 1
+    r, _, a, _ = _residual(v0, w, np.zeros((1, k)))  # r = W - V0
+    mult = np.linalg.lstsq(a[0], r[0], rcond=None)[0][None]
+    r, c, _, _ = _residual(v0, w, mult)
+    gap, = _lagrangian_gaps(v0, w, mult, r, c, tol)
+    slack = 2.0 * math.sqrt(bundle.base_dist_sq * spec.d) * tol
+    return gap is not None and gap <= slack
+
+
 def _solve_one(bundle, polished):
-    """Solver output guarded by the base point as a feasible competitor;
-    a solve that certifies no point reports the base distance uncertified.
-    polished is a Hilbert instance's input polish, or None, as
-    nearest_enp_alternating takes it; the bundle's certificate goes with
-    it, so a perturbed_enp input is not certified again."""
+    """Solver output guarded by the base point as a feasible competitor.
+    A Hilbert solve that certifies no point reports the base distance,
+    certified when _base_proved proves the base; a Banach search that
+    certifies no point reports it uncertified. polished is a Hilbert
+    instance's input polish, or None, as nearest_enp_alternating takes
+    it; the bundle's certificate goes with it, so a perturbed_enp input
+    is not certified again."""
+    base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
         out, ds, rounds = nearest_enp_alternating(
             bundle.instance, polished, bundle.certificate)
-        certified = out is not None
+        if out is None:
+            return base_ds, _base_proved(bundle), rounds
+        certified = True
     else:
         _, ds, certified, rounds = nearest_enp_asf_search(
             bundle.instance,
             certify_tol=max(default_certify_tol(), SEARCH_CERTIFY_TOL))
-    base_ds = bundle.base_dist_sq
     return (min(ds, base_ds) if certified else base_ds), certified, rounds
 
 

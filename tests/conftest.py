@@ -81,6 +81,14 @@ def exact_dist_sq_next(v0):
     return float(np.sum(v0 * v0)) + d - 2.0 * best
 
 
+def exact_dist_sq_scaled(d, eps):
+    """Squared distance from c V, V an equal-norm Parseval frame in R^d
+    and c = sqrt(1 + eps), to the nearest equal-norm Parseval frame,
+    exactly: every such W has |W|^2 = d and <V, W> <= d, so |cV - W|^2 =
+    c^2 d + d - 2c <V, W> >= d (c - 1)^2, with equality at W = V."""
+    return d * (math.sqrt(1.0 + eps) - 1.0) ** 2
+
+
 # The re-seeding instance generators that lab's draw-once generators
 # replace, kept as a bit-for-bit reference: every retune re-creates the
 # RNG from the seed and draws again at half the radius, and perturbed_asf

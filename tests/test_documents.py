@@ -310,6 +310,12 @@ class TestSweepCSV:
         assert cells[SWEEP_COLUMNS.index("certified")] == "true"
         assert cells[SWEEP_COLUMNS.index("dist_sq")] == repr(0.001)
 
+    def test_numpy_bools_are_lowercase(self):
+        text = sweep_csv_text([self._row(certified=np.True_),
+                               self._row(certified=np.False_)])
+        assert [line.split(",")[SWEEP_COLUMNS.index("certified")]
+                for line in text.splitlines()[1:]] == ["true", "false"]
+
     def test_missing_column_rejected(self):
         row = self._row()
         del row["bound_bc"]

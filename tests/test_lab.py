@@ -47,6 +47,7 @@ from conftest import (
     assert_same_bundle,
     exact_dist_sq_2_4,
     exact_dist_sq_next,
+    exact_dist_sq_scaled,
     reference_instance,
 )
 
@@ -376,7 +377,7 @@ class TestAlternating:
         spec = InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.2)
         bundle = generate_instance(spec)
         out, dist_sq, rounds = nearest_enp_alternating(bundle.instance)
-        assert dist_sq <=2.0 * (math.sqrt(1.2) - 1.0) ** 2 + 1e-12
+        assert dist_sq <= exact_dist_sq_scaled(2, 0.2) + 1e-12
         rep = analyze_frame(out)
         assert rep.eps_parseval is not None and rep.eps_parseval <= 1e-8
 
@@ -559,6 +560,66 @@ class TestExactOracles:
         gap, slack = _solver_gap_to(exact_dist_sq_2_4, InstanceSpec(
             kind="perturbed_enp", d=2, n=4, epsilon_target=eps, seed=seed))
         assert gap <= slack
+
+    def test_scaled_grid(self):
+        # every scaled_enp record of the grid is certified at the exact
+        # distance; at (2, 4), eps 0.005 and 0.01, no polish certifies
+        # and the base is proved instead
+        grid = [InstanceSpec(kind="scaled_enp", d=d, n=n, epsilon_target=eps)
+                for d in range(2, 6) for n in range(d, 11)
+                for eps in (0.005, 0.01, 0.05, 0.1, 0.2)]
+        records, _ = estimate_paulsen(grid, trials=1)
+        assert len(records) == 150
+        for rec in records:
+            ds, d = rec.achieved_dist_sq, rec.spec.d
+            assert rec.certified is True
+            assert abs(ds - exact_dist_sq_scaled(d, rec.spec.epsilon_target)) \
+                <= 2.0 * math.sqrt(ds * d) * default_certify_tol()
+
+
+class TestLagrangianGaps:
+    # |W - V0|^2 >= dist_sq - gap for every ENP frame W, whatever the
+    # multipliers, so it holds against the exact oracles; a candidate
+    # proved within the slack sits at the oracle's distance
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(2, 4), (1, 2), (2, 3), (3, 4), (4, 5)]),
+           kind=st.sampled_from(lab.HILBERT_KINDS),
+           eps=st.sampled_from([0.005, 0.01, 0.05, 0.1, 0.2]),
+           seed=st.integers(0, 10**6), scale=st.sampled_from([0.1, 0.5, 1.0]))
+    @example(shape=(2, 4), kind="scaled_enp", eps=0.01, seed=0, scale=0.5)
+    def test_gap_bounds_every_enp_frame(self, shape, kind, eps, seed, scale):
+        d, n = shape
+        oracle = exact_dist_sq_2_4 if shape == (2, 4) else exact_dist_sq_next
+        tol = default_certify_tol()
+        # a rounding allowance for comparing two computed distances
+        rounding = 1e-12
+        bundle = generate_instance(InstanceSpec(
+            kind=kind, d=d, n=n, epsilon_target=eps, seed=seed))
+        v0 = bundle.instance.vectors
+        exact = oracle(v0)
+        polished, = lab._kkt_polish(v0[None], v0[None], tol)
+        if polished is not None:
+            point, gap = polished
+            ds = float(np.sum((point - v0) ** 2))
+            assert ds - gap <= exact + rounding
+            if gap <= 2.0 * math.sqrt(ds * d) * tol:
+                assert abs(ds - exact) <= 2.0 * math.sqrt(ds * d) * tol
+        if lab._base_proved(bundle):
+            ds = bundle.base_dist_sq
+            assert abs(ds - exact) <= 2.0 * math.sqrt(ds * d) * tol
+        # random multipliers: the base w is stationary for the input
+        # w - A(w) mult, whatever its margin
+        w = lab._harmonic_base(d, n).vectors[None]
+        mult = scale * np.random.default_rng(seed).uniform(
+            -1.0, 1.0, (1, d * (d + 1) // 2 + n - 1))
+        a = lab._residual(w, w, mult)[2]
+        v0 = w - (a @ mult[:, :, None]).reshape(w.shape)
+        r, c, _, _ = lab._residual(v0, w, mult)
+        gap, = lab._lagrangian_gaps(v0, w, mult, r, c, tol)
+        if gap is not None:
+            assert type(gap) is float
+            ds = float(np.sum((w - v0) ** 2))
+            assert ds - gap <= oracle(v0[0]) + rounding
 
 
 def _normal_space_residual(v0, v):
@@ -996,6 +1057,29 @@ class TestEstimate:
             [(float(ds).hex(), cert, rounds)
              for ds, cert, rounds in self._solved_alone()]
 
+    def test_corpus_never_judges_the_base(self, monkeypatch):
+        # every corpus record certifies a polish or its n = d round, so
+        # the base proof, which would add to every hilbert_sweep op it
+        # ran in, never runs there; the scaled_enp (2, 4) cell needs it
+        judged = []
+        base_proved = lab._base_proved
+
+        def counted(bundle):
+            judged.append(bundle.spec)
+            return base_proved(bundle)
+
+        monkeypatch.setattr(lab, "_base_proved", counted)
+        grid = [InstanceSpec(kind="perturbed_enp", d=d, n=n,
+                             epsilon_target=eps, seed=977)
+                for d in range(2, 6) for n in range(2, 11) if n >= d
+                for eps in (0.01, 0.05, 0.1, 0.2)]
+        records, _ = estimate_paulsen(grid, trials=20)
+        assert len(records) == 2400 and judged == []
+        scaled = InstanceSpec(kind="scaled_enp", d=2, n=4,
+                              epsilon_target=0.01)
+        records, _ = estimate_paulsen([scaled], trials=1)
+        assert judged == [scaled] and records[0].certified
+
     def test_certified_record_above_ceiling_raises(self, monkeypatch):
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
                             epsilon_target=0.1, seed=42)
@@ -1012,7 +1096,7 @@ class TestEstimate:
         spec = InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.2)
         records, _ = estimate_paulsen([spec], trials=1)
         assert records[0].achieved_dist_sq <= \
-            2.0 * (math.sqrt(1.2) - 1.0) ** 2 + 1e-10
+            exact_dist_sq_scaled(2, 0.2) + 1e-10
 
     def test_bounds_attached(self):
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
