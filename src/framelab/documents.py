@@ -139,11 +139,9 @@ def _read_doc(path, kind):
 
 
 def _matrix_text(rows):
-    """rows (non-empty lists of floats) as json.dumps(indent=2) lays out
-    a list of lists one level below the top; a 0 x 0 projection has no
-    rows."""
-    if not rows:
-        return "[]"
+    """rows, a non-empty list of non-empty lists of floats, as
+    json.dumps(indent=2) lays out a list of lists one level below the
+    top."""
     return "[\n    " + ",\n    ".join(
         "[\n      " + ",\n      ".join(map(repr, row)) + "\n    ]"
         for row in rows) + "\n  ]"
@@ -225,8 +223,10 @@ def read_asf_doc(path):
 
 def write_projection_doc(matrix, path):
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DocumentError("projection document needs a square matrix")
+    # a 0 x 0 matrix would be a "dim": 0 document, which no reader takes
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DocumentError(
+            "projection document needs a non-empty square matrix")
     _write_text(_doc_text("projection", int(m.shape[0]), None, m), path)
 
 

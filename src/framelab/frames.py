@@ -62,10 +62,11 @@ class Frame:
 class FrameReport:
     """Certified nearness quantities of a frame.
 
-    eps_parseval is present iff the spectrum of S sits inside (0, 2) around
-    1, i.e. max(1 - a, b - 1) < 1, and a is above PSD_FLOOR (a numerically
-    singular S has none); eps_equal_norm is present iff every
-    (n/d)|tau_j|^2 deviates from 1 by less than 1.
+    eps_parseval is present iff the spectrum [a, b] of S sits inside
+    (0, 2) around 1, i.e. max(b - 1, 1 - a) < 1, and a is above PSD_FLOOR
+    (a numerically singular S has none); eps_equal_norm is present iff
+    every (n/d)|tau_j|^2 deviates from 1 by less than 1: the rules of
+    enp_certificates, which every Hilbert solver candidate obeys too.
     """
 
     frame_bounds: tuple[float, float]
@@ -92,22 +93,28 @@ def frame_operator(frame):
     return s
 
 
-def enp_defects(lam, norms_sq):
-    """Parseval and equal-norm deviations of n vectors in R^d, given the
-    ascending eigenvalues lam of their frame operator and their squared
-    norms: max(1 - lam_min, lam_max - 1) and max_j |(n/d)|v_j|^2 - 1|.
-    It runs several times per corpus record, so it calls the array
-    methods, not numpy's wrapper functions."""
+def enp_certificates(lam, norms_sq):
+    """The Parseval and equal-norm certificates of n vectors in R^d, given
+    the ascending eigenvalues lam of their frame operator and their
+    squared norms, each None where FrameReport's rules say it is absent:
+    eps_parseval = max(lam_max - 1, 1 - lam_min) when below 1 and
+    lam_min > PSD_FLOOR, eps_equal_norm = max_j |(n/d)|v_j|^2 - 1| when
+    below 1. A NaN leaves its certificate absent: a NaN lam_min fails the
+    floor, and max keeps a NaN lam_max - 1 because it comes first. This is
+    the one place the presence rules are tested. It runs several times per
+    corpus record, so it calls the array methods, not numpy's wrapper
+    functions."""
     n, d = norms_sq.size, lam.size
-    dev_p = max(1.0 - float(lam[0]), float(lam[-1]) - 1.0)
+    dev_p = max(float(lam[-1]) - 1.0, 1.0 - float(lam[0]))
     dev_e = float(np.abs((n / d) * norms_sq - 1.0).max())
-    return dev_p, dev_e
+    return (dev_p if dev_p < 1.0 and lam[0] > PSD_FLOOR else None,
+            dev_e if dev_e < 1.0 else None)
 
 
 @dataclass(frozen=True)
 class FrameCertificate:
     """The frame operator S, its sym_eig, the squared vector norms, and
-    the two certificates, present by FrameReport's rules."""
+    the two certificates, as enp_certificates gives them."""
 
     operator: np.ndarray
     decomposition: SpectralDecomposition
@@ -118,19 +125,16 @@ class FrameCertificate:
 
 def frame_certificate(frame):
     """The certificate kernel: S = V^T V (frame_operator, with its
-    overflow error), one sym_eig of S, and enp_defects. The instance
+    overflow error), one sym_eig of S, and enp_certificates. The instance
     generator hands the certificate of its accepted draw to the Hilbert
     solver, which would otherwise compute it again."""
     v = frame.vectors
     s = frame_operator(frame)
     dec = sym_eig(s)
-    lam = dec.eigenvalues
     norms_sq = (v * v).sum(axis=1)
-    dev_p, dev_e = enp_defects(lam, norms_sq)
-    return FrameCertificate(
-        operator=s, decomposition=dec, norms_sq=norms_sq,
-        eps_parseval=dev_p if dev_p < 1.0 and lam[0] > PSD_FLOOR else None,
-        eps_equal_norm=dev_e if dev_e < 1.0 else None)
+    eps_p, eps_en = enp_certificates(dec.eigenvalues, norms_sq)
+    return FrameCertificate(operator=s, decomposition=dec, norms_sq=norms_sq,
+                            eps_parseval=eps_p, eps_equal_norm=eps_en)
 
 
 def analyze_frame(frame):

@@ -19,10 +19,13 @@ the Lagrangian convex, else the nearest of it and the polishes of seeded
 restarts, or no point when no polish certifies. One kernel,
 _lagrangian_gaps, certifies and proves every candidate: each polish
 under Newton's final multipliers, and the harmonic base under
-least-squares ones when no polish certifies. The polish runs over a
-stack of same-shape inputs and gives each item the bits of that item
-polished alone: estimate_paulsen polishes all trials of a grid spec as
-one stack, and a solve its restarts. A perturbed_enp instance is
+least-squares ones when no polish certifies. This module only composes
+the acceptance rules: frames.enp_certificates says when a certificate
+exists, spectral.inv_sqrt_from_eig when a frame operator is singular,
+and _within compares certificates with a tolerance. The polish runs
+over a stack of same-shape inputs and gives each item the bits of that
+item polished alone: estimate_paulsen polishes all trials of a grid
+spec as one stack, and a solve its restarts. A perturbed_enp instance is
 certified once: the FrameCertificate that accepted the generator's draw
 travels in its bundle to the solver, which certifies only the frames it
 makes itself. The Banach search is a penalized local search by
@@ -62,18 +65,13 @@ from .frames import (
     Frame,
     FrameCertificate,
     analyze_frame,
-    enp_defects,
+    enp_certificates,
     frame_certificate,
     frame_dist,
     generate,
     rescale_rows,
 )
-from .spectral import (
-    PSD_FLOOR,
-    ball_displacements,
-    inv_sqrt_from_eig,
-    sym_eig,
-)
+from .spectral import ball_displacements, inv_sqrt_from_eig, sym_eig
 
 HILBERT_KINDS = ("perturbed_enp", "scaled_enp")
 ASF_KINDS = ("perturbed_asf",)
@@ -179,11 +177,13 @@ class InstanceBundle:
     certificate: FrameCertificate | None = None
 
 
-def _within(rep, eps):
-    """Whether both certificates are present and <= eps: the retune
-    acceptance rule, and the Hilbert solver's test of a whole frame."""
-    return (rep.eps_parseval is not None and rep.eps_parseval <= eps
-            and rep.eps_equal_norm is not None and rep.eps_equal_norm <= eps)
+def _within(certs, eps):
+    """Whether both certificates of the pair (eps_parseval,
+    eps_equal_norm) are present and <= eps: the retune acceptance rule,
+    and the Hilbert solver's one test of a frame or candidate at tol."""
+    eps_p, eps_en = certs
+    return (eps_p is not None and eps_p <= eps
+            and eps_en is not None and eps_en <= eps)
 
 
 def _bundle(spec, inst, base_dist_sq, rep):
@@ -216,7 +216,7 @@ def _gen_perturbed_enp(spec):
     for _ in range(MAX_RETUNES):
         inst = Frame(base.vectors + disp)
         cert = frame_certificate(inst)
-        if _within(cert, eps):
+        if _within((cert.eps_parseval, cert.eps_equal_norm), eps):
             return _bundle(spec, inst, frame_dist(inst, base) ** 2, cert)
         disp = 0.5 * disp
     raise Infeasible(
@@ -267,7 +267,7 @@ def _gen_perturbed_asf(spec):
             rep = analyze_asf(inst, tol=CHAIN_TOL)
             if not rep.spectrum_real:
                 break
-            if _within(rep, eps):
+            if _within((rep.eps_parseval, rep.eps_equal_norm), eps):
                 return _bundle(spec, inst, asf_dist(inst, base) ** 2, rep)
             disp, rho = 0.5 * disp, 0.5 * rho
     raise Infeasible(
@@ -359,9 +359,10 @@ def _lambda_mu(mult, n, d):
 
 def _lagrangian_gaps(v0, w, mult, r, c, tol):
     """The certificate of a stack of candidate ENP frames w for the
-    inputs v0, one entry per item: None unless w holds both certificates
-    at tol and is stationary, else a gap such that every ENP frame W has
-    |W - V0|^2 >= |w - v0|^2 - gap.
+    inputs v0, one entry per item: None unless the item is stationary and
+    _within holds at tol on its enp_certificates (frame_certificate's
+    rule, on numpy's eigvalsh spectrum), else a gap such that every ENP
+    frame W has |W - V0|^2 >= |w - v0|^2 - gap.
 
     r and c are _residual's at (w, mult), which the polish has at hand.
     mult may be any multipliers: the bound holds for each. The
@@ -392,8 +393,7 @@ def _lagrangian_gaps(v0, w, mult, r, c, tol):
     for eig, norms_sq, st, mg, mc, rr in zip(
             spectra[:b], np.sum(w * w, axis=2), stationary, margin,
             _dots(mult, c), r_sq):
-        eps_p, dev_en = enp_defects(eig, norms_sq)
-        if not (eps_p <= tol and dev_en <= tol and st):
+        if not (st and _within(enp_certificates(eig, norms_sq), tol)):
             gaps.append(None)
         else:
             gaps.append(math.inf if mg <= 0.0
@@ -491,9 +491,8 @@ def _kkt_polish(v0, v, tol):
 
 def _alternating_round(v, dec):
     """The closest Parseval map, then the closest equal-norm map, from v
-    and the sym_eig of its frame operator; None if that is singular."""
-    if dec.eigenvalues[0] <= PSD_FLOOR:
-        return None
+    and the sym_eig of its frame operator; inv_sqrt_from_eig raises
+    SingularOperator, naming the eigenvalue, if that is singular."""
     w = v @ inv_sqrt_from_eig(dec.eigenvalues, dec.eigenvectors)
     return rescale_rows(w, math.sqrt(v.shape[1] / len(v)))[0]
 
@@ -503,20 +502,19 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     n = d, else Newton polishes from the input and from seeded restarts.
 
     With tol = default_certify_tol() (FRAMELAB_TOL), a frame is certified
-    when _within(frame_certificate(frame), tol), and a polish when
-    _lagrangian_gaps gives it a gap under Newton's final multipliers
-    (both certificates at tol, and stationary). In order:
+    when _within holds at tol on its frame_certificate's pair, and a
+    polish when _lagrangian_gaps gives it a gap under Newton's final
+    multipliers (the same rule, and stationary). In order:
     1. a certified input comes back unchanged;
     2. at n = d, where the ENP set is O(d), one alternating round gives
-       the polar factor, the global nearest (Fan-Hoffman); it raises
-       SingularOperator at a singular frame operator;
+       the polar factor, the global nearest (Fan-Hoffman); at a singular
+       frame operator inv_sqrt_from_eig's SingularOperator propagates;
     3. at n > d, the input's polish comes back if its gap is within the
        slack 2 sqrt(dist_sq d) tol, which proves it globally nearest;
     4. otherwise RESTARTS starts v0 + RESTART_KICK sqrt(d/n) G, G from
        default_rng(0) and each pushed by RESTART_ROUNDS alternating rounds
-       (dropped if its frame operator turns singular), polish as one
-       stack; the nearest certified polish, the input's too, comes back,
-       proved or not.
+       (dropped on SingularOperator), polish as one stack; the nearest
+       certified polish, the input's too, comes back, proved or not.
 
     Returns (frame, dist_sq, rounds), the frame certified at tol and
     rounds counting every alternating round run: 0 at exits 1 and 3, 1 at
@@ -540,15 +538,13 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
 
     if certificate is None:
         certificate = frame_certificate(frame)
-    if _within(certificate, tol):
+    if _within((certificate.eps_parseval, certificate.eps_equal_norm), tol):
         return frame, 0.0, 0
     if n == d:
-        v = _alternating_round(v0, certificate.decomposition)
-        if v is None:
-            raise SingularOperator("frame operator is singular")
-        out = Frame(v)
-        if _within(frame_certificate(out), tol):
-            return out, dist_sq(v), 1
+        out = Frame(_alternating_round(v0, certificate.decomposition))
+        cert = frame_certificate(out)
+        if _within((cert.eps_parseval, cert.eps_equal_norm), tol):
+            return out, dist_sq(out.vectors), 1
         return None, None, 1
     if polished is None:
         polished = _kkt_polish(v0[None], v0[None], tol)[0]
@@ -559,13 +555,13 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     kicks = np.random.default_rng(0).standard_normal((RESTARTS, n, d))
     starts, rounds = [], 0
     for start in v0 + RESTART_KICK * math.sqrt(d / n) * kicks:
-        for _ in range(RESTART_ROUNDS):
-            start = _alternating_round(start, sym_eig(start.T @ start))
-            if start is None:
-                break
-            rounds += 1
-        else:
-            starts.append(start)
+        try:
+            for _ in range(RESTART_ROUNDS):
+                start = _alternating_round(start, sym_eig(start.T @ start))
+                rounds += 1
+        except SingularOperator:
+            continue  # the start is dropped
+        starts.append(start)
     if starts:
         starts = _kkt_polish(np.broadcast_to(v0, (len(starts), n, d)),
                              np.stack(starts), tol)

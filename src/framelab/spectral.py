@@ -89,23 +89,22 @@ def sym_eig(a):
 
 
 def inv_sqrt_psd(a):
-    """Inverse square root of a symmetric positive definite matrix.
-
-    Raises SingularOperator when the smallest eigenvalue is at or below
-    PSD_FLOOR: the operator is numerically not invertible.
-    """
+    """Inverse square root of a symmetric positive definite matrix:
+    inv_sqrt_from_eig of its sym_eig, with that function's
+    SingularOperator."""
     dec = sym_eig(a)
-    lam = dec.eigenvalues
+    return inv_sqrt_from_eig(dec.eigenvalues, dec.eigenvectors)
+
+
+def inv_sqrt_from_eig(lam, q):
+    """S^{-1/2} from an eigendecomposition of S: ascending eigenvalues lam
+    and orthonormal eigenvector columns q. Raises SingularOperator, naming
+    lam[0], when that smallest eigenvalue is at or below PSD_FLOOR: S is
+    numerically not invertible. This is the one singular-operator test."""
     if lam[0] <= PSD_FLOOR:
         raise SingularOperator(
             f"smallest eigenvalue {lam[0]:.3e} is at or below floor "
             f"{PSD_FLOOR:g}")
-    return inv_sqrt_from_eig(lam, dec.eigenvectors)
-
-
-def inv_sqrt_from_eig(lam, q):
-    """S^{-1/2} from an eigendecomposition of S: positive eigenvalues lam
-    and orthonormal eigenvector columns q."""
     return (q * lam ** -0.5) @ q.T
 
 

@@ -112,7 +112,7 @@ def _reference_perturbed_enp(spec):
         inst = Frame(base.vectors + ball_displacements(
             np.random.default_rng(spec.seed), spec.n, spec.d, delta))
         rep = analyze_frame(inst)
-        if lab._within(rep, eps):
+        if lab._within((rep.eps_parseval, rep.eps_equal_norm), eps):
             return lab._bundle(spec, inst, frame_dist(inst, base) ** 2, rep)
         delta *= 0.5
     return None
@@ -142,7 +142,7 @@ def _reference_perturbed_asf(spec):
             rep = analyze_asf(inst, tol=lab.CHAIN_TOL)
             if not rep.spectrum_real:
                 break
-            if lab._within(rep, eps):
+            if lab._within((rep.eps_parseval, rep.eps_equal_norm), eps):
                 return lab._bundle(spec, inst, asf_dist(inst, base) ** 2, rep)
             delta *= 0.5
             rho_scale *= 0.5

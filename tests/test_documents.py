@@ -271,6 +271,9 @@ REJECTED = [
                  "non-finite", id="write-inf"),
     pytest.param(write_projection_doc, np.zeros((2, 3)), "square",
                  id="write-not-square"),
+    # a 0 x 0 matrix would write "dim": 0, which every reader refuses
+    pytest.param(write_projection_doc, np.zeros((0, 0)), "non-empty",
+                 id="write-empty"),
 ]
 
 

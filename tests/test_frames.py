@@ -18,6 +18,7 @@ from framelab.frames import (
     analyze_frame,
     closest_equal_norm,
     closest_parseval,
+    enp_certificates,
     frame_certificate,
     frame_dist,
     frame_operator,
@@ -129,6 +130,32 @@ class TestAnalyzeFrame:
         assert cert.eps_parseval is None and cert.eps_equal_norm is None
         cert = frame_certificate(Frame(np.eye(3)))
         assert cert.eps_parseval == 0.0 and cert.eps_equal_norm == 0.0
+
+    @pytest.mark.parametrize("lam, norms_sq, want", [
+        # lambda_min at the floor: no Parseval certificate; just above it,
+        # one of 1 - lambda_min
+        ([PSD_FLOOR, 1.0], [1.0, 1.0], (None, 0.0)),
+        ([np.nextafter(PSD_FLOOR, 1.0), 1.0], [1.0, 1.0],
+         (1.0 - np.nextafter(PSD_FLOOR, 1.0), 0.0)),
+        # a defect of exactly 1 is absent, one an ulp below present
+        ([1.0, 2.0], [1.0, 1.0], (None, 0.0)),
+        ([1.0, np.nextafter(2.0, 0.0)], [1.0, 1.0],
+         (np.nextafter(2.0, 0.0) - 1.0, 0.0)),
+        ([0.5, 1.5], [2.0, 1.0], (0.5, None)),
+        ([0.5, 1.5], [0.0, 1.0], (0.5, None)),
+        ([0.5, 1.5], [np.nextafter(2.0, 0.0), 1.0],
+         (0.5, np.nextafter(2.0, 0.0) - 1.0)),
+        # a NaN, in either eigenvalue or in a norm, leaves its certificate
+        # absent
+        ([np.nan, np.nan], [1.0, 1.0], (None, 0.0)),
+        ([np.nan, 1.0], [1.0, 1.0], (None, 0.0)),
+        ([0.5, np.nan], [1.0, 1.0], (None, 0.0)),
+        ([0.5, 1.5], [np.nan, 1.0], (0.5, None)),
+    ])
+    def test_enp_certificates_boundaries(self, lam, norms_sq, want):
+        got = enp_certificates(np.array(lam), np.array(norms_sq))
+        assert got == want
+        assert all(x is None or type(x) is float for x in got)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 5),

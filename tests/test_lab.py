@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from framelab import frames, lab
+from framelab import frames, lab, spectral
 from framelab.asf import PNormSpace, analyze_asf, dual_exponent, generate_asf
 from framelab.documents import SWEEP_COLUMNS
 from framelab.errors import (
@@ -353,7 +353,7 @@ class TestAlternating:
     def test_singular_square_input(self):
         # n = d goes straight to the alternating rounds, whose first
         # Parseval map needs an invertible frame operator
-        with pytest.raises(SingularOperator):
+        with pytest.raises(SingularOperator, match="smallest eigenvalue"):
             nearest_enp_alternating(Frame(np.array([[1.0, 0.0],
                                                     [1.0, 0.0]])))
 
@@ -421,8 +421,10 @@ class TestAlternating:
 
     def test_singular_restarts_are_dropped(self, monkeypatch):
         # every kicked start counts as singular, so no restart is polished
-        # and the input's polish, though not proved global, comes back
-        monkeypatch.setattr(lab, "PSD_FLOOR", 10.0)
+        # and the input's polish, though not proved global, comes back;
+        # the floor lives in spectral, whose inv_sqrt_from_eig raises on it
+        # (frames imported its own binding, so certificates are unchanged)
+        monkeypatch.setattr(spectral, "PSD_FLOOR", 10.0)
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=4,
                             epsilon_target=0.1, seed=4)
         v0 = generate_instance(spec).instance.vectors
@@ -620,6 +622,59 @@ class TestLagrangianGaps:
             assert type(gap) is float
             ds = float(np.sum((w - v0) ** 2))
             assert ds - gap <= oracle(v0[0]) + rounding
+
+    def test_no_certificate_below_the_floor(self):
+        # three nearly collinear vectors of norm^2 d/n: lambda_min is about
+        # 5e-13, at or below PSD_FLOOR, so there is no Parseval certificate
+        # even where both defects (1 - 5e-13 and about 0) are within tol
+        t = np.array([6.1e-7, 0.0, -6.1e-7])
+        w = math.sqrt(2.0 / 3.0) * np.stack([np.cos(t), np.sin(t)], axis=1)
+        assert frame_certificate(Frame(w)).eps_parseval is None
+        w = w[None]
+        k = _polish_layout(3, 2)[0].size + 2
+        gaps = lab._lagrangian_gaps(w, w, np.zeros((1, k)), np.zeros((1, 6)),
+                                    np.zeros((1, k)), 1.0 - 1e-13)
+        assert gaps == [None]
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(1, 2), (2, 3), (2, 4), (3, 5), (4, 7)]),
+           scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-5, 1e-2, 0.3]),
+                           min_size=1, max_size=5),
+           tol=st.sampled_from([1e-12, 1e-8, 1e-4, 0.1, 1.0 - 1e-13]),
+           seed=st.integers(0, 10**6))
+    def test_verdict_is_the_frame_rule(self, shape, scales, tol, seed):
+        # a stacked item gets a gap exactly when it is stationary and
+        # _within holds on its frame_certificate: one rule for both. Items
+        # whose defects lie within 1e-12 of tol are skipped, where the
+        # kernel's eigvalsh and sym_eig may round to different sides
+        d, n = shape
+        rng = np.random.default_rng(seed)
+        b = len(scales)
+        base = lab._harmonic_base(d, n).vectors
+        w = base + np.array(scales)[:, None, None] * rng.standard_normal(
+            (b, n, d))
+        k = _polish_layout(n, d)[0].size + n - 1
+        mult = 0.1 * rng.uniform(-1.0, 1.0, (b, k))
+        # v0 makes w stationary under mult, up to a kick on odd items
+        a = lab._residual(w, w, mult)[2]
+        kick = 1e-6 * (np.arange(b) % 2)[:, None, None]
+        v0 = (w - (a @ mult[:, :, None]).reshape(w.shape)
+              - kick * rng.standard_normal(w.shape))
+        r, c, _, _ = lab._residual(v0, w, mult)
+        gaps = lab._lagrangian_gaps(v0, w, mult, r, c, tol)
+        for i in range(b):
+            cert = frame_certificate(Frame(w[i]))
+            lam = cert.decomposition.eigenvalues
+            defects = (max(lam[-1] - 1.0, 1.0 - lam[0]),
+                       float(np.max(np.abs((n / d) * cert.norms_sq - 1.0))))
+            if any(abs(x - tol) <= 1e-12 for x in defects):
+                continue
+            diff = (w[i] - v0[i]).ravel()
+            stationary = np.linalg.norm(r[i]) <= \
+                lab.STATIONARY_TOL * np.linalg.norm(diff)
+            want = stationary and lab._within(
+                (cert.eps_parseval, cert.eps_equal_norm), tol)
+            assert (gaps[i] is not None) == want
 
 
 def _normal_space_residual(v0, v):

@@ -15,6 +15,7 @@ from framelab.spectral import (
     diagonal_shift_norm,
     frobenius_norm,
     general_spectrum,
+    inv_sqrt_from_eig,
     inv_sqrt_psd,
     pnorm,
     sym_eig,
@@ -124,6 +125,16 @@ class TestInvSqrtPsd:
     def test_singular_raises(self):
         with pytest.raises(SingularOperator):
             inv_sqrt_psd(np.diag([1.0, 0.0]))
+
+    def test_floor_is_inv_sqrt_from_eigs(self):
+        # at PSD_FLOOR the operator is singular, and the message names
+        # the eigenvalue; one ulp above it the inverse root comes back
+        q = np.eye(2)
+        with pytest.raises(SingularOperator, match=r"1\.000e-12"):
+            inv_sqrt_from_eig(np.array([spectral.PSD_FLOOR, 1.0]), q)
+        lam = np.array([np.nextafter(spectral.PSD_FLOOR, 1.0), 1.0])
+        out = inv_sqrt_from_eig(lam, q)
+        assert np.array_equal(out, np.diag(lam ** -0.5))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 8))
