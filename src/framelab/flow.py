@@ -70,8 +70,10 @@ class FlowTrace:
 
     Entry k of each list belongs to iterate k, for k = 0 .. final_index:
     the unit-tightness defect |S - (n/d) I|_F, the frame potential
-    tr(S^2) and the largest |omega_j|. termination is "converged" or
-    "max_iters", and displacement_hs is |S_end - S_0|_F.
+    tr(S^2) and the largest |omega_j|. termination is "converged" when
+    the defect reached stop_defect, else "stalled" when every |omega_j|
+    is at or below ZERO_THRESHOLD, so that no step can move a row, else
+    "max_iters". displacement_hs is |S_end - S_0|_F.
     """
 
     unit_defect_hs: list[float]
@@ -134,11 +136,11 @@ def flow_step(frame, config):
 
 
 def run_flow(frame, config):
-    """Iterate flow_step until the unit-tightness defect reaches stop_defect
-    or max_iters steps have been taken. Returns the final frame and its
-    FlowTrace, which records every visited iterate (the initial frame
-    included). Raises NotUnitNorm when the rows of the final frame drift
-    from unit norm by more than UNIT_TOL."""
+    """Iterate flow_step until the unit-tightness defect reaches stop_defect,
+    no row can move any more or max_iters steps have been taken. Returns
+    the final frame and its FlowTrace, which records every visited
+    iterate (the initial frame included). Raises NotUnitNorm when the
+    rows of the final frame drift from unit norm by more than UNIT_TOL."""
     _check_step(config, frame.n)
     _require_unit(frame)
     n, d = frame.n, frame.dim
@@ -157,10 +159,14 @@ def run_flow(frame, config):
 
         defects.append(defect)
         potentials.append(float(np.add.reduce(s * s, axis=None)))
-        tangents.append(float(wn.max()))
+        max_tangent = float(wn.max())
+        tangents.append(max_tangent)
 
         if defect <= config.stop_defect:
             termination = "converged"
+            break
+        if max_tangent <= ZERO_THRESHOLD:
+            termination = "stalled"
             break
         if k >= config.max_iters:
             termination = "max_iters"

@@ -32,8 +32,8 @@ makes itself. The Banach search is a penalized local search by
 L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
 its first certified penalty round (later rounds only trade distance for
 feasibility); it certifies to the residual it is given. scipy.optimize
-loads on the first Banach search, so the Hilbert, flow and check commands
-start without it.
+loads on the first Banach search, and it is the only scipy module that
+framelab loads: the Hilbert, flow and check commands run without scipy.
 """
 
 import functools

@@ -6,14 +6,13 @@ square-matrix guard, the Frobenius and row-wise norms and the p-ball
 sampler live here too, where every other module can import them: this
 module imports only errors, and asf imports only errors and this module,
 so frames and asf share these kernels without either importing the other.
+Every kernel here runs on numpy alone: no scipy module loads with it.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import AsymmetricInput, ShapeMismatch, SingularOperator
 
@@ -48,25 +47,14 @@ def square_matrix(a):
     return a, norm
 
 
-@functools.lru_cache(maxsize=None)
-def _syevr_work(n):
-    """dsyevr's optimal (lwork, liwork) for an n x n matrix, the sizes
-    scipy.linalg.eigh queries on every call. dsyevr's own default sizes
-    would switch its tridiagonal reduction to the unblocked kernel above
-    n = 32 and change the bits there."""
-    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
-    return int(lwork), int(liwork)
-
-
 def sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     The input may deviate from exact symmetry by SYM_TOL (relative); it is
     symmetrized before factorization so the decomposition is exact for
-    (A + A^T)/2. LAPACK's dsyevr, the routine scipy.linalg.eigh picks by
-    default, is called directly with eigh's workspace sizes, which gives
-    eigh's bits without its Python wrapper; non-convergence raises
-    np.linalg.LinAlgError, as eigh does.
+    (A + A^T)/2. numpy's eigh factors it, and raises
+    np.linalg.LinAlgError if it does not converge; a stacked eigh of
+    several such matrices gives each the bits of its own call.
     """
     a, norm = square_matrix(a)
     scale = max(1.0, norm)
@@ -75,16 +63,7 @@ def sym_eig(a):
         raise AsymmetricInput(
             f"asymmetry {asymmetry:.3e} exceeds tol {SYM_TOL:g}"
             f" (relative to {scale:.3g})")
-    sym = 0.5 * (a + a.T)
-    n = sym.shape[0]
-    if n == 0:  # dsyevr rejects n = 0
-        return SpectralDecomposition(eigenvalues=np.zeros(0),
-                                     eigenvectors=np.zeros((0, 0)))
-    lwork, liwork = _syevr_work(n)
-    lam, q, _, _, info = lapack.dsyevr(sym, compute_v=1, range="A", lower=1,
-                                       lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
+    lam, q = np.linalg.eigh(0.5 * (a + a.T))
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
 
 

@@ -563,19 +563,22 @@ class TestEstimate:
             (tmp_path / "a.csv").read_bytes()
 
 
-# run in a fresh process: pytest and test_lab import scipy.optimize here
+# run in a fresh process: pytest and test_lab import scipy here
 FOOTPRINT_SCRIPT = """
 import contextlib, io, json, sys
 import framelab.cli
 def loaded():
-    return "scipy.optimize" in sys.modules
+    return {"scipy": sorted(m for m in sys.modules
+                            if m.partition(".")[0] == "scipy"),
+            "optimize": "scipy.optimize" in sys.modules}
 steps = [loaded()]
 doc, out = sys.argv[1], sys.argv[2]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [framelab.cli.run_cli(args) for args in [
         ["estimate", "--d", "2", "3", "--n", "3", "4", "--eps", "0.05",
          "--trials", "2", "--seed", "977", "--out", out],
-        ["flow", doc, "--t", "0.05", "--renorm-every", "25"]]]
+        ["flow", doc, "--t", "0.05", "--renorm-every", "25"],
+        ["check", doc]]]
     steps.append(loaded())
     codes.append(framelab.cli.run_cli(
         ["estimate", "--kind", "perturbed_asf", "--d", "2", "--n", "2",
@@ -597,10 +600,13 @@ class TestImportFootprint:
                           str(tmp_path / "x.csv"))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["codes"] == [0, 0, 0]
-        # absent after the import, after a Hilbert grid and a flow run;
-        # present after a perturbed_asf estimate
-        assert result["loaded"] == [False, False, True]
+        assert result["codes"] == [0, 0, 0, 0]
+        # no scipy module after the import, nor after a Hilbert grid, a
+        # flow run and a check, whose certificate runs sym_eig; a
+        # perturbed_asf estimate loads scipy.optimize
+        first, hilbert, banach = result["loaded"]
+        assert first == hilbert == {"scipy": [], "optimize": False}
+        assert banach["optimize"]
 
 
 class TestParsing:

@@ -229,6 +229,35 @@ class TestRunFlow:
                 current = flow_step(current, config)
         assert final.vectors.tobytes() == current.vectors.tobytes()
 
+    @pytest.mark.parametrize("v", [
+        [[1.0, 0.0], [1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    ])
+    def test_stalled_family_stops_at_once(self, v):
+        # every omega_j is zero, so no step can move a row: the run stops
+        # at the initial frame instead of taking max_iters idle steps
+        frame = Frame(np.array(v))
+        final, trace = run_flow(frame, FlowConfig(step_t=0.01))
+        assert trace.termination == "stalled"
+        assert trace.final_index == 0
+        assert trace.max_tangent_norm == [0.0]
+        assert final.vectors.tobytes() == frame.vectors.tobytes()
+
+    def test_converged_takes_precedence_over_stalled(self, mb):
+        _, trace = run_flow(mb, FlowConfig(step_t=0.05, stop_defect=1e-8))
+        assert trace.max_tangent_norm[0] <= ZERO_THRESHOLD
+        assert trace.termination == "converged"
+
+    def test_kicked_harmonic_frame_never_stalls(self):
+        # near a tight frame every |omega_j| is small but above
+        # ZERO_THRESHOLD, so the run goes on until it converges
+        frame = perturbed_unit_frame(3, 7, seed=11)
+        _, trace = run_flow(frame, FlowConfig(
+            step_t=1.0 / 28.0, stop_defect=1e-9, renorm_every=25))
+        assert trace.termination == "converged"
+        assert trace.final_index > 0
+        assert min(trace.max_tangent_norm) > ZERO_THRESHOLD
+
     def test_unmaintained_long_run_raises_on_drift(self):
         # radial rounding noise grows multiplicatively without maintenance;
         # the run must fail loudly instead of returning a non-unit family
