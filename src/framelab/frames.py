@@ -161,10 +161,12 @@ def frame_dist(a, b):
 
 
 def closest_parseval(frame):
-    """Nearest Parseval frame S^{-1/2} tau_j and its squared distance."""
+    """Nearest Parseval frame S^{-1/2} tau_j and its squared distance,
+    inf once that overflows, from entries near 1e154."""
     v = frame.vectors
     w = v @ inv_sqrt_psd(frame_operator(frame))
-    dist_sq = float(np.sum((w - v) ** 2))
+    with np.errstate(over="ignore"):  # the overflow is the documented inf
+        dist_sq = float(np.sum((w - v) ** 2))
     return Frame(w), dist_sq
 
 

@@ -25,7 +25,12 @@ exists, spectral.inv_sqrt_from_eig when a frame operator is singular,
 and _within compares certificates with a tolerance. The polish runs
 over a stack of same-shape inputs and gives each item the bits of that
 item polished alone: estimate_paulsen polishes all trials of a grid
-spec as one stack, and a solve its restarts. A perturbed_enp instance is
+spec as one stack, and a solve its restarts. Its Newton step
+(_kkt_step) solves the k x k Schur complement of the block-diagonal
+Hessian, k = d(d+1)/2 + n - 1, after one d x d eigh of the Parseval
+multipliers: O(n d k^2 + k^3) per item, not the O((nd + k)^3) of a
+dense KKT solve. An item whose Hessian has a pivot at or below
+spectral.PSD_FLOOR stops polishing. A perturbed_enp instance is
 certified once: the FrameCertificate that accepted the generator's draw
 travels in its bundle to the solver, which certifies only the frames it
 makes itself. The Banach search is a penalized local search by
@@ -71,7 +76,12 @@ from .frames import (
     generate,
     rescale_rows,
 )
-from .spectral import ball_displacements, inv_sqrt_from_eig, sym_eig
+from .spectral import (
+    PSD_FLOOR,
+    ball_displacements,
+    inv_sqrt_from_eig,
+    sym_eig,
+)
 
 HILBERT_KINDS = ("perturbed_enp", "scaled_enp")
 ASF_KINDS = ("perturbed_asf",)
@@ -284,22 +294,21 @@ def generate_instance(spec):
 
 @functools.lru_cache(maxsize=None)
 def _polish_layout(n, d):
-    """Index layout of _kkt_polish's KKT system for n vectors in R^d,
-    built once per shape. Returns (half, upper, lower, block, a_dst,
-    a_src), all read-only:
+    """Index layout of _kkt_polish's constraints for n vectors in R^d,
+    built once per shape. Returns (half, upper, sym, a_dst, a_src), all
+    read-only:
     - half: the weights of the m Parseval constraints, one per entry of
       the upper triangle of a d x d matrix in np.triu_indices order (1/2
       on the diagonal);
-    - upper, lower: the flat positions of those entries, and of their
-      transposes, in a d x d matrix;
-    - block: the flat positions, in the (nd + k) x (nd + k) KKT matrix, of
-      the n diagonal d x d blocks of the Hessian, block after block;
+    - upper: the flat positions of those entries in a d x d matrix;
+    - sym: for each flat position of a d x d matrix, the constraint of its
+      entry or of its transpose's, so mult.take(sym) is Lambda;
     - a_dst, a_src: the flat (nd, k) constraint Jacobian holds
       v.ravel()[a_src] at a_dst and zeros elsewhere.
     """
     rows, cols = np.triu_indices(d)
     m = rows.size
-    nd, k = n * d, m + n - 1
+    k = m + n - 1
     col = np.arange(m)
     en = np.arange(n - 1)  # the rows with an equal-norm constraint
     # column i < m of the Jacobian is the gradient V E_i: v[:, rows[i]] in
@@ -307,16 +316,15 @@ def _polish_layout(n, d):
     # rows[i] (the second wins on the diagonal, where both are equal);
     # column m + j is e_j v_j^T
     src = np.full((n, d, k), -1)
-    vi = np.arange(nd).reshape(n, d)
+    vi = np.arange(n * d).reshape(n, d)
     src[:, cols, col] = vi[:, rows]
     src[:, rows, col] = vi[:, cols]
     src[en, :, m + en] = vi[:-1]
     a_dst = np.flatnonzero(src >= 0)
-    # the blocks off the diagonal are zero and stay so in the KKT matrix
-    block = np.arange(nd).reshape(n, d)
-    block = block[:, :, None] * (nd + k) + block[:, None, :]
-    layout = (np.where(rows == cols, 0.5, 1.0), rows * d + cols,
-              cols * d + rows, block.ravel(), a_dst, src.ravel()[a_dst])
+    sym = np.empty(d * d, dtype=np.intp)
+    sym[rows * d + cols] = sym[cols * d + rows] = col
+    layout = (np.where(rows == cols, 0.5, 1.0), rows * d + cols, sym,
+              a_dst, src.ravel()[a_dst])
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -333,15 +341,16 @@ def _residual(v0, v, mult):
     constraints c, the Jacobians A (one flat scatter from v) and the KKT
     norms |(r, c)| of a stack of points v with multipliers mult."""
     b, n, d = v.shape
-    half, upper, _, _, a_dst, a_src = _polish_layout(n, d)
+    half, upper, _, a_dst, a_src = _polish_layout(n, d)
     k = mult.shape[1]
     a = np.zeros((b, n * d * k))
-    a[:, a_dst] = v.reshape(b, n * d)[:, a_src]
+    a[:, a_dst] = v.reshape(b, n * d).take(a_src, axis=1)
     a = a.reshape(b, n * d, k)
-    gram = (v.transpose(0, 2, 1) @ v - np.eye(d)).reshape(b, d * d)
-    c = np.concatenate([half * gram[:, upper],
-                        0.5 * (np.sum(v[:, :-1] ** 2, axis=2) - d / n)],
-                       axis=1)
+    gram = (v.transpose(0, 2, 1) @ v).reshape(b, d * d)
+    gram[:, :: d + 1] -= 1.0  # minus I in place
+    c = np.concatenate(
+        [half * gram.take(upper, axis=1),
+         0.5 * (np.add.reduce(v[:, :-1] ** 2, axis=2) - d / n)], axis=1)
     r = (v - v0).reshape(b, n * d) - (a @ mult[:, :, None])[:, :, 0]
     return r, c, a, np.sqrt(_dots(r, r) + _dots(c, c))
 
@@ -349,12 +358,10 @@ def _residual(v0, v, mult):
 def _lambda_mu(mult, n, d):
     """Each item's symmetric Lambda of Parseval multipliers, and its
     equal-norm multipliers mu with 0 for the dropped constraint."""
-    half, upper, lower = _polish_layout(n, d)[:3]
-    lam = np.empty((len(mult), d * d))
-    lam[:, upper] = lam[:, lower] = mult[:, :half.size]
-    mu = np.concatenate([mult[:, half.size:], np.zeros((len(mult), 1))],
-                        axis=1)
-    return lam.reshape(-1, d, d), mu
+    half, _, sym = _polish_layout(n, d)[:3]
+    mu = np.zeros((len(mult), n))
+    mu[:, :-1] = mult[:, half.size:]
+    return mult.take(sym, axis=1).reshape(-1, d, d), mu
 
 
 def _lagrangian_gaps(v0, w, mult, r, c, tol):
@@ -401,6 +408,56 @@ def _lagrangian_gaps(v0, w, mult, r, c, tol):
     return gaps
 
 
+def _kkt_step(r, c, a, mult, n, d):
+    """Newton steps of a stack of s KKT systems [H, -A; A^T, 0] (dv,
+    dmult) = -(r, c), through the Schur complement of H. Returns (pos, dv,
+    dmult): pos the ascending positions of the items that have a step,
+    dv (len(pos), n, d) and dmult (len(pos), k) their steps.
+
+    H is block diagonal with blocks H_j = (1 - mu_j) I - Lambda, which
+    share Lambda, so one eigh Lambda = Q diag(w) Q^T inverts them all:
+    H_j^-1 = Q diag(1 / (1 - mu_j - w)) Q^T. Then dmult solves the k x k
+    system (A^T H^-1 A) dmult = A^T H^-1 r - c, and dv = H^-1 (A dmult -
+    r). An item with a pivot |1 - mu_j - w_i| at or below PSD_FLOOR has
+    no step, nor one whose Schur complement is singular. Each stacked
+    call gives each item the bits of its own call.
+    """
+    s, nd, k = a.shape
+    lam, mu = _lambda_mu(mult, n, d)
+    w, q = np.linalg.eigh(lam)
+    # the eigenvalues of H: entry (j, i) is 1 - mu_j - w_i
+    piv = (1.0 - mu)[:, :, None] - w[:, None, :]
+    pos = np.arange(s)
+    if not np.abs(piv).min() > PSD_FLOOR:
+        pos = np.flatnonzero(
+            np.abs(piv).reshape(s, -1).min(axis=1) > PSD_FLOOR)
+        r, c, a, q, piv = r[pos], c[pos], a[pos], q[pos], piv[pos]
+    inv = 1.0 / piv.reshape(-1, nd, 1)
+    # A and r with each vector's d coordinates in the eigenbasis of Lambda
+    a_t = (q.transpose(0, 2, 1)[:, None] @ a.reshape(-1, n, d, k)).reshape(
+        -1, nd, k)
+    r_t = (r.reshape(-1, n, d) @ q).reshape(-1, nd, 1)
+    h_a = inv * a_t  # H^-1 A
+    schur = a_t.transpose(0, 2, 1) @ h_a
+    rhs = h_a.transpose(0, 2, 1) @ r_t - c[:, :, None]
+    try:
+        dmult = np.linalg.solve(schur, rhs)
+    except np.linalg.LinAlgError:
+        # one singular item fails the whole call: solve item by item, and
+        # only the singular items have no step
+        dmult = np.empty_like(rhs)
+        solved = np.ones(pos.size, dtype=bool)
+        for i in range(pos.size):
+            try:
+                dmult[i] = np.linalg.solve(schur[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        pos, a_t, r_t, inv, q, dmult = (
+            x[solved] for x in (pos, a_t, r_t, inv, q, dmult))
+    dv = (inv * (a_t @ dmult - r_t)).reshape(-1, n, d) @ q.transpose(0, 2, 1)
+    return pos, dv, dmult[:, :, 0]
+
+
 def _kkt_polish(v0, v, tol):
     """Newton's method on the KKT system of the nearest-ENP problem, over a
     stack of b same-shape inputs.
@@ -412,25 +469,27 @@ def _kkt_polish(v0, v, tol):
     is dropped because the trace identity implies it, so the KKT matrix is
     invertible at regular points of the ENP set; near its singular points
     it is nearly singular, and a step that multiplies the KKT residual by
-    more than MERIT_GROWTH is halved. An item stops stepping when its KKT
-    matrix is singular, when MAX_HALVINGS halvings do not bring the step
+    more than MERIT_GROWTH is halved. An item stops stepping when _kkt_step
+    gives it no step (a Hessian pivot at or below PSD_FLOOR, or a singular
+    Schur complement), when MAX_HALVINGS halvings do not bring the step
     under that test, or when its residual falls to CONVERGED relative to
     |V - V0|. v0 and v have shape (b, n, d). Returns a list of b entries:
     (V, gap), the item's end point and its _lagrangian_gaps gap under
     Newton's final multipliers, or None where that certificate is None.
 
-    Each step works on the items still stepping as one stack, so an item's
-    result has the bits of that item polished alone: every stacked call
-    (matmul, solve, eigvalsh, row sums) gives each item the bits of its
-    2-D call. The index layout comes from _polish_layout's per-shape
-    cache: the Jacobian is one flat scatter from v, and the Hessian blocks
-    and the multipliers of Lambda are scattered in.
+    A step costs O(n d k^2 + k^3) per item, with k = d(d+1)/2 + n - 1
+    multipliers: one d x d eigh, the k x k Schur complement and its
+    solve, where a dense KKT solve costs O((nd + k)^3). Each step works
+    on the items still stepping as one stack, so an item's result has the
+    bits of that item polished alone: every stacked call (matmul, solve,
+    eigh, eigvalsh, row sums) gives each item the bits of its 2-D call.
+    The index layout comes from _polish_layout's per-shape cache: the
+    Jacobian is one flat scatter from v, and the multipliers of Lambda
+    are scattered in.
     """
     b, n, d = v.shape
-    half, _, _, block, _, _ = _polish_layout(n, d)
-    nd, k = n * d, half.size + n - 1
-    size = nd + k
-    eye_d = np.eye(d)
+    nd = n * d
+    k = _polish_layout(n, d)[0].size + n - 1
 
     v = v.copy()  # accepted steps are written into their rows
     mult = np.zeros((b, k))
@@ -439,36 +498,13 @@ def _kkt_polish(v0, v, tol):
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
-        s = live.size
-        mult_s, a_s = mult[live], a[live]
-        # Hessian of the Lagrangian: block j is (1 - mu_j) I - Lambda
-        lam, mu = _lambda_mu(mult_s, n, d)
-        kkt = np.zeros((s, size * size))
-        kkt[:, block] = ((1.0 - mu)[:, :, None, None] * eye_d
-                         - lam[:, None]).reshape(s, -1)
-        kkt = kkt.reshape(s, size, size)
-        kkt[:, :nd, nd:] = -a_s
-        kkt[:, nd:, :nd] = a_s.transpose(0, 2, 1)
-        rhs = -np.concatenate([r[live], c[live]], axis=1)[:, :, None]
-        try:
-            step = np.linalg.solve(kkt, rhs)[:, :, 0]
-            pos = np.arange(s)
-        except np.linalg.LinAlgError:
-            # one singular item fails the whole call: solve item by item,
-            # and only the singular items stop
-            step = np.empty((s, size))
-            solved = np.ones(s, dtype=bool)
-            for i in range(s):
-                try:
-                    step[i] = np.linalg.solve(kkt[i], rhs[i])[:, 0]
-                except np.linalg.LinAlgError:
-                    solved[i] = False
-            pos = np.flatnonzero(solved)
+        pos, dv, dmult = _kkt_step(r[live], c[live], a[live], mult[live],
+                                   n, d)
+        idx = live[pos]
         stepped = []
         for _ in range(MAX_HALVINGS):
-            idx = live[pos]
-            v_new = v[idx] + step[pos, :nd].reshape(-1, n, d)
-            mult_new = mult[idx] + step[pos, nd:]
+            v_new = v[idx] + dv
+            mult_new = mult[idx] + dmult
             t_r, t_c, t_a, t_f = _residual(v0[idx], v_new, mult_new)
             ok = t_f <= MERIT_GROWTH * f_norm[idx]
             acc = idx[ok]
@@ -476,11 +512,11 @@ def _kkt_polish(v0, v, tol):
             r[acc], c[acc], a[acc] = t_r[ok], t_c[ok], t_a[ok]
             f_norm[acc] = t_f[ok]
             stepped.append(acc)
-            pos = pos[~ok]
-            if not pos.size:
+            fail = ~ok
+            idx, dv, dmult = idx[fail], 0.5 * dv[fail], 0.5 * dmult[fail]
+            if not idx.size:
                 break
-            step[pos] *= 0.5
-        # the items left in pos failed every halving and stop
+        # the items left in idx failed every halving and stop
         stepped = np.concatenate(stepped)
         diff = (v[stepped] - v0[stepped]).reshape(-1, nd)
         live = stepped[f_norm[stepped]

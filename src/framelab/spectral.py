@@ -32,38 +32,43 @@ class SpectralDecomposition:
 
 
 def square_matrix(a):
-    """a as a float matrix and its Frobenius norm; ShapeMismatch, in this
-    order, if a is not 2-D, has a non-finite entry or is not square."""
+    """a as a float matrix and its largest absolute entry; ShapeMismatch,
+    in this order, if a is not 2-D, has a non-finite entry or is not
+    square. The largest entry cannot overflow, and a NaN entry makes it
+    NaN."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim {a.ndim}")
-    norm = frobenius_norm(a)
-    # a finite norm proves every entry finite; only a NaN or overflowed
-    # norm needs the entrywise scan
-    if not norm < math.inf and not np.all(np.isfinite(a)):
+    big = float(np.abs(a).max(initial=0.0))
+    if not big < math.inf:
         raise ShapeMismatch("matrix entries must be finite")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
-    return a, norm
+    return a, big
 
 
 def sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
-    The input may deviate from exact symmetry by SYM_TOL (relative); it is
-    symmetrized before factorization so the decomposition is exact for
-    (A + A^T)/2. numpy's eigh factors it, and raises
-    np.linalg.LinAlgError if it does not converge; a stacked eigh of
-    several such matrices gives each the bits of its own call.
+    An exactly symmetric input is factored as it is. Otherwise the largest
+    entry of its skew part (A - A^T)/2 may reach SYM_TOL times
+    max(1, largest |entry|), and its symmetric part A/2 + A^T/2 is
+    factored; halving first keeps every entry finite. numpy's eigh factors
+    it, and raises np.linalg.LinAlgError if it does not converge; a
+    stacked eigh of several such matrices gives each the bits of its own
+    call.
     """
-    a, norm = square_matrix(a)
-    scale = max(1.0, norm)
-    asymmetry = frobenius_norm(a - a.T)
-    if asymmetry > SYM_TOL * scale:
-        raise AsymmetricInput(
-            f"asymmetry {asymmetry:.3e} exceeds tol {SYM_TOL:g}"
-            f" (relative to {scale:.3g})")
-    lam, q = np.linalg.eigh(0.5 * (a + a.T))
+    a, big = square_matrix(a)
+    if not (a == a.T).all():
+        half = 0.5 * a
+        scale = max(1.0, big)
+        asymmetry = float(np.abs(half - half.T).max())
+        if asymmetry > SYM_TOL * scale:
+            raise AsymmetricInput(
+                f"asymmetry {asymmetry:.3e} exceeds tol {SYM_TOL:g}"
+                f" (relative to {scale:.3g})")
+        a = half + half.T
+    lam, q = np.linalg.eigh(a)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
 
 

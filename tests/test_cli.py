@@ -70,6 +70,24 @@ class TestCheck:
         assert fields[0] == "frame_bounds"
         assert list(json.loads(out)) == [fields[0], "is_frame", *fields[1:]]
 
+    def test_frame_near_the_float_limit(self, tmp_path):
+        # S = diag(1e308, 1e308) is finite: its bounds are printed as
+        # numbers, in strict JSON, and nothing goes to stderr
+        from framelab import Frame
+        path = tmp_path / "f.json"
+        write_frame_doc(Frame(np.array([[1e154, 0.0], [0.0, 1e154],
+                                        [0.0, 0.0]])), path)
+        proc = run_module("check", str(path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the report")
+
+        doc = json.loads(proc.stdout, parse_constant=no_constant)
+        assert doc["frame_bounds"] == [1e308, 1e308]
+        assert doc["is_frame"] is True
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == 1
@@ -148,6 +166,22 @@ class TestNearest:
         proc = run_module(*command, str(path))
         assert proc.returncode == 1
         assert proc.stderr == "error: frame operator S = V^T V overflows\n"
+
+    def test_parseval_near_the_float_limit(self, tmp_path):
+        # S = diag(1e308, 1e308) factors without overflow; only the squared
+        # distance, about 2e308, overflows to inf
+        from framelab import Frame
+        path, out_path = tmp_path / "f.json", tmp_path / "out.json"
+        write_frame_doc(Frame(np.array([[1e154, 0.0], [0.0, 1e154],
+                                        [0.0, 0.0]])), path)
+        proc = run_module("nearest", "parseval", str(path),
+                          "--out", str(out_path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert float(proc.stdout) == math.inf
+        assert np.allclose(read_frame_doc(out_path).vectors,
+                           [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                           rtol=0.0, atol=1e-15)
 
     def test_equalnorm_mean_of_huge_rows(self, tmp_path):
         # the norms sum past the largest float, their mean does not

@@ -75,6 +75,16 @@ class TestOperators:
                 fn(frame)
         assert str(exc.value) == "frame operator S = V^T V overflows"
 
+    def test_operator_near_the_float_limit_is_factored(self):
+        # S = diag(1e308, 1e308) is finite, and so is its factorization:
+        # no overflow, no warning, and no NaN bound
+        frame = Frame(np.array([[1e154, 0.0], [0.0, 1e154], [0.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = frame_certificate(frame)
+        assert np.array_equal(cert.decomposition.eigenvalues, [1e308, 1e308])
+        assert cert.eps_parseval is None and cert.eps_equal_norm is None
+
 
 class TestAnalyzeFrame:
     def test_mb_report(self, mb):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -727,7 +728,7 @@ class TestPolishLayout:
         n = min(d + extra, 10)
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, d))
-        half, upper, lower, block, a_dst, a_src = _polish_layout(n, d)
+        half, upper, sym, a_dst, a_src = _polish_layout(n, d)
         ref = _jacobian_from_definition(v)
         a = np.zeros(ref.size)
         a[a_dst] = v.take(a_src)
@@ -736,28 +737,100 @@ class TestPolishLayout:
         # the weighted Gram entries are the halved constraints <E_i, G> / 2
         basis = np.stack(_sym_basis(d))
         mult = rng.standard_normal(len(basis))
-        lam = np.zeros(d * d)
-        lam[upper] = lam[lower] = mult
-        assert np.array_equal(lam.reshape(d, d),
+        assert np.array_equal(mult.take(sym).reshape(d, d),
                               np.sum(mult[:, None, None] * basis, axis=0))
         g = rng.standard_normal((d, d))
         g = g + g.T
         assert np.array_equal(half * g.take(upper),
                               0.5 * np.sum(basis * g, axis=(1, 2)))
-        # the Hessian blocks are the n diagonal d x d blocks of the KKT
-        # matrix
-        size = n * d + ref.shape[1]
-        mask = np.zeros((size, size), dtype=bool)
-        mask.flat[block] = True
-        assert np.array_equal(
-            mask[:n * d, :n * d], np.kron(np.eye(n), np.ones((d, d))) > 0)
-        assert not mask[n * d:].any() and not mask[:, n * d:].any()
 
     def test_layout_is_cached_and_read_only(self):
         layout = _polish_layout(4, 2)
         assert _polish_layout(4, 2) is layout
         with pytest.raises(ValueError):
             layout[0][0] = 1
+
+
+def _dense_kkt_step(r, c, mult, v):
+    """The Newton step of the polish's KKT system at the point v, built
+    and solved dense from the definitions: the Hessian blocks (1 - mu_j) I
+    - Lambda, with Lambda = sum_i mult_i E_i, beside the Jacobian of
+    _jacobian_from_definition."""
+    n, d = v.shape
+    a = _jacobian_from_definition(v)
+    basis = _sym_basis(d)
+    lam = np.sum(mult[:len(basis), None, None] * np.stack(basis), axis=0)
+    mu = np.append(mult[len(basis):], 0.0)
+    hess = np.kron(np.diag(1.0 - mu), np.eye(d)) - np.kron(np.eye(n), lam)
+    k = a.shape[1]
+    kkt = np.block([[hess, -a], [a.T, np.zeros((k, k))]])
+    return np.linalg.solve(kkt, -np.concatenate([r, c]))
+
+
+def _step_of(v0, v, mult):
+    """_kkt_step's (pos, dv, dmult) for a stack of points v with
+    multipliers mult, at the residuals and Jacobians of _residual."""
+    n, d = v.shape[1:]
+    r, c, a, _ = lab._residual(v0, v, mult)
+    return lab._kkt_step(r, c, a, mult, n, d)
+
+
+class TestKKTStep:
+    # the Schur complement step is the dense KKT step, also where the
+    # Hessian is indefinite (margin <= 0). Each draw puts every pivot
+    # |1 - mu_j - w_i| at least 0.1 away from 0, so both solves are well
+    # conditioned; draws that do not are redrawn from the same stream
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           shape=st.integers(1, 5).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(d + 1, 10))))
+    def test_matches_the_dense_step(self, seed, shape):
+        d, n = shape
+        m = d * (d + 1) // 2
+        rng = np.random.default_rng(seed)
+        basis = np.stack(_sym_basis(d))
+        while True:
+            v = lab._harmonic_base(d, n).vectors + 0.2 * rng.standard_normal(
+                (n, d))
+            mult = rng.uniform(-1.0, 1.0, m + n - 1)
+            w = np.linalg.eigvalsh(np.sum(mult[:m, None, None] * basis, 0))
+            # mu_0 above 1 - lambda_max makes the margin negative
+            mult[m] = 1.0 - w[-1] + rng.uniform(0.1, 1.0)
+            mu = np.append(mult[m:], 0.0)
+            if np.abs((1.0 - mu)[:, None] - w).min() >= 0.1:
+                break
+        v0 = v + 0.2 * rng.standard_normal((n, d))
+        assert 1.0 - mu.max() - w[-1] <= 0.0
+        pos, dv, dmult = _step_of(v0[None], v[None], mult[None])
+        r, c, _, _ = lab._residual(v0[None], v[None], mult[None])
+        want = _dense_kkt_step(r[0], c[0], mult, v)
+        got = np.concatenate([dv.ravel(), dmult.ravel()])
+        assert list(pos) == [0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_singular_hessian_block_stops_alone(self):
+        # item 1's multipliers put 1 - mu_0 at lambda_max(Lambda), so its
+        # Hessian block H_0 is singular: it gets no step, and no warning,
+        # while items 0 and 2 get the bits of their steps alone
+        d, n = 3, 6
+        m = d * (d + 1) // 2
+        rng = np.random.default_rng(4)
+        v = lab._harmonic_base(d, n).vectors + 0.1 * rng.standard_normal(
+            (3, n, d))
+        v0 = v + 0.1 * rng.standard_normal(v.shape)
+        mult = 0.2 * rng.uniform(-1.0, 1.0, (3, m + n - 1))
+        lam = lab._lambda_mu(mult[1:2], n, d)[0]
+        mult[1, m] = 1.0 - np.linalg.eigh(lam)[0][0, -1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos, dv, dmult = _step_of(v0, v, mult)
+            alone = [_step_of(v0[i:i + 1], v[i:i + 1], mult[i:i + 1])
+                     for i in range(3)]
+        assert list(pos) == [0, 2]
+        assert alone[1][0].size == 0
+        for row, i in enumerate(pos):
+            assert dv[row].tobytes() == alone[i][1][0].tobytes()
+            assert dmult[row].tobytes() == alone[i][2][0].tobytes()
 
 
 def _polish_alone(v0, v, tol):
@@ -821,7 +894,8 @@ class TestStackedPolish:
 
     def test_singular_item_drops_alone(self, monkeypatch):
         # a zero row zeroes the Jacobian column of its equal-norm
-        # constraint, so that item's KKT matrix is exactly singular
+        # constraint, so that item's k x k Schur complement is exactly
+        # singular (k = 6 at (2, 4))
         v0 = np.stack([generate_instance(InstanceSpec(
             kind="perturbed_enp", d=2, n=4, epsilon_target=0.1,
             seed=seed)).instance.vectors for seed in range(3)])
@@ -840,13 +914,13 @@ class TestStackedPolish:
         tol = default_certify_tol()
         got = lab._kkt_polish(v0, v0, tol)
         # the stack's first solve fails, then the singular item's own
-        assert failed == [(3, 14, 14), (14, 14)]
+        assert failed == [(3, 6, 6), (6, 6)]
         assert got[1] is None
         assert got[0] is not None and got[2] is not None
         failed.clear()
         alone = _polish_alone(v0, v0, tol)
         # alone, the stack of one fails and then its one item
-        assert failed == [(1, 14, 14), (14, 14)]
+        assert failed == [(1, 6, 6), (6, 6)]
         assert [_polish_bytes(g) for g in got] == \
             [_polish_bytes(w) for w in alone]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,41 @@ class TestSymEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeMismatch):
             sym_eig(np.ones((2, 3)))
+
+    def test_nonfinite_entry_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ShapeMismatch, match="finite"):
+                sym_eig(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_huge_symmetric_input_without_overflow(self):
+        # (A + A^T) / 2 overflows here; an exactly symmetric input is
+        # factored as it is, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = sym_eig(np.diag([1e308, 1e308]))
+        assert np.array_equal(dec.eigenvalues, [1e308, 1e308])
+
+    def test_huge_nearly_symmetric_input_without_overflow(self):
+        # the symmetric part is A/2 + A^T/2, finite for finite A
+        a = np.array([[1e308, 1e300], [1e300 * (1.0 + 1e-12), 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = sym_eig(a)
+        assert dec.eigenvalues == pytest.approx([1e308 - 1e300,
+                                                 1e308 + 1e300], rel=1e-15)
+
+    @pytest.mark.parametrize("a", [
+        [[0.0, 1e308], [-1e308, 0.0]],
+        [[1e200, 1e200], [0.0, 1e200]],
+        [[1.0, 1e-9], [0.0, 1.0]],
+    ])
+    def test_guard_scales_by_the_largest_entry(self, a):
+        # a Frobenius scale overflows at these entries and passed any
+        # matrix; the largest entry does not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AsymmetricInput):
+                sym_eig(np.array(a))
 
     def test_eigensolver_failure_passes_through(self, monkeypatch):
         # a LinAlgError from the eigensolver reaches the caller unchanged
