@@ -137,18 +137,41 @@ def frame_certificate(frame):
                             eps_parseval=eps_p, eps_equal_norm=eps_en)
 
 
+def _report_norms(s, lam, unit):
+    """The Frobenius norms of S - (tr S / d) I and S - unit I for a finite
+    S, and the frame potential sum(lam^2) of its eigenvalues lam. Where
+    either norm overflows, S and both shifts are scaled by a power of two
+    that brings the largest entry of S below 1, which is exact, and the
+    norms scaled back: each is inf only when the norm itself overflows, as
+    the potential is. Where none overflows, all keep the bits of the plain
+    formulas."""
+    d = len(s)
+
+    def defects(t, c):
+        return (diagonal_shift_norm(t, float(np.trace(t)) / d),
+                diagonal_shift_norm(t, c))
+
+    with np.errstate(over="ignore"):  # a norm is computed again scaled
+        out = defects(s, unit)
+        if max(out) == math.inf:
+            scale = math.ldexp(1.0, -math.frexp(float(np.abs(s).max()))[1])
+            out = tuple(x / scale for x in defects(s * scale, unit * scale))
+        return (*out, float(np.sum(lam * lam)))
+
+
 def analyze_frame(frame):
     """The nearness report of frame, built on frame_certificate."""
     n, d = frame.vectors.shape
     cert = frame_certificate(frame)
-    s, lam = cert.operator, cert.decomposition.eigenvalues
+    lam = cert.decomposition.eigenvalues
+    tight, unit, potential = _report_norms(cert.operator, lam, n / d)
     return FrameReport(
         frame_bounds=(float(lam[0]), float(lam[-1])),
         eps_parseval=cert.eps_parseval,
         eps_equal_norm=cert.eps_equal_norm,
-        tightness_defect_hs=diagonal_shift_norm(s, float(np.trace(s)) / d),
-        unit_defect_hs=diagonal_shift_norm(s, n / d),
-        frame_potential=float(np.sum(lam * lam)),
+        tightness_defect_hs=tight,
+        unit_defect_hs=unit,
+        frame_potential=potential,
         norms_sq=cert.norms_sq,
     )
 

@@ -22,15 +22,17 @@ under Newton's final multipliers, and the harmonic base under
 least-squares ones when no polish certifies. This module only composes
 the acceptance rules: frames.enp_certificates says when a certificate
 exists, spectral.inv_sqrt_from_eig when a frame operator is singular,
-and _within compares certificates with a tolerance. The polish runs
-over a stack of same-shape inputs and gives each item the bits of that
-item polished alone: estimate_paulsen polishes all trials of a grid
-spec as one stack, and a solve its restarts. Its Newton step
-(_kkt_step) solves the k x k Schur complement of the block-diagonal
-Hessian, k = d(d+1)/2 + n - 1, after one d x d eigh of the Parseval
-multipliers: O(n d k^2 + k^3) per item, not the O((nd + k)^3) of a
-dense KKT solve. An item whose Hessian has a pivot at or below
-spectral.PSD_FLOOR stops polishing. A perturbed_enp instance is
+and _within compares certificates with a tolerance. The polish runs over
+a stack of same-shape inputs and gives each item the bits of that item
+polished alone: estimate_paulsen polishes all trials of a grid spec as
+one stack, and a solve its restarts. While every item steps and takes
+its full step, the step runs on the state arrays as they are; rows are
+gathered and scattered only for items that halve, have no step or stop.
+Its Newton step (_kkt_step) solves the k x k Schur complement of the
+block-diagonal Hessian, k = d(d+1)/2 + n - 1, after one d x d eigh of
+the Parseval multipliers: O(n d k^2 + k^3) per item, not the
+O((nd + k)^3) of a dense KKT solve. An item whose Hessian has a pivot at
+or below spectral.PSD_FLOOR stops polishing. A perturbed_enp instance is
 certified once: the FrameCertificate that accepted the generator's draw
 travels in its bundle to the solver, which certifies only the frames it
 makes itself. The Banach search is a penalized local search by
@@ -480,47 +482,57 @@ def _kkt_polish(v0, v, tol):
     A step costs O(n d k^2 + k^3) per item, with k = d(d+1)/2 + n - 1
     multipliers: one d x d eigh, the k x k Schur complement and its
     solve, where a dense KKT solve costs O((nd + k)^3). Each step works
-    on the items still stepping as one stack, so an item's result has the
-    bits of that item polished alone: every stacked call (matmul, solve,
-    eigh, eigvalsh, row sums) gives each item the bits of its 2-D call.
-    The index layout comes from _polish_layout's per-shape cache: the
-    Jacobian is one flat scatter from v, and the multipliers of Lambda
-    are scattered in.
+    on the items still stepping (live, ascending) as one stack, so an
+    item's result has the bits of that item polished alone: every stacked
+    call (matmul, solve, eigh, eigvalsh, row sums) gives each item the
+    bits of its 2-D call. While every item is live, the step, the trial
+    point, its _residual and the merit test run on the whole stack, and
+    when every item passes the trial arrays become the state. Once an item
+    has stopped, halves or has no step, the step gathers the rows it works
+    on and scatters the accepted ones. The index layout comes from
+    _polish_layout's per-shape cache: the Jacobian is one flat scatter
+    from v, and the multipliers of Lambda are scattered in.
     """
     b, n, d = v.shape
     nd = n * d
     k = _polish_layout(n, d)[0].size + n - 1
 
+    def rows(x, idx):
+        # idx is ascending, so b entries are every item in order
+        return x if idx.size == b else x[idx]
+
     v = v.copy()  # accepted steps are written into their rows
     mult = np.zeros((b, k))
     r, c, a, f_norm = _residual(v0, v, mult)
-    live = np.arange(b)  # the items still stepping
+    live = np.arange(b)  # the items still stepping, ascending
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
-        pos, dv, dmult = _kkt_step(r[live], c[live], a[live], mult[live],
-                                   n, d)
+        pos, dv, dmult = _kkt_step(rows(r, live), rows(c, live),
+                                   rows(a, live), rows(mult, live), n, d)
         idx = live[pos]
-        stepped = []
+        stepped = np.zeros(b, dtype=bool)
         for _ in range(MAX_HALVINGS):
-            v_new = v[idx] + dv
-            mult_new = mult[idx] + dmult
-            t_r, t_c, t_a, t_f = _residual(v0[idx], v_new, mult_new)
-            ok = t_f <= MERIT_GROWTH * f_norm[idx]
+            v_new, mult_new = rows(v, idx) + dv, rows(mult, idx) + dmult
+            trial = _residual(rows(v0, idx), v_new, mult_new)
+            ok = trial[3] <= MERIT_GROWTH * rows(f_norm, idx)
+            if idx.size == b and ok.all():
+                # the common step: the trial arrays become the state
+                (r, c, a, f_norm), v, mult = trial, v_new, mult_new
+                stepped[:] = True
+                break
             acc = idx[ok]
             v[acc], mult[acc] = v_new[ok], mult_new[ok]
-            r[acc], c[acc], a[acc] = t_r[ok], t_c[ok], t_a[ok]
-            f_norm[acc] = t_f[ok]
-            stepped.append(acc)
+            r[acc], c[acc], a[acc], f_norm[acc] = (t[ok] for t in trial)
+            stepped[acc] = True
             fail = ~ok
             idx, dv, dmult = idx[fail], 0.5 * dv[fail], 0.5 * dmult[fail]
             if not idx.size:
                 break
         # the items left in idx failed every halving and stop
-        stepped = np.concatenate(stepped)
-        diff = (v[stepped] - v0[stepped]).reshape(-1, nd)
-        live = stepped[f_norm[stepped]
-                       > CONVERGED * np.sqrt(_dots(diff, diff))]
+        diff = (v - v0).reshape(b, nd)
+        live = np.flatnonzero(
+            stepped & (f_norm > CONVERGED * np.sqrt(_dots(diff, diff))))
     gaps = _lagrangian_gaps(v0, v, mult, r, c, tol)
     return [None if gap is None else (v[i], gap) for i, gap in enumerate(gaps)]
 

@@ -87,6 +87,11 @@ class TestCheck:
         doc = json.loads(proc.stdout, parse_constant=no_constant)
         assert doc["frame_bounds"] == [1e308, 1e308]
         assert doc["is_frame"] is True
+        # tr S and the entries of S - 1.5 I squared overflow, the two
+        # defects do not
+        assert doc["tightness_defect_hs"] == 0.0
+        assert doc["unit_defect_hs"] == pytest.approx(
+            math.sqrt(2.0) * 1e308, rel=1e-15)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))

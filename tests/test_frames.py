@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -127,6 +128,33 @@ class TestAnalyzeFrame:
         assert rep.eps_parseval == cert.eps_parseval
         assert rep.eps_equal_norm == cert.eps_equal_norm
         assert rep.norms_sq.tobytes() == cert.norms_sq.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 5),
+           n=st.integers(1, 8), scale=st.sampled_from([1e-3, 0.3, 1.0, 1e3]))
+    def test_defects_are_linalg_norms(self, seed, d, n, scale):
+        # on frames whose defects do not overflow, both keep the bits of
+        # numpy.linalg.norm(S - c I)
+        frame = Frame(scale * random_frame(seed, d, n).vectors)
+        s = frame_operator(frame)
+        rep = analyze_frame(frame)
+        assert rep.tightness_defect_hs == float(
+            np.linalg.norm(s - (np.trace(s) / d) * np.eye(d)))
+        assert rep.unit_defect_hs == float(
+            np.linalg.norm(s - (n / d) * np.eye(d)))
+
+    def test_defects_near_the_float_limit(self):
+        # S = diag(1e308, 1e308): tr S and the squares of the entries of
+        # S - 1.5 I overflow, the two defects do not; the frame potential
+        # 2e616 does, and is inf. No numpy warning on the way
+        frame = Frame(np.array([[1e154, 0.0], [0.0, 1e154], [0.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = analyze_frame(frame)
+        assert rep.tightness_defect_hs == 0.0
+        assert rep.unit_defect_hs == pytest.approx(math.sqrt(2.0) * 1e308,
+                                                   rel=1e-15)
+        assert rep.frame_potential == math.inf
 
     def test_certificate_presence_rules(self):
         # dev_p = 1 - 1e-13 < 1, but lambda_min = 1e-13 is at or below

@@ -867,6 +867,9 @@ class TestStackedPolish:
            eps=st.lists(st.sampled_from([0.01, 0.05, 0.1, 0.2]),
                         min_size=1, max_size=6),
            seed=st.integers(0, 10**6), kick=st.sampled_from([0.0, 0.5]))
+    # item 0 halves at steps 2 and 3 while item 1 takes its full step, and
+    # both stay live: the next step must still give each item its own step
+    @example(shape=(2, 9), eps=[0.05, 0.05], seed=643828, kick=0.5)
     def test_items_match_alone(self, shape, eps, seed, kick):
         d, n = shape
         v0 = np.stack([generate_instance(InstanceSpec(
