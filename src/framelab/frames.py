@@ -103,10 +103,17 @@ def enp_certificates(lam, norms_sq):
     floor, and max keeps a NaN lam_max - 1 because it comes first. This is
     the one place the presence rules are tested. It runs several times per
     corpus record, so it calls the array methods, not numpy's wrapper
-    functions."""
+    functions. Every |v_j|^2 is at most lam_max, so (n/d)|v_j|^2 can
+    overflow only when 2 (n/d) lam_max does; there some (n/d)|v_j|^2 >=
+    lam_max / d is far above 2, and the equal-norm certificate is absent
+    without being computed."""
     n, d = norms_sq.size, lam.size
-    dev_p = max(float(lam[-1]) - 1.0, 1.0 - float(lam[0]))
-    dev_e = float(np.abs((n / d) * norms_sq - 1.0).max())
+    lam_max = float(lam[-1])
+    dev_p = max(lam_max - 1.0, 1.0 - float(lam[0]))
+    if 2.0 * (n / d) * lam_max == math.inf:
+        dev_e = math.inf
+    else:
+        dev_e = float(np.abs((n / d) * norms_sq - 1.0).max())
     return (dev_p if dev_p < 1.0 and lam[0] > PSD_FLOOR else None,
             dev_e if dev_e < 1.0 else None)
 

@@ -38,7 +38,11 @@ travels in its bundle to the solver, which certifies only the frames it
 makes itself. The Banach search is a penalized local search by
 L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
 its first certified penalty round (later rounds only trade distance for
-feasibility); it certifies to the residual it is given. scipy.optimize
+feasibility); it certifies to the residual it is given. That kernel
+(_search_terms) takes the rows of both exponents through one stacked
+pass; only its powers run per exponent, because numpy's scalar ** has
+exact fast paths (at 2, 0.5 and -1) that an array of exponents lacks,
+and the search's bits rest on them. scipy.optimize
 loads on the first Banach search, and it is the only scipy module that
 framelab loads: the Hilbert, flow and check commands run without scipy.
 """
@@ -79,6 +83,7 @@ from .frames import (
     rescale_rows,
 )
 from .spectral import (
+    _TINY,
     PSD_FLOOR,
     ball_displacements,
     inv_sqrt_from_eig,
@@ -620,39 +625,53 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     return Frame(point), dist_sq(point), rounds
 
 
-def _sq_pnorm_rows(x, p):
-    """Squared row p-norms of x and their gradient
-    2 |x|_p^(2-p) sign(x) |x|^(p-1), which is 0 on a zero row."""
-    norms = pnorm(x, p)
-    scale = 2.0 * np.where(norms > 0.0, norms, 1.0) ** (2.0 - p)
-    return norms ** 2, scale[:, None] * np.sign(x) * np.abs(x) ** (p - 1.0)
-
-
-def _search_terms(z, mu, f_in, tau_in, p, q):
+def _search_terms(z, mu, z_in, p, q):
     """Distance part, feasibility residual and the exact gradient of
-    dist + mu * resid_sq at z = (f, tau), all row-vectorized.
+    dist + mu * resid_sq at z = (f, tau), the flat (2, n, d) stack of
+    functionals and vectors; z_in is the input's (2, n, d) stack.
 
     dist = sum_j (|tau_j - tau_in_j|_p^2 + |f_j - f_in_j|_q^2) / 2 and
     resid_sq = |G|^2 + sum_j (a_j^2 + b_j^2 + c_j^2) with G = tau^T f - I,
     a_j = |tau_j|_p^2 - d/n, b_j = |f_j|_q^2 - d/n, c_j = f_j tau_j - d/n.
-    Each exponent takes one row-wise norm pass over stacked rows.
+    The squared row norms and their gradients 2 |x|_r^(2-r) sign(x)
+    |x|^(r-1) (0 on a zero row) take one pass over the (4n, d) stack
+    [f - f_in; f; tau - tau_in; tau], r = q on its first half and p on
+    its second. Only the powers run per half: numpy's scalar ** takes
+    exact fast paths at 2, 0.5 and -1, which an array of exponents does
+    not. When a power sum overflows, or underflows on a nonzero row, each
+    half's norms are pnorm's, which rescales those rows.
     """
-    n, d = f_in.shape
+    _, n, d = z_in.shape
+    h = 2 * n
     t = d / n
-    f, tau = z[: n * d].reshape(n, d), z[n * d:].reshape(n, d)
-    tau_sq, tau_grad = _sq_pnorm_rows(np.concatenate([tau - tau_in, tau]), p)
-    f_sq, f_grad = _sq_pnorm_rows(np.concatenate([f - f_in, f]), q)
+    fz = z.reshape(2, n, d)
+    f, tau = fz[0], fz[1]
+    x = np.concatenate([fz - z_in, fz], axis=1).reshape(2 * h, d)
+    ax = np.abs(x)
+    ax_q, ax_p = ax[:h], ax[h:]
+    s = np.add.reduce(np.concatenate([ax_q ** q, ax_p ** p]), axis=1)
+    if np.minimum.reduce(s) >= _TINY and np.maximum.reduce(s) < math.inf:
+        norms = np.concatenate([s[:h] ** (1.0 / q), s[h:] ** (1.0 / p)])
+    else:
+        norms = np.concatenate([pnorm(x[:h], q), pnorm(x[h:], p)])
+    w = np.where(norms > 0.0, norms, 1.0)
+    scale = 2.0 * np.concatenate([w[:h] ** (2.0 - q), w[h:] ** (2.0 - p)])
+    rows = (scale[:, None] * np.sign(x) * np.concatenate(
+        [ax_q ** (q - 1.0), ax_p ** (p - 1.0)])).reshape(2, 2, n, d)
+    sq = (norms ** 2).reshape(2, 2, n)
     g = tau.T @ f
     g.ravel()[:: d + 1] -= 1.0  # minus I in place, without building np.eye
-    a, b = tau_sq[n:] - t, f_sq[n:] - t
+    ba = sq[:, 1] - t  # the norm residuals of f, then of tau
+    b, a = ba[0], ba[1]
     c = np.einsum("ij,ij->i", f, tau) - t
-    dist = 0.5 * float(np.sum(tau_sq[:n] + f_sq[:n]))
-    resid_sq = float(np.sum(g * g) + a @ a + b @ b + c @ c)
-    grad_f = 0.5 * f_grad[:n] + 2.0 * mu * (
-        tau @ g + b[:, None] * f_grad[n:] + c[:, None] * tau)
-    grad_tau = 0.5 * tau_grad[:n] + 2.0 * mu * (
-        f @ g.T + a[:, None] * tau_grad[n:] + c[:, None] * f)
-    return dist, resid_sq, np.concatenate([grad_f.ravel(), grad_tau.ravel()])
+    dist = 0.5 * float(np.add.reduce(sq[1, 0] + sq[0, 0]))
+    resid_sq = float(np.add.reduce(g * g, axis=None) + a @ a + b @ b + c @ c)
+    # [tau; f] @ [G; G^T] and the rest, f's rows first as in z
+    swapped = fz[::-1]
+    grad = 0.5 * rows[:, 0] + 2.0 * mu * (
+        swapped @ np.concatenate([g, g.T]).reshape(2, d, d)
+        + ba[:, :, None] * rows[:, 1] + c[:, None] * swapped)
+    return dist, resid_sq, grad.ravel()
 
 
 def minimize(*args, **kwargs):
@@ -673,6 +692,12 @@ def nearest_enp_asf_search(asf, certify_tol):
     so later rounds are no nearer. Failing that by MU_MAX, the most
     feasible round comes back uncertified. Returns (asf, dist_sq,
     certified, rounds), rounds counting the outer rounds before the stop.
+
+    The input's (2, n, d) stack is built once per search. Each evaluation
+    takes its four row families through one stacked pass of
+    _search_terms, with the powers split per exponent block so that
+    numpy's scalar ** keeps its exact fast paths: the same bits as one
+    norm pass per family.
     """
     p = asf.space.p
     if p == 1 or p == math.inf:
@@ -684,13 +709,13 @@ def nearest_enp_asf_search(asf, certify_tol):
         raise Infeasible(f"equal-norm Parseval target needs d | n, "
                          f"got d = {d}, n = {n}")
     q = asf.space.q
-    f_in, tau_in = asf.functionals, asf.vectors
+    z_in = np.stack([asf.functionals, asf.vectors])
 
     def objective(z, mu):
-        dist, resid_sq, grad = _search_terms(z, mu, f_in, tau_in, p, q)
+        dist, resid_sq, grad = _search_terms(z, mu, z_in, p, q)
         return dist + mu * resid_sq, grad
 
-    z = np.concatenate([f_in.ravel(), tau_in.ravel()])
+    z = z_in.ravel()
     best = (math.inf, 0.0, z)  # (resid, dist_sq, z) of the most feasible round
     mu = MU0
     rounds = 0
@@ -700,7 +725,7 @@ def nearest_enp_asf_search(asf, certify_tol):
                        options={"maxiter": SEARCH_MAX_ITERS,
                                 "ftol": 1e-15, "gtol": 1e-12})
         z = res.x
-        ds, resid_sq, _ = _search_terms(z, 0.0, f_in, tau_in, p, q)
+        ds, resid_sq, _ = _search_terms(z, 0.0, z_in, p, q)
         resid = math.sqrt(resid_sq)
         if resid < best[0]:
             best = (resid, ds, z)

@@ -156,6 +156,15 @@ class TestAnalyzeFrame:
                                                    rel=1e-15)
         assert rep.frame_potential == math.inf
 
+    def test_equal_norm_certificate_near_the_float_limit(self):
+        # S = diag(1.69e308, 1.69e308) is finite, but (n/d)|v_j|^2 is not:
+        # the equal-norm certificate is absent, with no overflow warning
+        frame = Frame(np.array([[1.3e154, 0.0], [0.0, 1.3e154], [0.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = analyze_frame(frame)
+        assert rep.eps_equal_norm is None and rep.eps_parseval is None
+
     def test_certificate_presence_rules(self):
         # dev_p = 1 - 1e-13 < 1, but lambda_min = 1e-13 is at or below
         # PSD_FLOOR: no Parseval certificate; dev_e = 1 - 1e-13 as well
