@@ -17,9 +17,12 @@ nearest point. At n > d it polishes: a Newton polish of the input
 (_kkt_polish), proved globally nearest when its final multipliers make
 the Lagrangian convex, else the nearest of it and the polishes of seeded
 restarts, or no point when no polish certifies. One kernel,
-_lagrangian_gaps, certifies and proves every candidate: each polish
-under Newton's final multipliers, and the harmonic base under
-least-squares ones when no polish certifies. This module only composes
+_lagrangian_gaps, certifies every candidate and bounds its gap: each
+polish under Newton's final multipliers, and the harmonic base under
+least-squares ones when no polish certifies. Its spectra come from
+numpy's eigh, as sym_eig's do, so a candidate is certified exactly when
+frame_certificate would certify it. One test, _proved, proves a
+candidate globally nearest from its gap. This module only composes
 the acceptance rules: frames.enp_certificates says when a certificate
 exists, spectral.inv_sqrt_from_eig when a frame operator is singular,
 and _within compares certificates with a tolerance. The polish runs over
@@ -374,9 +377,10 @@ def _lambda_mu(mult, n, d):
 def _lagrangian_gaps(v0, w, mult, r, c, tol):
     """The certificate of a stack of candidate ENP frames w for the
     inputs v0, one entry per item: None unless the item is stationary and
-    _within holds at tol on its enp_certificates (frame_certificate's
-    rule, on numpy's eigvalsh spectrum), else a gap such that every ENP
-    frame W has |W - V0|^2 >= |w - v0|^2 - gap.
+    _within holds at tol on its enp_certificates, else a gap such that
+    every ENP frame W has |W - V0|^2 >= |w - v0|^2 - gap. The spectra
+    come from one stacked eigh, which gives each frame operator the bits
+    of sym_eig's, so the verdict is frame_certificate's, bit for bit.
 
     r and c are _residual's at (w, mult), which the polish has at hand.
     mult may be any multipliers: the bound holds for each. The
@@ -392,10 +396,11 @@ def _lagrangian_gaps(v0, w, mult, r, c, tol):
     b, n, d = w.shape
     diff = (w - v0).reshape(b, n * d)
     lam, mu = _lambda_mu(mult, n, d)
-    # one stacked eigvalsh: the spectra of the frame operators, then
-    # those of Lambda
-    spectra = np.linalg.eigvalsh(
-        np.concatenate([w.transpose(0, 2, 1) @ w, lam]))
+    # one stacked eigh, eigenvalues kept: the spectra of the frame
+    # operators, then those of Lambda (eigvalsh's differ from sym_eig's
+    # in the last bits)
+    spectra = np.linalg.eigh(
+        np.concatenate([w.transpose(0, 2, 1) @ w, lam]))[0]
     margin = 1.0 - mu.max(axis=1) - spectra[b:, -1]
     r_sq = _dots(r, r)
     # stationarity keeps out Newton iterates short of a KKT point: a
@@ -413,6 +418,14 @@ def _lagrangian_gaps(v0, w, mult, r, c, tol):
             gaps.append(math.inf if mg <= 0.0
                         else float(2.0 * abs(mc) + rr / mg))
     return gaps
+
+
+def _proved(gap, ds, d, tol):
+    """Whether a candidate at squared distance ds from its input in R^d,
+    certified at tol with _lagrangian_gaps gap, is proved the globally
+    nearest ENP frame: gap is within the slack 2 sqrt(ds d) tol, the
+    amount by which a point certified at tol may undercut the ENP set."""
+    return gap <= 2.0 * math.sqrt(ds * d) * tol
 
 
 def _kkt_step(r, c, a, mult, n, d):
@@ -480,16 +493,16 @@ def _kkt_polish(v0, v, tol):
     gives it no step (a Hessian pivot at or below PSD_FLOOR, or a singular
     Schur complement), when MAX_HALVINGS halvings do not bring the step
     under that test, or when its residual falls to CONVERGED relative to
-    |V - V0|. v0 and v have shape (b, n, d). Returns a list of b entries:
-    (V, gap), the item's end point and its _lagrangian_gaps gap under
-    Newton's final multipliers, or None where that certificate is None.
+    |V - V0|. v0 and v have shape (b, n, d). Returns a list of b entries
+    (V, gap): the item's end point and its _lagrangian_gaps gap under
+    Newton's final multipliers, gap None where the point is uncertified.
 
     A step costs O(n d k^2 + k^3) per item, with k = d(d+1)/2 + n - 1
     multipliers: one d x d eigh, the k x k Schur complement and its
     solve, where a dense KKT solve costs O((nd + k)^3). Each step works
     on the items still stepping (live, ascending) as one stack, so an
     item's result has the bits of that item polished alone: every stacked
-    call (matmul, solve, eigh, eigvalsh, row sums) gives each item the
+    call (matmul, solve, eigh, row sums) gives each item the
     bits of its 2-D call. While every item is live, the step, the trial
     point, its _residual and the merit test run on the whole stack, and
     when every item passes the trial arrays become the state. Once an item
@@ -538,8 +551,7 @@ def _kkt_polish(v0, v, tol):
         diff = (v - v0).reshape(b, nd)
         live = np.flatnonzero(
             stepped & (f_norm > CONVERGED * np.sqrt(_dots(diff, diff))))
-    gaps = _lagrangian_gaps(v0, v, mult, r, c, tol)
-    return [None if gap is None else (v[i], gap) for i, gap in enumerate(gaps)]
+    return list(zip(v, _lagrangian_gaps(v0, v, mult, r, c, tol)))
 
 
 def _alternating_round(v, dec):
@@ -562,20 +574,21 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     2. at n = d, where the ENP set is O(d), one alternating round gives
        the polar factor, the global nearest (Fan-Hoffman); at a singular
        frame operator inv_sqrt_from_eig's SingularOperator propagates;
-    3. at n > d, the input's polish comes back if its gap is within the
-       slack 2 sqrt(dist_sq d) tol, which proves it globally nearest;
+    3. at n > d, the input's polish comes back if _proved holds on its
+       gap, which proves it globally nearest;
     4. otherwise RESTARTS starts v0 + RESTART_KICK sqrt(d/n) G, G from
        default_rng(0) and each pushed by RESTART_ROUNDS alternating rounds
        (dropped on SingularOperator), polish as one stack; the nearest
        certified polish, the input's too, comes back, proved or not.
 
     Returns (frame, dist_sq, rounds), the frame certified at tol and
-    rounds counting every alternating round run: 0 at exits 1 and 3, 1 at
-    exit 2, RESTARTS * RESTART_ROUNDS at exit 4. When the round of exit 2
-    or every polish of exit 4 fails the certificate, frame and dist_sq
-    are None, and _solve_one judges the base. polished is the input's
-    polish, this frame's _kkt_polish entry (estimate_paulsen's stack
-    passes it); None polishes here.
+    rounds counting the alternating rounds that ran: 0 at exits 1 and 3,
+    1 at exit 2, at most RESTARTS * RESTART_ROUNDS at exit 4, fewer once
+    a start is dropped. When the round of exit 2 or every polish of exit
+    4 fails the certificate, frame and dist_sq are None, and _solve_one
+    judges the base. polished is the input's polish, this frame's
+    _kkt_polish entry (point, gap), gap None when the point is
+    uncertified (estimate_paulsen's stack passes it); None polishes here.
     certificate is the input's frame_certificate (estimate_paulsen passes
     the generator's, whose decomposition the round of exit 2 reuses); None
     certifies here. Either way the result has the same bits.
@@ -600,11 +613,12 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
             return out, dist_sq(out.vectors), 1
         return None, None, 1
     if polished is None:
-        polished = _kkt_polish(v0[None], v0[None], tol)[0]
-    if polished is not None:
-        ds = dist_sq(polished[0])
-        if polished[1] <= 2.0 * math.sqrt(ds * d) * tol:
-            return Frame(polished[0]), ds, 0
+        polished, = _kkt_polish(v0[None], v0[None], tol)
+    point, gap = polished
+    if gap is not None:
+        ds = dist_sq(point)
+        if _proved(gap, ds, d, tol):
+            return Frame(point), ds, 0
     kicks = np.random.default_rng(0).standard_normal((RESTARTS, n, d))
     starts, rounds = [], 0
     for start in v0 + RESTART_KICK * math.sqrt(d / n) * kicks:
@@ -618,7 +632,7 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     if starts:
         starts = _kkt_polish(np.broadcast_to(v0, (len(starts), n, d)),
                              np.stack(starts), tol)
-    points = [p[0] for p in [polished, *starts] if p is not None]
+    points = [p for p, gap in [polished, *starts] if gap is not None]
     if not points:
         return None, None, rounds
     point = min(points, key=dist_sq)  # the first on a tie
@@ -797,8 +811,8 @@ class SummaryRow:
 
 def _base_proved(bundle):
     """Whether a Hilbert bundle's harmonic base is proved the globally
-    nearest ENP frame to its instance: its _lagrangian_gaps gap is within
-    the slack 2 sqrt(base_dist_sq d) tol, tol = default_certify_tol().
+    nearest ENP frame to its instance: _proved holds on its
+    _lagrangian_gaps gap at tol = default_certify_tol().
     The multipliers solve W - V0 = A(W) mult by least squares. At a
     rank-deficient base, such as the harmonic frame at (2, 4), they are
     not unique, and lstsq's minimum-norm ones are only one valid choice:
@@ -807,12 +821,14 @@ def _base_proved(bundle):
     v0 = bundle.instance.vectors[None]
     w = _harmonic_base(spec.d, spec.n).vectors[None]
     k = _polish_layout(spec.n, spec.d)[0].size + spec.n - 1
-    r, _, a, _ = _residual(v0, w, np.zeros((1, k)))  # r = W - V0
+    # c and A do not depend on the multipliers, so one _residual at zero
+    # multipliers gives them and r = W - V0, and r - A mult is the
+    # residual at mult
+    r, c, a, _ = _residual(v0, w, np.zeros((1, k)))
     mult = np.linalg.lstsq(a[0], r[0], rcond=None)[0][None]
-    r, c, _, _ = _residual(v0, w, mult)
+    r = r - (a @ mult[:, :, None])[:, :, 0]
     gap, = _lagrangian_gaps(v0, w, mult, r, c, tol)
-    slack = 2.0 * math.sqrt(bundle.base_dist_sq * spec.d) * tol
-    return gap is not None and gap <= slack
+    return gap is not None and _proved(gap, bundle.base_dist_sq, spec.d, tol)
 
 
 def _solve_one(bundle, polished):
