@@ -8,9 +8,12 @@ the periodic maintenance renormalization offered by FlowConfig. A row whose
 |omega_j| is at or below ZERO_THRESHOLD is left bit-unchanged by a step.
 
 A step works on arrays of a few dozen entries, so its cost is numpy call
-overhead, not arithmetic: _rotate handles all rows at once, and run_flow's
-loop calls the ufuncs and reductions behind numpy's norm, sum and max
-directly, which gives the same bits without their Python wrappers.
+overhead, not arithmetic: _rotate handles all rows at once and tests them
+with one reduction, run_flow's loop calls the ufuncs and reductions behind
+numpy's norm, sum and max directly, which gives the same bits without their
+Python wrappers, and the frame potentials, which only the finished trace
+reads, are reduced once per batch of _POTENTIAL_BATCH iterates with the bits
+of reducing each iterate alone.
 """
 
 import math
@@ -26,6 +29,9 @@ from .spectral import frobenius_norm, row_norms
 UNIT_TOL = 1e-9
 # a vector whose |omega_j| is at or below this is left unchanged by a step
 ZERO_THRESHOLD = 1e-14
+# run_flow reduces the frame potentials of this many iterates in one call;
+# no output depends on it, and it bounds the extra memory of a run
+_POTENTIAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,8 @@ class FlowConfig:
     value rescales all rows to unit norm every that many steps, which keeps
     the radial instability at the rounding floor. A negative max_iters or
     renorm_every, or a stop_defect that is not >= 0 (NaN included), raises
-    ShapeMismatch.
+    ShapeMismatch, and so does a max_iters or renorm_every that is not an
+    integer (a bool or a float included; numpy integers are accepted).
     """
 
     step_t: float
@@ -46,12 +53,15 @@ class FlowConfig:
     renorm_every: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ShapeMismatch(
-                f"max_iters must be non-negative, got {self.max_iters}")
-        if self.renorm_every < 0:
-            raise ShapeMismatch(
-                f"renorm_every must be non-negative, got {self.renorm_every}")
+        for field in ("max_iters", "renorm_every"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ShapeMismatch(
+                    f"{field} must be an integer, got {value}")
+            if value < 0:
+                raise ShapeMismatch(
+                    f"{field} must be non-negative, got {value}")
         if not self.stop_defect >= 0.0:
             raise ShapeMismatch(
                 f"stop_defect must be non-negative, got {self.stop_defect}")
@@ -70,10 +80,12 @@ class FlowTrace:
 
     Entry k of each list belongs to iterate k, for k = 0 .. final_index:
     the unit-tightness defect |S - (n/d) I|_F, the frame potential
-    tr(S^2) and the largest |omega_j|. termination is "converged" when
-    the defect reached stop_defect, else "stalled" when every |omega_j|
-    is at or below ZERO_THRESHOLD, so that no step can move a row, else
-    "max_iters". displacement_hs is |S_end - S_0|_F.
+    tr(S^2) and the largest |omega_j|; run_flow reduces the potentials
+    per batch of _POTENTIAL_BATCH iterates, each with the bits of
+    np.add.reduce(s * s, axis=None) on its own S. termination is
+    "converged" when the defect reached stop_defect, else "stalled" when
+    every |omega_j| is at or below ZERO_THRESHOLD, so that no step can
+    move a row, else "max_iters". displacement_hs is |S_end - S_0|_F.
     """
 
     unit_defect_hs: list[float]
@@ -114,10 +126,11 @@ def _rotate(v, omegas, wn, t):
     """Rotate each row of v against its omega by the angle t |omega_j|,
     given the omega norms wn. Rows with |omega_j| at or below
     ZERO_THRESHOLD are returned bit-unchanged; the others get the same
-    bits as rotating them one by one."""
-    moving = wn > ZERO_THRESHOLD
-    every = moving.all()
+    bits as rotating them one by one. One reduction tells whether every
+    row moves; only when one does not are the mask and divisor built."""
+    every = np.minimum.reduce(wn) > ZERO_THRESHOLD
     if not every:
+        moving = wn > ZERO_THRESHOLD
         # a safe divisor; these rows take v below, whatever their angle
         wn = np.where(moving, wn, 1.0)
     th = (wn * t)[:, None]
@@ -135,12 +148,23 @@ def flow_step(frame, config):
     return Frame(_rotate(v, omegas, row_norms(omegas), config.step_t))
 
 
+def _potentials(grams):
+    """tr(S^2) of each S in grams, as floats: one reduction over the
+    stacked rows, which has the bits of np.add.reduce(s * s, axis=None)
+    on each S alone, since both sum the same contiguous d^2 entries."""
+    st = np.stack(grams).reshape(len(grams), -1)
+    return np.add.reduce(st * st, axis=1).tolist()
+
+
 def run_flow(frame, config):
     """Iterate flow_step until the unit-tightness defect reaches stop_defect,
     no row can move any more or max_iters steps have been taken. Returns
     the final frame and its FlowTrace, which records every visited
-    iterate (the initial frame included). Raises NotUnitNorm when the
-    rows of the final frame drift from unit norm by more than UNIT_TOL."""
+    iterate (the initial frame included). The frame potentials are
+    reduced per batch of _POTENTIAL_BATCH iterates, and once more at the
+    end, from the S = V^T V the step computes anyway; each gets the bits
+    of reducing its S alone. Raises NotUnitNorm when the rows of the
+    final frame drift from unit norm by more than UNIT_TOL."""
     _check_step(config, frame.n)
     _require_unit(frame)
     n, d = frame.n, frame.dim
@@ -148,6 +172,7 @@ def run_flow(frame, config):
     v = frame.vectors.copy()
     s0 = v.T @ v
     defects, potentials, tangents = [], [], []
+    grams = []  # the S of each iterate whose potential is not reduced yet
 
     k = 0
     while True:
@@ -158,8 +183,11 @@ def run_flow(frame, config):
         wn = row_norms(omegas)
 
         defects.append(defect)
-        potentials.append(float(np.add.reduce(s * s, axis=None)))
-        max_tangent = float(wn.max())
+        grams.append(s)
+        if len(grams) == _POTENTIAL_BATCH:
+            potentials += _potentials(grams)
+            grams = []
+        max_tangent = float(np.maximum.reduce(wn))
         tangents.append(max_tangent)
 
         if defect <= config.stop_defect:
@@ -177,6 +205,8 @@ def run_flow(frame, config):
         if config.renorm_every and k % config.renorm_every == 0:
             v = v / row_norms(v)[:, None]
 
+    if grams:
+        potentials += _potentials(grams)
     dev = float(np.max(np.abs(row_norms(v) - 1.0)))
     if dev > UNIT_TOL:
         raise NotUnitNorm(

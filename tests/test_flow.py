@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab.errors import NotUnitNorm, ShapeMismatch, StepTooLarge
-from framelab.flow import (ZERO_THRESHOLD, FlowConfig, _omegas, _rotate,
-                           flow_step, run_flow, tangent_family)
+from framelab.flow import (_POTENTIAL_BATCH, ZERO_THRESHOLD, FlowConfig,
+                           _omegas, _rotate, flow_step, run_flow,
+                           tangent_family)
 from framelab.frames import Frame, frame_operator, generate
 from framelab.spectral import ball_displacements, row_norms
 
@@ -27,6 +28,16 @@ class TestFlowConfig:
         ("max_iters", -3, "max_iters must be non-negative, got -3"),
         ("renorm_every", -1, "renorm_every must be non-negative, got -1"),
         ("stop_defect", math.nan, "stop_defect must be non-negative, got nan"),
+        # a count that is not an integer would compare or divide as a
+        # float: nan lifts the step cap, 2.5 allows 3 steps, 0.5
+        # renormalizes every step and inf never
+        ("max_iters", math.nan, "max_iters must be an integer, got nan"),
+        ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+        ("max_iters", True, "max_iters must be an integer, got True"),
+        ("renorm_every", 0.5, "renorm_every must be an integer, got 0.5"),
+        ("renorm_every", math.inf, "renorm_every must be an integer, got inf"),
+        ("renorm_every", np.float64(25.0),
+         "renorm_every must be an integer, got 25.0"),
     ])
     def test_rejects_bad_setting(self, field, value, message):
         with pytest.raises(ShapeMismatch) as exc:
@@ -39,6 +50,11 @@ class TestFlowConfig:
         config = FlowConfig(step_t=0.05, max_iters=0, stop_defect=0.0,
                             renorm_every=0)
         assert config.max_iters == 0
+
+    def test_numpy_integers_are_valid(self):
+        config = FlowConfig(step_t=0.05, max_iters=np.int64(7),
+                            renorm_every=np.int32(25))
+        assert (config.max_iters, config.renorm_every) == (7, 25)
 
 
 class TestTangentFamily:
@@ -160,6 +176,36 @@ class TestFlowStep:
             assert moved > 0.0
 
 
+def _check_against_stepping_by_hand(seed, d, n, steps, t_div, renorm_every):
+    """run_flow's trace and final frame have the bits of steps calls of
+    flow_step at t = 1/(t_div n) on a random unit frame, renormalized as
+    the config says."""
+    rng = np.random.default_rng(seed)
+    frame = Frame(unit_rows(rng.standard_normal((n, d))))
+    config = FlowConfig(step_t=1.0 / (t_div * n), max_iters=steps,
+                        stop_defect=0.0, renorm_every=renorm_every)
+    final, trace = run_flow(frame, config)
+    assert trace.termination == "max_iters"
+    assert trace.final_index == steps
+    assert len(trace.unit_defect_hs) == steps + 1
+    assert len(trace.frame_potential) == steps + 1
+    current = frame
+    for k in range(steps + 1):
+        v = current.vectors
+        s = v.T @ v
+        omegas = tangent_family(current).omegas
+        assert trace.unit_defect_hs[k] == \
+            float(np.linalg.norm(s - (n / d) * np.eye(d)))
+        assert trace.frame_potential[k] == float(np.sum(s * s))
+        assert trace.max_tangent_norm[k] == \
+            np.max(np.linalg.norm(omegas, axis=1))
+        if k < steps:
+            current = flow_step(current, config)
+            if renorm_every and (k + 1) % renorm_every == 0:
+                current = Frame(unit_rows(current.vectors))
+    assert final.vectors.tobytes() == current.vectors.tobytes()
+
+
 class TestRunFlow:
     def test_mb_converges_at_zero(self, mb):
         final, trace = run_flow(mb, FlowConfig(step_t=0.05,
@@ -206,28 +252,22 @@ class TestRunFlow:
     @given(seed=st.integers(0, 10**6), d=st.integers(2, 6),
            extra=st.integers(1, 10), steps=st.integers(0, 12))
     def test_matches_stepping_by_hand(self, seed, d, extra, steps):
-        n = d + extra
-        rng = np.random.default_rng(seed)
-        frame = Frame(unit_rows(rng.standard_normal((n, d))))
-        config = FlowConfig(step_t=1.0 / (4 * n), max_iters=steps,
-                            stop_defect=0.0, renorm_every=0)
-        final, trace = run_flow(frame, config)
-        assert trace.termination == "max_iters"
-        assert trace.final_index == steps
-        assert len(trace.unit_defect_hs) == steps + 1
-        current = frame
-        for k in range(steps + 1):
-            v = current.vectors
-            s = v.T @ v
-            omegas = tangent_family(current).omegas
-            assert trace.unit_defect_hs[k] == \
-                float(np.linalg.norm(s - (n / d) * np.eye(d)))
-            assert trace.frame_potential[k] == float(np.sum(s * s))
-            assert trace.max_tangent_norm[k] == \
-                np.max(np.linalg.norm(omegas, axis=1))
-            if k < steps:
-                current = flow_step(current, config)
-        assert final.vectors.tobytes() == current.vectors.tobytes()
+        _check_against_stepping_by_hand(seed, d, d + extra, steps, 4, 0)
+
+    # runs that end just before, at and just after a potential batch, or
+    # cross two, with maintenance renormalization; d = 13 has d^2 > 128
+    # entries, so numpy's pairwise summation of tr(S^2) recurses. At
+    # t = 1/(32n) no row of a random frame comes near ZERO_THRESHOLD in
+    # 600 steps, so the runs end at max_iters, not "stalled"
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10**6), d=st.integers(2, 8),
+           extra=st.integers(1, 6),
+           steps=st.sampled_from([_POTENTIAL_BATCH - 1, _POTENTIAL_BATCH,
+                                  _POTENTIAL_BATCH + 1, 600]))
+    @example(seed=3, d=13, extra=4, steps=_POTENTIAL_BATCH + 1)
+    def test_matches_stepping_by_hand_across_batches(self, seed, d, extra,
+                                                     steps):
+        _check_against_stepping_by_hand(seed, d, d + extra, steps, 32, 25)
 
     @pytest.mark.parametrize("v", [
         [[1.0, 0.0], [1.0, 0.0]],

@@ -770,7 +770,8 @@ def _dense_kkt_step(r, c, mult, v):
     """The Newton step of the polish's KKT system at the point v, built
     and solved dense from the definitions: the Hessian blocks (1 - mu_j) I
     - Lambda, with Lambda = sum_i mult_i E_i, beside the Jacobian of
-    _jacobian_from_definition."""
+    _jacobian_from_definition. Returns the step and the 2-norm condition
+    number of the KKT matrix."""
     n, d = v.shape
     a = _jacobian_from_definition(v)
     basis = _sym_basis(d)
@@ -779,7 +780,7 @@ def _dense_kkt_step(r, c, mult, v):
     hess = np.kron(np.diag(1.0 - mu), np.eye(d)) - np.kron(np.eye(n), lam)
     k = a.shape[1]
     kkt = np.block([[hess, -a], [a.T, np.zeros((k, k))]])
-    return np.linalg.solve(kkt, -np.concatenate([r, c]))
+    return np.linalg.solve(kkt, -np.concatenate([r, c])), np.linalg.cond(kkt)
 
 
 def _step_of(v0, v, mult):
@@ -793,12 +794,18 @@ def _step_of(v0, v, mult):
 class TestKKTStep:
     # the Schur complement step is the dense KKT step, also where the
     # Hessian is indefinite (margin <= 0). Each draw puts every pivot
-    # |1 - mu_j - w_i| at least 0.1 away from 0, so both solves are well
-    # conditioned; draws that do not are redrawn from the same stream
+    # |1 - mu_j - w_i| at least 0.1 away from 0, so the Hessian blocks are
+    # invertible; draws that do not are redrawn from the same stream. That
+    # does not bound the conditioning of the KKT system (its condition
+    # number kappa is 3.1e4 and 3.7e5 on the two examples), so the steps
+    # need only agree to 10 kappa eps relative to the dense one: over 300
+    # draws the relative gap was at most 1.24 kappa eps
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6),
            shape=st.integers(1, 5).flatmap(
                lambda d: st.tuples(st.just(d), st.integers(d + 1, 10))))
+    @example(seed=665, shape=(4, 5))
+    @example(seed=3690, shape=(5, 7))
     def test_matches_the_dense_step(self, seed, shape):
         d, n = shape
         m = d * (d + 1) // 2
@@ -818,10 +825,11 @@ class TestKKTStep:
         assert 1.0 - mu.max() - w[-1] <= 0.0
         pos, dv, dmult = _step_of(v0[None], v[None], mult[None])
         r, c, _, _ = lab._residual(v0[None], v[None], mult[None])
-        want = _dense_kkt_step(r[0], c[0], mult, v)
+        want, kappa = _dense_kkt_step(r[0], c[0], mult, v)
         got = np.concatenate([dv.ravel(), dmult.ravel()])
         assert list(pos) == [0]
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= \
+            10.0 * kappa * np.finfo(float).eps * np.linalg.norm(want)
 
     def test_singular_hessian_block_stops_alone(self):
         # item 1's multipliers put 1 - mu_0 at lambda_max(Lambda), so its
