@@ -17,11 +17,10 @@ from .errors import (
     ShapeMismatch,
     UnsupportedExponent,
 )
-from .spectral import (ball_displacements, diagonal_shift_norm,
+from .spectral import (PSD_FLOOR, ball_displacements, diagonal_shift_norm,
                        general_spectrum, pnorm)
 
 SPECTRUM_REALITY_TOL = 1e-9
-INVERTIBILITY_FLOOR = 1e-12
 
 
 def dual_exponent(p):
@@ -97,7 +96,7 @@ class ASFReport:
 
     eps_parseval follows the spectral definition (all eigenvalues real
     within the reality tolerance and inside (0, 2) around 1, and S
-    invertible: sigma_min above INVERTIBILITY_FLOOR); the parseval
+    invertible: sigma_min above spectral.PSD_FLOOR); the parseval
     flag is the stronger operator condition |S - I| <= tol, kept separate
     because a nonnormal S can have unit spectrum far from the identity.
     eps_equal_norm requires the norm triple |tau|_p^2 = f(tau) = |f|_q^2 to
@@ -133,7 +132,7 @@ def analyze_asf(asf, tol):
 
     sigma = np.linalg.svd(s, compute_uv=False)
     sigma_min = float(sigma[-1])
-    invertible = sigma_min > INVERTIBILITY_FLOOR
+    invertible = sigma_min > PSD_FLOOR
 
     lam = float(np.trace(s)) / d
     tight_lambda = lam if diagonal_shift_norm(s, lam) <= tol else None

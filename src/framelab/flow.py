@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotUnitNorm, ShapeMismatch, StepTooLarge
 from .frames import Frame
-from .spectral import frobenius_norm, row_norms
+from .spectral import frobenius_norm, require_integer, row_norms
 
 # how far a row norm may stray from 1, at the start and at the end of a run
 UNIT_TOL = 1e-9
@@ -55,23 +55,13 @@ class FlowConfig:
     def __post_init__(self):
         for field in ("max_iters", "renorm_every"):
             value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, np.integer)):
-                raise ShapeMismatch(
-                    f"{field} must be an integer, got {value}")
+            require_integer(field, value)
             if value < 0:
                 raise ShapeMismatch(
                     f"{field} must be non-negative, got {value}")
         if not self.stop_defect >= 0.0:
             raise ShapeMismatch(
                 f"stop_defect must be non-negative, got {self.stop_defect}")
-
-
-@dataclass(frozen=True)
-class TangentFamily:
-    """The tangential components omega_j = S tau_j - <S tau_j, tau_j> tau_j."""
-
-    omegas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,9 +107,11 @@ def _omegas(v, s):
 
 
 def tangent_family(frame):
+    """The (n, d) array of the tangential components omega_j = S tau_j -
+    <S tau_j, tau_j> tau_j of a unit-norm frame (else NotUnitNorm)."""
     _require_unit(frame)
     v = frame.vectors
-    return TangentFamily(omegas=_omegas(v, v.T @ v))
+    return _omegas(v, v.T @ v)
 
 
 def _rotate(v, omegas, wn, t):
@@ -142,10 +134,9 @@ def flow_step(frame, config):
     """One rotation update; vectors with |omega_j| at or below
     ZERO_THRESHOLD are left unchanged."""
     _check_step(config, frame.n)
-    _require_unit(frame)
-    v = frame.vectors
-    omegas = _omegas(v, v.T @ v)
-    return Frame(_rotate(v, omegas, row_norms(omegas), config.step_t))
+    omegas = tangent_family(frame)
+    return Frame(_rotate(frame.vectors, omegas, row_norms(omegas),
+                         config.step_t))
 
 
 def _potentials(grams):

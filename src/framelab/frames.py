@@ -4,10 +4,11 @@ A frame is stored as an (n, d) array whose rows are the vectors tau_j,
 and its frame operator is S = sum_j tau_j tau_j^T. The certificate kernel
 (frame_certificate: S, its sym_eig and the two nearness certificates) and
 the nearness report built on it, the two closest-point constructions, the
-Naimark complement, and the seeded generators live here.
+Naimark complement, the seeded generators and default_certify_tol live here.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,25 @@ from .spectral import (
     PSD_FLOOR,
     SpectralDecomposition,
     diagonal_shift_norm,
-    inv_sqrt_psd,
+    inv_sqrt_from_eig,
     pnorm,
+    require_integer,
     sym_eig,
 )
 
 ZERO_NORM_FLOOR = 1e-300
-NAIMARK_TOL = 1e-8
+
+
+def default_certify_tol():
+    """1e-8 unless the FRAMELAB_TOL environment variable overrides it."""
+    raw = os.environ.get("FRAMELAB_TOL", "1e-8")
+    try:
+        v = float(raw)
+    except ValueError:
+        raise ShapeMismatch(f"FRAMELAB_TOL = {raw!r} is not a number") from None
+    if not 0.0 < v < 1.0:
+        raise ShapeMismatch(f"FRAMELAB_TOL must be in (0, 1), got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -194,7 +207,7 @@ def closest_parseval(frame):
     """Nearest Parseval frame S^{-1/2} tau_j and its squared distance,
     inf once that overflows, from entries near 1e154."""
     v = frame.vectors
-    w = v @ inv_sqrt_psd(frame_operator(frame))
+    w = v @ inv_sqrt_from_eig(sym_eig(frame_operator(frame)))
     with np.errstate(over="ignore"):  # the overflow is the documented inf
         dist_sq = float(np.sum((w - v) ** 2))
     return Frame(w), dist_sq
@@ -251,20 +264,22 @@ def rescale_rows(v, c=None):
 def naimark_complement(frame):
     """Parseval frame for R^{n-d} whose Gram projection completes the input's.
 
-    The input is replaced by its closest Parseval frame before the
-    orthogonal completion, so the Gram identity holds to machine precision
-    for any input that is Parseval within NAIMARK_TOL.
+    The input is certified once, by frame_certificate, and must be Parseval
+    within default_certify_tol(). Its closest Parseval frame, mapped through
+    that certificate's decomposition, is completed orthogonally, so the Gram
+    identity holds to machine precision.
     """
     n, d = frame.n, frame.dim
     if n <= d:
         raise NoComplement(f"a complement needs n > d, got n = {n}, d = {d}")
-    eps = analyze_frame(frame).eps_parseval
+    cert = frame_certificate(frame)
+    eps, tol = cert.eps_parseval, default_certify_tol()
     if eps is None:
         raise NotParseval("no Parseval certificate: S has an eigenvalue "
                           "outside (0, 2)")
-    if eps > NAIMARK_TOL:
-        raise NotParseval(f"eps_parseval {eps} exceeds tol {NAIMARK_TOL:g}")
-    w = closest_parseval(frame)[0].vectors
+    if eps > tol:
+        raise NotParseval(f"eps_parseval {eps} exceeds tol {tol:g}")
+    w = frame.vectors @ inv_sqrt_from_eig(cert.decomposition)
     q, _ = np.linalg.qr(w, mode="complete")
     # w has orthonormal columns, so the first d columns of q span its
     # range and the last n - d the orthocomplement: their rows form a
@@ -308,6 +323,8 @@ def generate(kind, d, n, seed=0):
     """
     if kind not in ("random_parseval", "harmonic"):
         raise ShapeMismatch(f"unknown kind {kind!r}")
+    for name, value in (("d", d), ("n", n), ("seed", seed)):
+        require_integer(name, value)
     if d < 1 or n < 1:
         raise ShapeMismatch("d and n must be positive")
     if n < d:

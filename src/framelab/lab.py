@@ -52,7 +52,6 @@ framelab loads: the Hilbert, flow and check commands run without scipy.
 
 import functools
 import math
-import os
 import statistics
 from dataclasses import dataclass, replace
 
@@ -79,6 +78,7 @@ from .frames import (
     Frame,
     FrameCertificate,
     analyze_frame,
+    default_certify_tol,
     enp_certificates,
     frame_certificate,
     frame_dist,
@@ -90,6 +90,7 @@ from .spectral import (
     PSD_FLOOR,
     ball_displacements,
     inv_sqrt_from_eig,
+    require_integer,
     sym_eig,
 )
 
@@ -97,7 +98,6 @@ HILBERT_KINDS = ("perturbed_enp", "scaled_enp")
 ASF_KINDS = ("perturbed_asf",)
 INSTANCE_KINDS = HILBERT_KINDS + ASF_KINDS
 
-CHAIN_TOL = 1e-9
 MAX_RETUNES = 24
 MAX_SEED_BUMPS = 512
 SEED_BUMP_STRIDE = 100_000
@@ -120,20 +120,6 @@ MU_MAX = 1e13
 SEARCH_MAX_ITERS = 400
 # the floor of the residual perturbed_asf records are certified at
 SEARCH_CERTIFY_TOL = 1e-6
-
-
-def default_certify_tol():
-    """1e-8 unless the FRAMELAB_TOL environment variable overrides it."""
-    raw = os.environ.get("FRAMELAB_TOL")
-    if raw is None:
-        return 1e-8
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ShapeMismatch(f"FRAMELAB_TOL = {raw!r} is not a number") from None
-    if not 0.0 < v < 1.0:
-        raise ShapeMismatch(f"FRAMELAB_TOL must be in (0, 1), got {v}")
-    return v
 
 
 def pair_error(kind, d, n):
@@ -163,6 +149,8 @@ class InstanceSpec:
         if self.kind not in INSTANCE_KINDS:
             raise ShapeMismatch(
                 f"kind must be one of {INSTANCE_KINDS}, got {self.kind!r}")
+        for name in ("d", "n", "seed"):
+            require_integer(name, getattr(self, name))
         reason = pair_error(self.kind, self.d, self.n)
         if reason is not None:
             raise Infeasible(reason)
@@ -259,9 +247,10 @@ def _gen_perturbed_asf(spec):
     |tau|_p^2 = f(tau) = |f|_q^2 = r_j^2 holds to rounding. The direction
     displacements and the radius offsets are drawn once per seed and
     halved until both certificates are within the target, as in
-    _gen_perturbed_enp; seeds whose frame operator picks up complex
-    spectrum are skipped by a deterministic seed bump, because the
-    offending sign pattern is invariant under shrinking the perturbation.
+    _gen_perturbed_enp, at SEARCH_CERTIFY_TOL; seeds whose frame operator
+    picks up complex spectrum are skipped by a deterministic seed bump,
+    because the offending sign pattern is invariant under shrinking the
+    perturbation.
     """
     d, n, p = spec.d, spec.n, spec.p
     eps = spec.epsilon_target
@@ -284,7 +273,7 @@ def _gen_perturbed_asf(spec):
             tau = r[:, None] * u
             f = r[:, None] * norming_functional(u, p)
             inst = ASF(space=space, functionals=f, vectors=tau)
-            rep = analyze_asf(inst, tol=CHAIN_TOL)
+            rep = analyze_asf(inst, tol=SEARCH_CERTIFY_TOL)
             if not rep.spectrum_real:
                 break
             if _within((rep.eps_parseval, rep.eps_equal_norm), eps):
@@ -463,17 +452,11 @@ def _kkt_step(r, c, a, mult, n, d):
     try:
         dmult = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError:
-        # one singular item fails the whole call: solve item by item, and
-        # only the singular items have no step
-        dmult = np.empty_like(rhs)
-        solved = np.ones(pos.size, dtype=bool)
-        for i in range(pos.size):
-            try:
-                dmult[i] = np.linalg.solve(schur[i], rhs[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        pos, a_t, r_t, inv, q, dmult = (
-            x[solved] for x in (pos, a_t, r_t, inv, q, dmult))
+        # one singular item fails the whole call; a slogdet sign of 0 marks a
+        # zero pivot of LAPACK's LU (getrf), which solve uses too
+        solved = np.linalg.slogdet(schur)[0] != 0
+        pos, a_t, r_t, inv, q = (x[solved] for x in (pos, a_t, r_t, inv, q))
+        dmult = np.linalg.solve(schur[solved], rhs[solved])
     dv = (inv * (a_t @ dmult - r_t)).reshape(-1, n, d) @ q.transpose(0, 2, 1)
     return pos, dv, dmult[:, :, 0]
 
@@ -558,7 +541,7 @@ def _alternating_round(v, dec):
     """The closest Parseval map, then the closest equal-norm map, from v
     and the sym_eig of its frame operator; inv_sqrt_from_eig raises
     SingularOperator, naming the eigenvalue, if that is singular."""
-    w = v @ inv_sqrt_from_eig(dec.eigenvalues, dec.eigenvectors)
+    w = v @ inv_sqrt_from_eig(dec)
     return rescale_rows(w, math.sqrt(v.shape[1] / len(v)))[0]
 
 
@@ -868,6 +851,7 @@ def estimate_paulsen(grid, trials):
     grid = list(grid)
     if not grid:
         raise ShapeMismatch("grid must contain at least one spec")
+    require_integer("trials", trials)
     if trials < 1:
         raise ShapeMismatch(f"trials must be positive, got {trials}")
 
@@ -903,6 +887,14 @@ def estimate_paulsen(grid, trials):
     return records, summary
 
 
+def _ratio(rec, ceiling):
+    """rec's dist_sq over one of its ceilings. An exactly ENP instance has
+    eps 0 and so zero ceilings: its ratio is 0 at dist_sq 0, else inf."""
+    if ceiling == 0.0:
+        return 0.0 if rec.achieved_dist_sq == 0.0 else math.inf
+    return rec.achieved_dist_sq / ceiling
+
+
 def summarize_records(records):
     groups = {}
     for rec in records:
@@ -919,7 +911,7 @@ def summarize_records(records):
             max_dist_sq=max(dists),
             mean_dist_sq=statistics.fmean(dists),
             median_dist_sq=statistics.median(dists),
-            max_ratio_hm=max(r.achieved_dist_sq / r.bound_hm for r in recs),
-            max_ratio_bc=max(r.achieved_dist_sq / r.bound_bc for r in recs),
+            max_ratio_hm=max(_ratio(r, r.bound_hm) for r in recs),
+            max_ratio_bc=max(_ratio(r, r.bound_bc) for r in recs),
         ))
     return out

@@ -1,8 +1,8 @@
 """Dense small-matrix kernels shared by the rest of the package.
 
 All matrices are real ndarrays. Eigenvalues of symmetric matrices are
-returned ascending so downstream reports are deterministic. The
-square-matrix guard, the Frobenius and row-wise norms and the p-ball
+returned ascending so downstream reports are deterministic. The square
+and integer guards, the Frobenius and row-wise norms and the p-ball
 sampler live here too, where every other module can import them: this
 module imports only errors, and asf imports only errors and this module,
 so frames and asf share these kernels without either importing the other.
@@ -47,6 +47,13 @@ def square_matrix(a):
     return a, big
 
 
+def require_integer(name, value):
+    """The one integer rule for dimensions, counts and seeds: ShapeMismatch
+    unless value is a Python or numpy integer (a bool or a float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ShapeMismatch(f"{name} must be an integer, got {value}")
+
+
 def sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
@@ -72,19 +79,12 @@ def sym_eig(a):
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=q)
 
 
-def inv_sqrt_psd(a):
-    """Inverse square root of a symmetric positive definite matrix:
-    inv_sqrt_from_eig of its sym_eig, with that function's
-    SingularOperator."""
-    dec = sym_eig(a)
-    return inv_sqrt_from_eig(dec.eigenvalues, dec.eigenvectors)
-
-
-def inv_sqrt_from_eig(lam, q):
-    """S^{-1/2} from an eigendecomposition of S: ascending eigenvalues lam
-    and orthonormal eigenvector columns q. Raises SingularOperator, naming
-    lam[0], when that smallest eigenvalue is at or below PSD_FLOOR: S is
-    numerically not invertible. This is the one singular-operator test."""
+def inv_sqrt_from_eig(dec):
+    """S^{-1/2} from the SpectralDecomposition dec of S, for every Parseval
+    map v @ S^{-1/2}. Raises SingularOperator, naming the smallest
+    eigenvalue, when it is at or below PSD_FLOOR: S is numerically not
+    invertible. This is the one singular-operator test."""
+    lam, q = dec.eigenvalues, dec.eigenvectors
     if lam[0] <= PSD_FLOOR:
         raise SingularOperator(
             f"smallest eigenvalue {lam[0]:.3e} is at or below floor "

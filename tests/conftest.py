@@ -139,7 +139,7 @@ def _reference_perturbed_asf(spec):
             tau = r[:, None] * u
             f = r[:, None] * norming_functional(u, p)
             inst = ASF(space=space, functionals=f, vectors=tau)
-            rep = analyze_asf(inst, tol=lab.CHAIN_TOL)
+            rep = analyze_asf(inst, tol=lab.SEARCH_CERTIFY_TOL)
             if not rep.spectrum_real:
                 break
             if lab._within((rep.eps_parseval, rep.eps_equal_norm), eps):

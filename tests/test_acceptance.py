@@ -208,9 +208,9 @@ def _run_flow_with_per_step_checks(d, n, seed):
         if float(np.linalg.norm(s - target * eye)) <= 1e-6:
             converged = k
             break
-        fam = tangent_family(Frame(v))
+        omegas = tangent_family(Frame(v))
         max_tan = max(max_tan, float(np.max(np.abs(
-            np.einsum("ij,ij->i", fam.omegas, v)))))
+            np.einsum("ij,ij->i", omegas, v)))))
         before = np.linalg.norm(v, axis=1)
         v = flow_step(Frame(v), config).vectors
         drift = np.abs(np.linalg.norm(v, axis=1) - before)

@@ -494,6 +494,30 @@ class TestEstimate:
                             epsilon_target=0.1, seed=42)
         assert out_path.read_bytes() == sweep_bytes([spec], 3)
 
+    @pytest.mark.parametrize("args, ratios", [
+        # the harmonic base at (2, 8) survives a 1e-20 perturbation, and
+        # the scaled bases at (1, 4) and (1, 16) a factor sqrt(1 + 1e-300),
+        # bit for bit: eps 0, both ceilings 0 and dist_sq 0
+        (["--d", "2", "--n", "8", "--eps", "1e-20", "--trials", "2"],
+         ["ratio_hm=0.000e+00 ratio_bc=0.000e+00"]),
+        (["--kind", "scaled_enp", "--d", "1", "--n", "4", "16",
+          "--eps", "1e-300", "--trials", "1"],
+         ["ratio_hm=0.000e+00 ratio_bc=0.000e+00"] * 2),
+        # the Banach search ends 2.3e-22 above the zero ceilings
+        (["--kind", "perturbed_asf", "--d", "2", "--n", "2", "--p", "1.5",
+          "--eps", "1e-20", "--trials", "1"],
+         ["ratio_hm=inf ratio_bc=inf"]),
+    ], ids=["perturbed_enp", "scaled_enp", "perturbed_asf"])
+    def test_zero_ceilings_summarize(self, capsys, tmp_path, args, ratios):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "estimate", *args, "--out",
+                             str(out_path))
+        assert (code, err) == (0, "")
+        assert [line[line.index("ratio_hm="):]
+                for line in out.splitlines()] == ratios
+        rows = out_path.read_text().splitlines()[1:]
+        assert all(row.endswith(",0.0,0.0") for row in rows)
+
     def test_bad_shape_is_domain_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--d", "3", "--n", "2",
                            "--eps", "0.1", "--trials", "1",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import frames, spectral
 from framelab.errors import (
     NoComplement,
     NotParseval,
@@ -392,6 +393,34 @@ class TestNaimark:
             naimark_complement(Frame(np.eye(3)[:2]))
         assert str(exc.value) == "a complement needs n > d, got n = 2, d = 3"
 
+    def test_follows_framelab_tol(self, monkeypatch):
+        # eps_parseval about 1e-10: refused at FRAMELAB_TOL = 1e-12,
+        # accepted at the default 1e-8
+        near = Frame(math.sqrt(1.0 + 1e-10)
+                     * generate("random_parseval", 3, 5, seed=4).vectors)
+        eps = analyze_frame(near).eps_parseval
+        assert 5e-11 < eps < 2e-10
+        monkeypatch.setenv("FRAMELAB_TOL", "1e-12")
+        with pytest.raises(NotParseval) as exc:
+            naimark_complement(near)
+        assert str(exc.value) == f"eps_parseval {eps} exceeds tol 1e-12"
+        monkeypatch.delenv("FRAMELAB_TOL")
+        assert naimark_complement(near).vectors.shape == (5, 2)
+
+    def test_runs_sym_eig_once(self, monkeypatch):
+        # the certificate's decomposition feeds the Parseval map
+        f = generate("random_parseval", 3, 5, seed=4)
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return sym_eig(a)
+
+        monkeypatch.setattr(frames, "sym_eig", counting)
+        monkeypatch.setattr(spectral, "sym_eig", counting)
+        naimark_complement(f)
+        assert calls == [(3, 3)]
+
     def test_no_parseval_certificate_is_named(self):
         with pytest.raises(NotParseval) as exc:
             naimark_complement(Frame(np.array([[1.0, 0.0], [2.0, 0.0],
@@ -459,6 +488,12 @@ class TestGenerate:
                 generate(kind, 4, 3)
             assert generate(kind, 4, 4).vectors.shape == (4, 4)
 
+    def test_numpy_integers_are_valid(self):
+        got = generate("random_parseval", np.int64(2), np.int32(3),
+                       seed=np.int64(4))
+        want = generate("random_parseval", 2, 3, seed=4)
+        assert np.array_equal(got.vectors, want.vectors)
+
     def test_random_parseval_certificate(self):
         rep = analyze_frame(generate("random_parseval", 3, 6, seed=2))
         assert rep.eps_parseval is not None and rep.eps_parseval <= 1e-10
@@ -480,6 +515,16 @@ class TestGenerate:
                  "d and n must be positive", id="zero-d"),
     pytest.param(lambda: generate("random_parseval", 2, 0), ShapeMismatch,
                  "d and n must be positive", id="zero-n"),
+    # one integer rule for counts and seeds: a float or a bool is refused
+    pytest.param(lambda: generate("harmonic", 2.5, 3), ShapeMismatch,
+                 "d must be an integer, got 2.5", id="float-d"),
+    pytest.param(lambda: generate("harmonic", True, 3), ShapeMismatch,
+                 "d must be an integer, got True", id="bool-d"),
+    pytest.param(lambda: generate("harmonic", 2, 3.0), ShapeMismatch,
+                 "n must be an integer, got 3.0", id="float-n"),
+    pytest.param(lambda: generate("random_parseval", 2, 3, seed=1.5),
+                 ShapeMismatch, "seed must be an integer, got 1.5",
+                 id="float-seed"),
 ])
 def test_errors_name_their_cause(call, error, message):
     with pytest.raises(error) as exc:

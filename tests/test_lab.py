@@ -125,6 +125,22 @@ class TestInstanceSpec:
         InstanceSpec(kind="perturbed_asf", d=2, n=4, epsilon_target=0.1,
                      p=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", 2.5), ("d", True), ("d", 2.0), ("n", 3.5), ("n", np.float64(4)),
+        ("seed", 1.5), ("seed", False),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        args = {"d": 2, "n": 4, "seed": 0, field: value}
+        with pytest.raises(ShapeMismatch) as exc:
+            InstanceSpec(kind="perturbed_enp", epsilon_target=0.1, **args)
+        assert str(exc.value) == f"{field} must be an integer, got {value}"
+
+    def test_numpy_integer_counts_are_valid(self):
+        spec = InstanceSpec(kind="perturbed_enp", d=np.int64(2),
+                            n=np.int32(4), epsilon_target=0.1,
+                            seed=np.int64(3))
+        assert (spec.d, spec.n, spec.seed) == (2, 4, 3)
+
     def test_negative_seed_rejected(self):
         for kind in lab.INSTANCE_KINDS:
             p = 1.5 if kind in lab.ASF_KINDS else 2.0
@@ -342,7 +358,7 @@ class TestGeneratorsGiveUp:
         assert str(exc.value) == (
             f"no real-spectrum perturbation found near seed 7 for {spec}")
         # each bump is dropped at its first analysis
-        assert analyzed == [lab.CHAIN_TOL] * lab.MAX_SEED_BUMPS
+        assert analyzed == [lab.SEARCH_CERTIFY_TOL] * lab.MAX_SEED_BUMPS
 
 
 class TestAlternating:
@@ -941,14 +957,15 @@ class TestStackedPolish:
         monkeypatch.setattr(np.linalg, "solve", spy)
         tol = default_certify_tol()
         got = lab._kkt_polish(v0, v0, tol)
-        # the stack's first solve fails, then the singular item's own
-        assert failed == [(3, 6, 6), (6, 6)]
+        # the stack's first solve fails; its slogdet drops the singular
+        # item, and one solve of the other two succeeds
+        assert failed == [(3, 6, 6)]
         assert got[1][1] is None
         assert got[0][1] is not None and got[2][1] is not None
         failed.clear()
         alone = _polish_alone(v0, v0, tol)
-        # alone, the stack of one fails and then its one item
-        assert failed == [(1, 6, 6), (6, 6)]
+        # alone, the stack of one fails, and the empty solve succeeds
+        assert failed == [(1, 6, 6)]
         assert [_polish_bytes(g) for g in got] == \
             [_polish_bytes(w) for w in alone]
 
@@ -1326,6 +1343,28 @@ class TestEstimate:
                             epsilon_target=0.1)
         with pytest.raises(ShapeMismatch):
             estimate_paulsen([spec], trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, True])
+    def test_non_integer_trials_rejected(self, trials):
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,
+                            epsilon_target=0.1)
+        with pytest.raises(ShapeMismatch) as exc:
+            estimate_paulsen([spec], trials=trials)
+        assert str(exc.value) == f"trials must be an integer, got {trials}"
+
+    def test_zero_ceilings_summarize(self):
+        # the harmonic base at (2, 8) survives a 1e-20 perturbation bit
+        # for bit, so eps, both ceilings and dist_sq are 0, and so are the
+        # ratios; a positive dist_sq over a zero ceiling is inf
+        spec = InstanceSpec(kind="perturbed_enp", d=2, n=8,
+                            epsilon_target=1e-20)
+        records, (row,) = estimate_paulsen([spec], trials=2)
+        assert all(r.bound_hm == r.bound_bc == r.achieved_dist_sq == 0.0
+                   for r in records)
+        assert (row.max_ratio_hm, row.max_ratio_bc) == (0.0, 0.0)
+        above = replace(records[0], achieved_dist_sq=2.3e-22)
+        (row,) = summarize_records([records[1], above])
+        assert (row.max_ratio_hm, row.max_ratio_bc) == (math.inf, math.inf)
 
     def test_trials_vary_seed(self):
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=3,

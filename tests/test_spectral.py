@@ -14,8 +14,8 @@ from framelab.spectral import (
     diagonal_shift_norm,
     frobenius_norm,
     general_spectrum,
+    SpectralDecomposition,
     inv_sqrt_from_eig,
-    inv_sqrt_psd,
     pnorm,
     sym_eig,
 )
@@ -159,28 +159,29 @@ class TestSymEigMatchesEigh:
 
 class TestInvSqrtPsd:
     def test_identity(self):
-        assert np.allclose(inv_sqrt_psd(np.eye(2)), np.eye(2))
+        assert np.allclose(inv_sqrt_from_eig(sym_eig(np.eye(2))), np.eye(2))
 
     def test_diagonal(self):
-        out = inv_sqrt_psd(np.diag([4.0, 9.0]))
+        out = inv_sqrt_from_eig(sym_eig(np.diag([4.0, 9.0])))
         assert np.allclose(out, np.diag([0.5, 1.0 / 3.0]))
 
     def test_scalar_matrix(self):
-        out = inv_sqrt_psd(1.5 * np.eye(2))
+        out = inv_sqrt_from_eig(sym_eig(1.5 * np.eye(2)))
         assert np.allclose(out, np.sqrt(2.0 / 3.0) * np.eye(2))
 
     def test_singular_raises(self):
         with pytest.raises(SingularOperator):
-            inv_sqrt_psd(np.diag([1.0, 0.0]))
+            inv_sqrt_from_eig(sym_eig(np.diag([1.0, 0.0])))
 
     def test_floor_is_inv_sqrt_from_eigs(self):
         # at PSD_FLOOR the operator is singular, and the message names
         # the eigenvalue; one ulp above it the inverse root comes back
         q = np.eye(2)
         with pytest.raises(SingularOperator, match=r"1\.000e-12"):
-            inv_sqrt_from_eig(np.array([spectral.PSD_FLOOR, 1.0]), q)
+            inv_sqrt_from_eig(SpectralDecomposition(
+                np.array([spectral.PSD_FLOOR, 1.0]), q))
         lam = np.array([np.nextafter(spectral.PSD_FLOOR, 1.0), 1.0])
-        out = inv_sqrt_from_eig(lam, q)
+        out = inv_sqrt_from_eig(SpectralDecomposition(lam, q))
         assert np.array_equal(out, np.diag(lam ** -0.5))
 
     @settings(max_examples=50, deadline=None)
@@ -189,10 +190,11 @@ class TestInvSqrtPsd:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((d + 2, d))
         a = g.T @ g + 0.1 * np.eye(d)
-        b = inv_sqrt_psd(a)
+        b = inv_sqrt_from_eig(sym_eig(a))
         assert np.linalg.norm(b @ a @ b - np.eye(d)) <= 1e-10 * d
         # whitened operator is the identity, whose inverse root is itself
-        assert np.linalg.norm(inv_sqrt_psd(b @ a @ b) - np.eye(d)) <= 1e-9
+        white = inv_sqrt_from_eig(sym_eig(b @ a @ b))
+        assert np.linalg.norm(white - np.eye(d)) <= 1e-9
 
 
 class TestGeneralSpectrum:
