@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedExponent,
 )
 from .spectral import (PSD_FLOOR, ball_displacements, diagonal_shift_norm,
-                       general_spectrum, pnorm)
+                       general_spectrum, pnorm, require_integer)
 
 SPECTRUM_REALITY_TOL = 1e-9
 
@@ -50,6 +50,7 @@ class PNormSpace:
     p: float
 
     def __post_init__(self):
+        require_integer("dim", self.dim)
         if self.dim < 1:
             raise ShapeMismatch("dim must be positive")
         if not (self.p == math.inf or self.p >= 1.0):
@@ -195,7 +196,11 @@ def asf_dist(a, b, variant="default"):
 
     default: (sum_j (|dtau_j|_p^2 + |df_j|_q^2)/2)^(1/2);
     star: half the sum of the two square-rooted halves (never larger);
-    a positive real variant replaces both exponents 2 by that value.
+    a positive real variant r replaces both exponents 2 by r, computed as
+    0.5^(1/r) times the r-norm of all the |dtau_j|_p and |df_j|_q, so that
+    pnorm's rescaling keeps a large r from under- or overflowing; r = inf
+    gives their maximum, the limit of these power means. star rescales the
+    same way; default overflows to inf once a norm passes about 1e154.
     """
     _check_compatible(a, b)
     p, q = a.space.p, a.space.q
@@ -204,14 +209,16 @@ def asf_dist(a, b, variant="default"):
     if variant == "default":
         return float(np.sqrt(np.sum(0.5 * (dv ** 2 + df ** 2))))
     if variant == "star":
-        return float(0.5 * (np.sqrt(np.sum(dv ** 2)) + np.sqrt(np.sum(df ** 2))))
+        with np.errstate(over="ignore"):  # pnorm sums such a norm again scaled
+            return 0.5 * (pnorm(dv, 2.0) + pnorm(df, 2.0))
     try:
         r = float(variant)
     except (TypeError, ValueError):
         raise ShapeMismatch(f"unknown distance variant {variant!r}") from None
     if not r > 0:
         raise UnsupportedExponent(f"variant exponent must be positive, got {r}")
-    return float(np.sum(0.5 * (dv ** r + df ** r)) ** (1.0 / r))
+    with np.errstate(over="ignore"):
+        return 0.5 ** (1.0 / r) * pnorm(np.concatenate([dv, df]), r)
 
 
 def from_hilbert(frame):
@@ -236,6 +243,7 @@ def generate_asf(kind, space, n=None, seed=0, base=None, delta=None):
     if kind == "repeated_basis":
         if n is None or n < 1:
             raise ShapeMismatch("repeated_basis needs n")
+        require_integer("n", n)
         if n % d != 0:
             raise IndivisibleRepeat(f"d = {d} does not divide n = {n}")
         idx = np.arange(n) % d
@@ -244,6 +252,7 @@ def generate_asf(kind, space, n=None, seed=0, base=None, delta=None):
     if kind == "random":
         if n is None or n < 1:
             raise ShapeMismatch("random needs n")
+        require_integer("n", n)
         rng = np.random.default_rng(seed)
         return ASF(space=space,
                    functionals=rng.standard_normal((n, d)),

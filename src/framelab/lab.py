@@ -38,10 +38,11 @@ O((nd + k)^3) of a dense KKT solve. An item whose Hessian has a pivot at
 or below spectral.PSD_FLOOR stops polishing. A perturbed_enp instance is
 certified once: the FrameCertificate that accepted the generator's draw
 travels in its bundle to the solver, which certifies only the frames it
-makes itself. The Banach search is a penalized local search by
-L-BFGS-B on the exact gradient of one row-vectorized kernel, stopped at
-its first certified penalty round (later rounds only trade distance for
-feasibility); it certifies to the residual it is given. That kernel
+makes itself. The Banach search returns an input it certifies as it
+is, and otherwise is a penalized local search by L-BFGS-B on the exact
+gradient of one row-vectorized kernel, stopped at its first certified
+penalty round (later rounds only trade distance for feasibility); it
+certifies to the residual it is given. That kernel
 (_search_terms) takes the rows of both exponents through one stacked
 pass; only its powers run per exponent, because numpy's scalar ** has
 exact fast paths (at 2, 0.5 and -1) that an array of exponents lacks,
@@ -172,17 +173,15 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class InstanceBundle:
-    """A generated instance, its measured certificate, and its squared
-    distance to the equal-norm Parseval base it was drawn around.
-    certificate is the FrameCertificate that accepted a perturbed_enp
-    draw, which its solve reuses; None for the other kinds."""
+    """A generated instance, its squared distance to the equal-norm
+    Parseval base it was drawn around, and the report that accepted it,
+    with its eps: a FrameCertificate (perturbed_enp; its solve reuses it),
+    FrameReport (scaled_enp) or ASFReport (perturbed_asf)."""
 
     spec: InstanceSpec
     instance: object
     base_dist_sq: float
-    eps_parseval: float
-    eps_equal_norm: float
-    certificate: FrameCertificate | None = None
+    report: object
 
 
 def _within(certs, eps):
@@ -192,16 +191,6 @@ def _within(certs, eps):
     eps_p, eps_en = certs
     return (eps_p is not None and eps_p <= eps
             and eps_en is not None and eps_en <= eps)
-
-
-def _bundle(spec, inst, base_dist_sq, rep):
-    """The bundle keeps rep as its certificate when it is a
-    FrameCertificate, the report the perturbed_enp generator accepts."""
-    cert = rep if isinstance(rep, FrameCertificate) else None
-    return InstanceBundle(spec=spec, instance=inst, base_dist_sq=base_dist_sq,
-                          eps_parseval=rep.eps_parseval,
-                          eps_equal_norm=rep.eps_equal_norm,
-                          certificate=cert)
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,7 +214,8 @@ def _gen_perturbed_enp(spec):
         inst = Frame(base.vectors + disp)
         cert = frame_certificate(inst)
         if _within((cert.eps_parseval, cert.eps_equal_norm), eps):
-            return _bundle(spec, inst, frame_dist(inst, base) ** 2, cert)
+            return InstanceBundle(spec, inst, frame_dist(inst, base) ** 2,
+                                  cert)
         disp = 0.5 * disp
     raise Infeasible(
         f"could not tune a perturbation below epsilon = {eps} for {spec}")
@@ -235,8 +225,8 @@ def _gen_scaled_enp(spec):
     """The harmonic frame times sqrt(1 + eps), so S = (1 + eps) I."""
     base = _harmonic_base(spec.d, spec.n)
     inst = Frame(np.sqrt(1.0 + spec.epsilon_target) * base.vectors)
-    return _bundle(spec, inst, frame_dist(inst, base) ** 2,
-                   analyze_frame(inst))
+    return InstanceBundle(spec, inst, frame_dist(inst, base) ** 2,
+                          analyze_frame(inst))
 
 
 def _gen_perturbed_asf(spec):
@@ -277,7 +267,8 @@ def _gen_perturbed_asf(spec):
             if not rep.spectrum_real:
                 break
             if _within((rep.eps_parseval, rep.eps_equal_norm), eps):
-                return _bundle(spec, inst, asf_dist(inst, base) ** 2, rep)
+                return InstanceBundle(spec, inst,
+                                      asf_dist(inst, base) ** 2, rep)
             disp, rho = 0.5 * disp, 0.5 * rho
     raise Infeasible(
         f"no real-spectrum perturbation found near seed {spec.seed} for {spec}")
@@ -681,14 +672,16 @@ def minimize(*args, **kwargs):
 def nearest_enp_asf_search(asf, certify_tol):
     """Penalized local search for the nearest equal-norm Parseval ASF.
 
-    Minimizes squared distance plus mu times the feasibility residual by
-    L-BFGS-B on the exact gradient of _search_terms, mu increasing by
-    MU_FACTOR per outer round, up to the first round whose residual is at
-    most certify_tol: as mu grows the distance part of the penalty
-    minimizer does not fall (Nocedal-Wright, Numerical Optimization 17.1),
-    so later rounds are no nearer. Failing that by MU_MAX, the most
-    feasible round comes back uncertified. Returns (asf, dist_sq,
-    certified, rounds), rounds counting the outer rounds before the stop.
+    An input with residual at most certify_tol comes back as it is, as
+    (asf, 0.0, True, 0). Otherwise minimizes squared distance plus mu
+    times the feasibility residual by L-BFGS-B on the exact gradient of
+    _search_terms, mu increasing by MU_FACTOR per outer round, up to the
+    first round whose residual is at most certify_tol: as mu grows the
+    distance part of the penalty minimizer does not fall (Nocedal-Wright,
+    Numerical Optimization 17.1), so later rounds are no nearer. Failing
+    that by MU_MAX, the most feasible round comes back uncertified.
+    Returns (asf, dist_sq, certified, rounds), rounds counting the outer
+    rounds before the stop.
 
     The input's (2, n, d) stack is built once per search. Each evaluation
     takes its four row families through one stacked pass of
@@ -713,6 +706,8 @@ def nearest_enp_asf_search(asf, certify_tol):
         return dist + mu * resid_sq, grad
 
     z = z_in.ravel()
+    if math.sqrt(_search_terms(z, 0.0, z_in, p, q)[1]) <= certify_tol:
+        return asf, 0.0, True, 0
     best = (math.inf, 0.0, z)  # (resid, dist_sq, z) of the most feasible round
     mu = MU0
     rounds = 0
@@ -820,12 +815,14 @@ def _solve_one(bundle, polished):
     certified when _base_proved proves the base; a Banach search that
     certifies no point reports it uncertified. polished is a Hilbert
     instance's input polish, or None, as nearest_enp_alternating takes
-    it; the bundle's certificate goes with it, so a perturbed_enp input
-    is not certified again."""
+    it; a perturbed_enp bundle's report, a FrameCertificate, goes with it,
+    so that input is not certified again."""
     base_ds = bundle.base_dist_sq
     if isinstance(bundle.instance, Frame):
+        cert = bundle.report
         out, ds, rounds = nearest_enp_alternating(
-            bundle.instance, polished, bundle.certificate)
+            bundle.instance, polished,
+            cert if isinstance(cert, FrameCertificate) else None)
         if out is None:
             return base_ds, _base_proved(bundle), rounds
         certified = True
@@ -842,7 +839,7 @@ def estimate_paulsen(grid, trials):
 
     Per-trial seeds are spec.seed + trial index. At n > d the input
     polishes of a spec's Hilbert trials run as one _kkt_polish stack, and
-    each trial's solve takes its own entry and its bundle's certificate.
+    each trial's solve takes its own entry and its bundle's report.
     Hilbert records are certified at default_certify_tol (FRAMELAB_TOL),
     perturbed_asf records at max(FRAMELAB_TOL, SEARCH_CERTIFY_TOL), so
     never below 1e-6. Certified Hilbert records are asserted against the
@@ -864,18 +861,18 @@ def estimate_paulsen(grid, trials):
             v0 = np.stack([b.instance.vectors for b in bundles])
             polished = _kkt_polish(v0, v0, default_certify_tol())
         for bundle, first in zip(bundles, polished):
-            t_spec = bundle.spec
+            t_spec, rep = bundle.spec, bundle.report
             ds, certified, rounds = _solve_one(bundle, first)
             bound_hm, bound_bc = _bounds_for(
-                t_spec, bundle.eps_parseval, bundle.eps_equal_norm)
+                t_spec, rep.eps_parseval, rep.eps_equal_norm)
             if certified and t_spec.kind in HILBERT_KINDS and ds > bound_hm:
                 raise BoundViolation(
                     f"certified record at {t_spec} achieved {ds} above the "
                     f"ceiling {bound_hm}")
             records.append(ExperimentRecord(
                 spec=t_spec,
-                measured_eps_parseval=bundle.eps_parseval,
-                measured_eps_equal_norm=bundle.eps_equal_norm,
+                measured_eps_parseval=rep.eps_parseval,
+                measured_eps_equal_norm=rep.eps_equal_norm,
                 achieved_dist_sq=ds,
                 certified=certified,
                 iterations=rounds,

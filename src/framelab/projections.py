@@ -1,6 +1,6 @@
 """Projection-problem quantities.
 
-Covers idempotent certification with rank determination, balance epsilon
+Covers idempotent certification (rank = rounded trace), balance epsilon
 over Auerbach systems, the projection-pair distance, and chordal distance.
 The Hilbert case is the l2 one: an orthonormal basis U is the Auerbach
 system AuerbachSystem(PNormSpace(d, 2.0), U, U). Oblique (non-self-adjoint)
@@ -22,15 +22,11 @@ from .errors import (
     ShapeMismatch,
     ZeroRank,
 )
-from .spectral import frobenius_norm, general_spectrum, square_matrix
+from .spectral import frobenius_norm, square_matrix
 
 PROJ_TOL = 1e-8
-RANK_EIG_TOL = 1e-8
 AUERBACH_TOL = 1e-10
 CHORDAL_TOL = 1e-10
-# Nonzero singular values of an idempotent are >= 1, so 0.5 separates
-# the rank cluster from the kernel cluster with a wide margin.
-RANK_SV_SPLIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -84,6 +80,8 @@ class AuerbachSystem:
 
 
 def certify_projection(m):
+    """The ProjectionOp of m when |m^2 - m|_F <= PROJ_TOL, else
+    NotIdempotent; its rank is the rounded trace of m."""
     m, _ = square_matrix(m)
     d = m.shape[0]
 
@@ -92,17 +90,11 @@ def certify_projection(m):
         raise NotIdempotent(
             f"idempotency defect {defect:.3e} exceeds {PROJ_TOL:.3e}")
 
-    spec = general_spectrum(m)
-    rank_eig = int(np.sum(np.abs(spec - 1.0) <= RANK_EIG_TOL))
-    sv = np.linalg.svd(m, compute_uv=False)
-    rank_sv = int(np.sum(sv > RANK_SV_SPLIT))
-    if rank_eig != rank_sv:
-        raise NotIdempotent(
-            f"rank is ambiguous: {rank_eig} unit eigenvalues vs "
-            f"{rank_sv} singular values above {RANK_SV_SPLIT}")
-
+    # Every eigenvalue l of m has |l^2 - l| <= |m^2 - m|_2 <= defect <=
+    # PROJ_TOL, so each lies within about PROJ_TOL of 0 or 1, and the trace,
+    # their sum, within about d PROJ_TOL of the number near 1: the rank.
     return ProjectionOp(dim=d, matrix=m, idempotency_defect=defect,
-                        rank=rank_eig,
+                        rank=round(float(np.trace(m))),
                         self_adjoint_defect=frobenius_norm(m - m.T))
 
 

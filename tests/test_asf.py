@@ -143,7 +143,7 @@ class TestAnalyzeASF:
 class TestASFDist:
     def test_zero_on_self(self):
         asf = random_asf(3, 2, 4)
-        for variant in ("default", "star", 1.5):
+        for variant in ("default", "star", 1.5, 400.0, math.inf):
             assert asf_dist(asf, asf, variant) == 0.0
 
     def test_single_move(self):
@@ -153,6 +153,24 @@ class TestASFDist:
         assert asf_dist(can, moved) == pytest.approx(math.sqrt(0.5))
         assert asf_dist(can, moved, "star") == pytest.approx(0.5)
 
+    # vectors moved by (a, b) along the diagonal: dv = (a, b), df = 0.
+    # The r variant is ((a^r + b^r) / 2)^(1/r), which neither under- nor
+    # overflows at r = 400, and max(a, b) at r = inf; star is
+    # |(a, b)|_2 / 2 even where a^2 + b^2 leaves the float range
+    @pytest.mark.parametrize("a, b, variant, want", [
+        (0.1, 0.0, 400.0, 0.1 * 0.5 ** (1 / 400)),
+        (999.0, 0.0, 400.0, 999.0 * 0.5 ** (1 / 400)),
+        (0.1, 0.05, math.inf, 0.1),
+        (1e-170, 0.0, "star", 0.5e-170),
+        (1e154, 1e154, "star", 0.5 * math.sqrt(2.0) * 1e154),
+    ])
+    def test_variants_at_extreme_scales(self, a, b, variant, want):
+        can = generate_asf("repeated_basis", PNormSpace(2, 2.0), n=2)
+        moved = ASF(space=can.space, functionals=can.functionals,
+                    vectors=can.vectors + np.diag([a, b]))
+        assert asf_dist(can, moved, variant) == pytest.approx(want,
+                                                              rel=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6),
            p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
@@ -160,7 +178,13 @@ class TestASFDist:
         a = random_asf(seed, 3, 4, p)
         b = random_asf(seed + 1, 3, 4, p)
         default = asf_dist(a, b)
-        assert asf_dist(a, b, "star") <= default + 1e-12
+        star = asf_dist(a, b, "star")
+        assert star <= default + 1e-12
+        # the bits of the sums of squares without pnorm's rescaling
+        dv = pnorm(a.vectors - b.vectors, p)
+        df = pnorm(a.functionals - b.functionals, a.space.q)
+        assert star == 0.5 * (np.sqrt(np.sum(dv ** 2))
+                              + np.sqrt(np.sum(df ** 2)))
         assert asf_dist(a, b, 2.0) == pytest.approx(default, abs=1e-12)
 
     def test_space_mismatch(self):
@@ -265,6 +289,10 @@ L2 = PNormSpace(2, 2.0)
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: PNormSpace(0, 2.0), ShapeMismatch,
                  "dim must be positive", id="space-dim"),
+    pytest.param(lambda: PNormSpace(2.0, 2.0), ShapeMismatch,
+                 "dim must be an integer, got 2.0", id="space-dim-float"),
+    pytest.param(lambda: PNormSpace(True, 2.0), ShapeMismatch,
+                 "dim must be an integer, got True", id="space-dim-bool"),
     pytest.param(lambda: ASF(space=L2, functionals=np.zeros((3, 2)),
                              vectors=np.zeros((3, 3))), ShapeMismatch,
                  "functionals (3, 2) and vectors (3, 3) must both be (n, 2)",
@@ -289,6 +317,11 @@ L2 = PNormSpace(2, 2.0)
                  "repeated_basis needs n", id="repeated-basis-n"),
     pytest.param(lambda: generate_asf("random", L2, n=0), ShapeMismatch,
                  "random needs n", id="random-n"),
+    pytest.param(lambda: generate_asf("repeated_basis", L2, n=4.0),
+                 ShapeMismatch, "n must be an integer, got 4.0",
+                 id="repeated-basis-n-float"),
+    pytest.param(lambda: generate_asf("random", L2, n=True), ShapeMismatch,
+                 "n must be an integer, got True", id="random-n-bool"),
     pytest.param(lambda: generate_asf("perturb", L2, delta=0.1),
                  ShapeMismatch, "perturb needs a base ASF and delta >= 0",
                  id="perturb-base"),

@@ -21,6 +21,7 @@ from framelab.errors import (
 )
 from framelab.frames import (
     Frame,
+    FrameCertificate,
     analyze_frame,
     closest_parseval,
     frame_certificate,
@@ -179,8 +180,8 @@ class TestGenerateInstance:
     def test_scaled_hits_target_exactly(self):
         spec = InstanceSpec(kind="scaled_enp", d=2, n=4, epsilon_target=0.2)
         bundle = generate_instance(spec)
-        assert bundle.eps_parseval == pytest.approx(0.2, abs=1e-12)
-        assert bundle.eps_equal_norm == pytest.approx(0.2, abs=1e-12)
+        assert bundle.report.eps_parseval == pytest.approx(0.2, abs=1e-12)
+        assert bundle.report.eps_equal_norm == pytest.approx(0.2, abs=1e-12)
         rep = analyze_frame(bundle.instance)
         assert rep.eps_parseval == pytest.approx(0.2, abs=1e-10)
         assert rep.frame_bounds == pytest.approx((1.2, 1.2))
@@ -190,8 +191,8 @@ class TestGenerateInstance:
         spec = InstanceSpec(kind="perturbed_enp", d=3, n=7,
                             epsilon_target=0.05, seed=5)
         bundle = generate_instance(spec)
-        assert 0.0 < bundle.eps_parseval <= 0.05
-        assert 0.0 <= bundle.eps_equal_norm <= 0.05
+        assert 0.0 < bundle.report.eps_parseval <= 0.05
+        assert 0.0 <= bundle.report.eps_equal_norm <= 0.05
 
     def test_perturbed_base_is_tight(self):
         spec = InstanceSpec(kind="perturbed_enp", d=2, n=5,
@@ -210,8 +211,8 @@ class TestGenerateInstance:
         rep = analyze_asf(bundle.instance, tol=1e-8)
         assert rep.norm_triple_defect <= 1e-9
         assert rep.spectrum_real
-        assert bundle.eps_parseval <= 0.1
-        assert bundle.eps_equal_norm <= 0.1
+        assert bundle.report.eps_parseval <= 0.1
+        assert bundle.report.eps_equal_norm <= 0.1
 
     def test_asf_deterministic(self):
         spec = InstanceSpec(kind="perturbed_asf", d=2, n=4,
@@ -318,8 +319,8 @@ class TestDrawOnce:
         for spec in specs:
             assert reference_instance(spec) is None
             bundle = generate_instance(spec)
-            assert bundle.eps_parseval <= spec.epsilon_target
-            assert bundle.eps_equal_norm <= spec.epsilon_target
+            assert bundle.report.eps_parseval <= spec.epsilon_target
+            assert bundle.report.eps_equal_norm <= spec.epsilon_target
             assert bundle.base_dist_sq > 0.0
 
 
@@ -1128,6 +1129,23 @@ class TestASFSearch:
         assert certified
         assert dist_sq <= 1e-12
 
+    # an input already within certify_tol is its own nearest certified
+    # point: it comes back as it is, before any penalty round runs
+    @pytest.mark.parametrize("asf", [
+        generate_asf("repeated_basis", PNormSpace(2, 3.0), n=4),
+        generate_instance(InstanceSpec(kind="perturbed_asf", d=2, n=2,
+                                       epsilon_target=1e-20, p=1.5)).instance,
+    ])
+    def test_certified_input_comes_back(self, monkeypatch, asf):
+        def no_minimize(*args, **kwargs):
+            raise AssertionError("a penalty round ran")
+
+        monkeypatch.setattr(lab, "minimize", no_minimize)
+        out, dist_sq, certified, rounds = nearest_enp_asf_search(
+            asf, certify_tol=SEARCH_CERTIFY_TOL)
+        assert out is asf
+        assert (dist_sq, certified, rounds) == (0.0, True, 0)
+
     # a later penalty round is no nearer than the first certified one
     # (the distance part of the penalty minimizer does not fall as mu
     # grows), so the search returns that round and runs no further
@@ -1380,7 +1398,7 @@ class TestEstimate:
         records, _ = estimate_paulsen([spec], trials=2)
         for rec in records:
             bundle = generate_instance(rec.spec)
-            assert bundle.eps_parseval == pytest.approx(
+            assert bundle.report.eps_parseval == pytest.approx(
                 rec.measured_eps_parseval, abs=1e-14)
             out, dist_sq, _ = nearest_enp_alternating(bundle.instance)
             assert min(dist_sq, bundle.base_dist_sq) == pytest.approx(
@@ -1418,7 +1436,7 @@ class TestSharedDecomposition:
             kind="perturbed_enp", d=d, n=n, epsilon_target=eps, seed=seed))
         frame = bundle.instance
         want = frame_certificate(frame)
-        got = bundle.certificate
+        got = bundle.report
         for a, b in ((got.operator, want.operator),
                      (got.decomposition.eigenvalues,
                       want.decomposition.eigenvalues),
@@ -1435,11 +1453,15 @@ class TestSharedDecomposition:
         assert shared[2] == alone[2]
 
     def test_only_perturbed_enp_keeps_it(self):
-        for spec in (InstanceSpec(kind="scaled_enp", d=2, n=4,
-                                  epsilon_target=0.2),
-                     InstanceSpec(kind="perturbed_asf", d=2, n=4,
-                                  epsilon_target=0.1, p=1.5, seed=3)):
-            assert generate_instance(spec).certificate is None
+        for spec, want in ((InstanceSpec(kind="perturbed_enp", d=2, n=4,
+                                         epsilon_target=0.1), True),
+                           (InstanceSpec(kind="scaled_enp", d=2, n=4,
+                                         epsilon_target=0.2), False),
+                           (InstanceSpec(kind="perturbed_asf", d=2, n=4,
+                                         epsilon_target=0.1, p=1.5, seed=3),
+                            False)):
+            report = generate_instance(spec).report
+            assert isinstance(report, FrameCertificate) is want
 
     def test_one_sym_eig_per_attempt_and_per_round(self, monkeypatch):
         # (2, 3): margin exits, seed 978 after a retune; (3, 3): n = d

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from framelab import projections
 from framelab.asf import PNormSpace
 from framelab.errors import (
     InvalidSystem,
@@ -64,17 +63,6 @@ class TestCertify:
         with pytest.raises(NotIdempotent):
             certify_projection(np.array([[0.5, 0.0], [0.0, 0.0]]))
 
-    def test_ambiguous_rank(self, monkeypatch):
-        # an eigenvalue 1 + 1e-6 is no unit eigenvalue, while its singular
-        # value 1 is above the split: the two rank counts disagree
-        monkeypatch.setattr(projections, "general_spectrum",
-                            lambda m: np.array([1.0 + 1e-6, 0.0]))
-        with pytest.raises(NotIdempotent) as exc:
-            certify_projection(np.diag([1.0, 0.0]))
-        assert str(exc.value) == (
-            "rank is ambiguous: 0 unit eigenvalues vs 1 singular values"
-            " above 0.5")
-
     @pytest.mark.parametrize("m, message", [
         (np.ones((2, 3)), "expected a square matrix, got (2, 3)"),
         (np.ones(3), "expected a matrix, got ndim 1"),
@@ -98,6 +86,32 @@ class TestCertify:
         proj = random_orthogonal_projection(rng, d, rank)
         assert proj.rank == rank
         assert proj.idempotency_defect <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 7),
+           log_scale=st.floats(0.0, 6.0),
+           noise=st.sampled_from([0.0, 1e-12, 1e-10, 3e-9, 3e-8]))
+    def test_rank_is_both_spectral_counts(self, seed, d, log_scale, noise):
+        # oblique idempotents of every rank under a diagonal similarity
+        # with entries up to 10^log_scale, plus entrywise noise; on those
+        # that pass the defect test the rounded trace counts both the
+        # eigenvalues within 1e-8 of 1 and the singular values above 0.5
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(0, d + 1))
+        a = rng.standard_normal((d, rank))
+        b = rng.standard_normal((d, rank))
+        gram = b.T @ a
+        assume(rank == 0 or abs(np.linalg.det(gram)) > 1e-3)
+        s = 10.0 ** rng.uniform(0.0, log_scale, d)
+        m = (a @ np.linalg.solve(gram, b.T) if rank else np.zeros((d, d)))
+        m = m * (s[None, :] / s[:, None]) + noise * rng.uniform(-1, 1, (d, d))
+        try:
+            proj = certify_projection(m)
+        except NotIdempotent:
+            assume(False)
+        eig = np.abs(np.linalg.eigvals(m) - 1.0) <= 1e-8
+        sv = np.linalg.svd(m, compute_uv=False) > 0.5
+        assert proj.rank == rank == np.sum(eig) == np.sum(sv)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(2, 5))
