@@ -200,25 +200,33 @@ def asf_dist(a, b, variant="default"):
     0.5^(1/r) times the r-norm of all the |dtau_j|_p and |df_j|_q, so that
     pnorm's rescaling keeps a large r from under- or overflowing; r = inf
     gives their maximum, the limit of these power means. star rescales the
-    same way; default overflows to inf once a norm passes about 1e154.
+    same way. default is the plain sum of squares, and where that sum
+    overflows while every norm is finite, the r = 2 variant, which equals
+    it and rescales: a finite distance is never inf.
     """
     _check_compatible(a, b)
     p, q = a.space.p, a.space.q
     dv = pnorm(a.vectors - b.vectors, p)
     df = pnorm(a.functionals - b.functionals, q)
     if variant == "default":
-        return float(np.sqrt(np.sum(0.5 * (dv ** 2 + df ** 2))))
-    if variant == "star":
-        with np.errstate(over="ignore"):  # pnorm sums such a norm again scaled
-            return 0.5 * (pnorm(dv, 2.0) + pnorm(df, 2.0))
-    try:
-        r = float(variant)
-    except (TypeError, ValueError):
-        raise ShapeMismatch(f"unknown distance variant {variant!r}") from None
-    if not r > 0:
-        raise UnsupportedExponent(f"variant exponent must be positive, got {r}")
-    with np.errstate(over="ignore"):
-        return 0.5 ** (1.0 / r) * pnorm(np.concatenate([dv, df]), r)
+        with np.errstate(over="ignore"):  # recomputed scaled below
+            dist = float(np.sqrt(np.sum(0.5 * (dv ** 2 + df ** 2))))
+        if dist < math.inf or not (np.isfinite(dv).all()
+                                   and np.isfinite(df).all()):
+            return dist
+        r = 2.0
+    elif variant == "star":
+        return 0.5 * (pnorm(dv, 2.0) + pnorm(df, 2.0))
+    else:
+        try:
+            r = float(variant)
+        except (TypeError, ValueError):
+            raise ShapeMismatch(
+                f"unknown distance variant {variant!r}") from None
+        if not r > 0:
+            raise UnsupportedExponent(
+                f"variant exponent must be positive, got {r}")
+    return 0.5 ** (1.0 / r) * pnorm(np.concatenate([dv, df]), r)
 
 
 def from_hilbert(frame):

@@ -243,8 +243,8 @@ def run_cli(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        # pnorm recomputes the rows whose power sums overflow by scaling,
-        # so numpy's overflow warnings there are noise on stderr
+        # a command reports a quantity past the float range as inf, so
+        # numpy's overflow warnings would be noise on stderr
         with np.errstate(over="ignore"):
             return args.func(args)
     except StepTooLarge as exc:

@@ -43,10 +43,16 @@ is, and otherwise is a penalized local search by L-BFGS-B on the exact
 gradient of one row-vectorized kernel, stopped at its first certified
 penalty round (later rounds only trade distance for feasibility); it
 certifies to the residual it is given. That kernel
-(_search_terms) takes the rows of both exponents through one stacked
-pass; only its powers run per exponent, because numpy's scalar ** has
-exact fast paths (at 2, 0.5 and -1) that an array of exponents lacks,
-and the search's bits rest on them. scipy.optimize
+(_SearchTerms) is built once per search: it keeps its work arrays
+between evaluations and writes each pass into them, and it takes the
+rows of both exponents through one stacked pass; only its powers run
+per exponent, because np.power with a scalar exponent has exact fast
+paths (at 2, 0.5 and -1) that an array of exponents lacks, and the
+search's bits rest on them. It keeps the mu-free parts of the last point
+it evaluated, so a point that the search asks for twice in a row (the
+input check and round 1's first evaluation, each round's certificate
+check and the next round's first evaluation) is evaluated once.
+scipy.optimize
 loads on the first Banach search, and it is the only scipy module that
 framelab loads: the Hilbert, flow and check commands run without scipy.
 """
@@ -613,10 +619,16 @@ def nearest_enp_alternating(frame, polished=None, certificate=None):
     return Frame(point), dist_sq(point), rounds
 
 
-def _search_terms(z, mu, z_in, p, q):
-    """Distance part, feasibility residual and the exact gradient of
-    dist + mu * resid_sq at z = (f, tau), the flat (2, n, d) stack of
-    functionals and vectors; z_in is the input's (2, n, d) stack.
+class _SearchTerms:
+    """The Banach search's objective kernel, built once per search from
+    the input's (2, n, d) stack z_in = [f_in; tau_in] and the exponents p
+    and q.
+
+    Called at z = (f, tau), the flat (2, n, d) stack of functionals and
+    vectors, it returns the mu-free parts of the penalty dist + mu *
+    resid_sq: dist, resid_sq, half the gradient of dist and the gradient
+    of resid_sq, both flat like z. penalty(z, mu) puts them together as
+    L-BFGS-B's value and gradient.
 
     dist = sum_j (|tau_j - tau_in_j|_p^2 + |f_j - f_in_j|_q^2) / 2 and
     resid_sq = |G|^2 + sum_j (a_j^2 + b_j^2 + c_j^2) with G = tau^T f - I,
@@ -624,42 +636,104 @@ def _search_terms(z, mu, z_in, p, q):
     The squared row norms and their gradients 2 |x|_r^(2-r) sign(x)
     |x|^(r-1) (0 on a zero row) take one pass over the (4n, d) stack
     [f - f_in; f; tau - tau_in; tau], r = q on its first half and p on
-    its second. Only the powers run per half: numpy's scalar ** takes
-    exact fast paths at 2, 0.5 and -1, which an array of exponents does
+    its second, written into work arrays that the kernel keeps between
+    calls. Only the powers run per half: np.power with a scalar exponent
+    takes exact paths at 2, 0.5 and -1, which an array of exponents does
     not. When a power sum overflows, or underflows on a nonzero row, each
-    half's norms are pnorm's, which rescales those rows.
+    half's norms are pnorm's, which rescales those rows; otherwise every
+    power sum is at least _TINY and no norm is 0.
+
+    The kernel keeps the parts of the last point it evaluated and gives
+    them again for a z with the same bits, so a point asked for twice in
+    a row is evaluated once. The arrays it returns are never its work
+    arrays.
     """
-    _, n, d = z_in.shape
-    h = 2 * n
-    t = d / n
-    fz = z.reshape(2, n, d)
-    f, tau = fz[0], fz[1]
-    x = np.concatenate([fz - z_in, fz], axis=1).reshape(2 * h, d)
-    ax = np.abs(x)
-    ax_q, ax_p = ax[:h], ax[h:]
-    s = np.add.reduce(np.concatenate([ax_q ** q, ax_p ** p]), axis=1)
-    if np.minimum.reduce(s) >= _TINY and np.maximum.reduce(s) < math.inf:
-        norms = np.concatenate([s[:h] ** (1.0 / q), s[h:] ** (1.0 / p)])
-    else:
-        norms = np.concatenate([pnorm(x[:h], q), pnorm(x[h:], p)])
-    w = np.where(norms > 0.0, norms, 1.0)
-    scale = 2.0 * np.concatenate([w[:h] ** (2.0 - q), w[h:] ** (2.0 - p)])
-    rows = (scale[:, None] * np.sign(x) * np.concatenate(
-        [ax_q ** (q - 1.0), ax_p ** (p - 1.0)])).reshape(2, 2, n, d)
-    sq = (norms ** 2).reshape(2, 2, n)
-    g = tau.T @ f
-    g.ravel()[:: d + 1] -= 1.0  # minus I in place, without building np.eye
-    ba = sq[:, 1] - t  # the norm residuals of f, then of tau
-    b, a = ba[0], ba[1]
-    c = np.einsum("ij,ij->i", f, tau) - t
-    dist = 0.5 * float(np.add.reduce(sq[1, 0] + sq[0, 0]))
-    resid_sq = float(np.add.reduce(g * g, axis=None) + a @ a + b @ b + c @ c)
-    # [tau; f] @ [G; G^T] and the rest, f's rows first as in z
-    swapped = fz[::-1]
-    grad = 0.5 * rows[:, 0] + 2.0 * mu * (
-        swapped @ np.concatenate([g, g.T]).reshape(2, d, d)
-        + ba[:, :, None] * rows[:, 1] + c[:, None] * swapped)
-    return dist, resid_sq, grad.ravel()
+
+    def __init__(self, z_in, p, q):
+        _, n, d = z_in.shape
+        h = 2 * n
+        self._z_in = z_in
+        self._t = d / n
+        x, ax, pw, rows = np.empty((4, 2 * h, d))
+        s, norms, scale, sq = np.empty((4, 2 * h))
+        x4, rows4 = x.reshape(2, 2, n, d), rows.reshape(2, 2, n, d)
+        g = np.empty((2, d, d))  # [G; G^T]
+        # the work arrays and the views _evaluate writes through, unpacked
+        # there in this order
+        self._work = (x, ax, pw, rows, s, norms, scale, scale[:, None], sq,
+                      sq.reshape(2, 2, n), x4[:, 0], x4[:, 1], rows4[:, 0],
+                      rows4[:, 1], g, g[0], g[1], g[0].ravel()[:: d + 1],
+                      np.empty((2, n, d)))
+        # each exponent block's rows in the work arrays, and r, 1/r,
+        # 2 - r and r - 1: the q block, then the p block
+        self._blocks = tuple(
+            (x[k], ax[k], pw[k], s[k], norms[k], scale[k],
+             r, 1.0 / r, 2.0 - r, r - 1.0)
+            for k, r in ((slice(0, h), q), (slice(h, 2 * h), p)))
+        self._key = None
+        self._parts = None
+
+    def __call__(self, z):
+        key = z.tobytes()
+        if key != self._key:
+            self._parts = self._evaluate(z)
+            self._key = key
+        return self._parts
+
+    def penalty(self, z, mu):
+        """dist + mu * resid_sq and its flat gradient at z."""
+        dist, resid_sq, half_dist_grad, resid_grad = self(z)
+        return dist + mu * resid_sq, half_dist_grad + 2.0 * mu * resid_grad
+
+    def _evaluate(self, z):
+        (x, ax, pw, rows, s, norms, scale, scale_col, sq, sq4, x_diff,
+         x_self, rows_diff, rows_self, g, g0, g1, g_diag, tmp) = self._work
+        blocks, z_in, t = self._blocks, self._z_in, self._t
+        fz = z.reshape(z_in.shape)
+        f, tau = fz[0], fz[1]
+        np.subtract(fz, z_in, out=x_diff)
+        np.copyto(x_self, fz)
+        np.abs(x, out=ax)
+        for _, ax_k, pw_k, _, _, _, r, _, _, _ in blocks:
+            np.power(ax_k, r, out=pw_k)
+        np.add.reduce(pw, axis=1, out=s)
+        sums = s.tolist()
+        # a total below inf rules out an inf or NaN power sum; a total of
+        # finite ones that overflows only takes pnorm's path, which gives
+        # rows with normal power sums the same bits
+        if sum(sums) < math.inf and min(sums) >= _TINY:
+            for _, _, _, s_k, norms_k, scale_k, _, inv_r, e, _ in blocks:
+                np.power(s_k, inv_r, out=norms_k)
+                np.power(norms_k, e, out=scale_k)
+        else:
+            for x_k, _, _, _, norms_k, _, r, _, _, _ in blocks:
+                norms_k[...] = pnorm(x_k, r)
+            scale[...] = np.where(norms > 0.0, norms, 1.0)
+            for _, _, _, _, _, scale_k, _, _, e, _ in blocks:
+                np.power(scale_k, e, out=scale_k)
+        for _, ax_k, pw_k, _, _, _, _, _, _, e in blocks:
+            np.power(ax_k, e, out=pw_k)
+        np.multiply(scale, 2.0, out=scale)
+        np.sign(x, out=rows)
+        np.multiply(scale_col, rows, out=rows)
+        np.multiply(rows, pw, out=rows)
+        np.square(norms, out=sq)
+        np.matmul(tau.T, f, out=g0)
+        g_diag -= 1.0  # G = tau^T f - I
+        np.copyto(g1, g0.T)
+        ba = sq4[:, 1] - t  # the norm residuals of f, then of tau
+        b, a = ba[0], ba[1]
+        c = np.einsum("ij,ij->i", f, tau) - t
+        dist = 0.5 * float(np.add.reduce(sq4[1, 0] + sq4[0, 0]))
+        resid_sq = float(np.add.reduce(g0 * g0, axis=None)
+                         + a @ a + b @ b + c @ c)
+        # [tau; f] @ [G; G^T] and the rest, f's rows first as in z
+        swapped = fz[::-1]
+        resid_grad = swapped @ g
+        resid_grad += np.multiply(ba[:, :, None], rows_self, out=tmp)
+        resid_grad += np.multiply(c[:, None], swapped, out=tmp)
+        return (dist, resid_sq, (0.5 * rows_diff).ravel(),
+                resid_grad.ravel())
 
 
 def minimize(*args, **kwargs):
@@ -675,7 +749,7 @@ def nearest_enp_asf_search(asf, certify_tol):
     An input with residual at most certify_tol comes back as it is, as
     (asf, 0.0, True, 0). Otherwise minimizes squared distance plus mu
     times the feasibility residual by L-BFGS-B on the exact gradient of
-    _search_terms, mu increasing by MU_FACTOR per outer round, up to the
+    _SearchTerms, mu increasing by MU_FACTOR per outer round, up to the
     first round whose residual is at most certify_tol: as mu grows the
     distance part of the penalty minimizer does not fall (Nocedal-Wright,
     Numerical Optimization 17.1), so later rounds are no nearer. Failing
@@ -683,11 +757,15 @@ def nearest_enp_asf_search(asf, certify_tol):
     Returns (asf, dist_sq, certified, rounds), rounds counting the outer
     rounds before the stop.
 
-    The input's (2, n, d) stack is built once per search. Each evaluation
-    takes its four row families through one stacked pass of
-    _search_terms, with the powers split per exponent block so that
-    numpy's scalar ** keeps its exact fast paths: the same bits as one
-    norm pass per family.
+    The input's (2, n, d) stack and its _SearchTerms kernel are built
+    once per search. Each evaluation takes its four row families through
+    one stacked pass of the kernel, with the powers split per exponent
+    block so that np.power keeps its exact fast paths: the same bits as
+    one norm pass per family. The input check and round 1's first
+    L-BFGS-B evaluation land on the input, and each round's certificate
+    check and the next round's first evaluation on that round's point;
+    the second call of each pair takes the kernel's stored mu-free parts,
+    so the point is evaluated once.
     """
     p = asf.space.p
     if p == 1 or p == math.inf:
@@ -698,26 +776,21 @@ def nearest_enp_asf_search(asf, certify_tol):
     if n % d != 0:
         raise Infeasible(f"equal-norm Parseval target needs d | n, "
                          f"got d = {d}, n = {n}")
-    q = asf.space.q
     z_in = np.stack([asf.functionals, asf.vectors])
-
-    def objective(z, mu):
-        dist, resid_sq, grad = _search_terms(z, mu, z_in, p, q)
-        return dist + mu * resid_sq, grad
-
+    terms = _SearchTerms(z_in, p, asf.space.q)
     z = z_in.ravel()
-    if math.sqrt(_search_terms(z, 0.0, z_in, p, q)[1]) <= certify_tol:
+    if math.sqrt(terms(z)[1]) <= certify_tol:
         return asf, 0.0, True, 0
     best = (math.inf, 0.0, z)  # (resid, dist_sq, z) of the most feasible round
     mu = MU0
     rounds = 0
     while mu <= MU_MAX:
-        res = minimize(objective, z, args=(mu,), jac=True,
+        res = minimize(terms.penalty, z, args=(mu,), jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": SEARCH_MAX_ITERS,
                                 "ftol": 1e-15, "gtol": 1e-12})
         z = res.x
-        ds, resid_sq, _ = _search_terms(z, 0.0, z_in, p, q)
+        ds, resid_sq = terms(z)[:2]
         resid = math.sqrt(resid_sq)
         if resid < best[0]:
             best = (resid, ds, z)

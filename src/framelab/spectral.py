@@ -123,8 +123,9 @@ def pnorm(x, p):
 
     A vector gives a float, an (n, d) array the array of its n row norms.
     A row whose power sum overflows, or underflows on a nonzero row, is
-    recomputed scaled by its largest entry; the other rows get the bits of
-    (sum |x|^p)^(1/p), at p = 2 those of row_norms.
+    recomputed scaled by its largest entry, with no warning for the
+    overflow; the other rows get the bits of (sum |x|^p)^(1/p), at p = 2
+    those of row_norms.
     """
     x = np.asarray(x, dtype=float)
     if p == math.inf:
@@ -132,15 +133,18 @@ def pnorm(x, p):
     elif p == 1:
         out = np.sum(np.abs(x), axis=-1)
     else:
-        if p == 2:
-            # sqrt is monotone and exact at _TINY, so testing the norms
-            # against sqrt(_TINY) tests the power sums against _TINY
-            out = s = row_norms(x)
-            low = _SQRT_TINY
-        else:
-            s = np.add.reduce(np.abs(x) ** p, axis=-1)
-            out = s ** (1.0 / p)
-            low = _TINY
+        # a power sum past the float range is recomputed scaled below, so
+        # its overflow here is not worth a warning
+        with np.errstate(over="ignore"):
+            if p == 2:
+                # sqrt is monotone and exact at _TINY, so testing the norms
+                # against sqrt(_TINY) tests the power sums against _TINY
+                out = s = row_norms(x)
+                low = _SQRT_TINY
+            else:
+                s = np.add.reduce(np.abs(x) ** p, axis=-1)
+                out = s ** (1.0 / p)
+                low = _TINY
         if not (np.minimum.reduce(s, axis=None, initial=low) >= low
                 and np.maximum.reduce(s, axis=None, initial=0.0) < math.inf):
             a = np.abs(x)

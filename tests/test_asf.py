@@ -171,6 +171,23 @@ class TestASFDist:
         assert asf_dist(can, moved, variant) == pytest.approx(want,
                                                               rel=1e-12)
 
+    # vectors moved by diag(a, 0): the default distance is a / sqrt(2) once
+    # a^2 leaves the float range too, as the r = 2 variant it then takes,
+    # and nothing warns; in range it keeps the bits of the plain sum
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("a", [1.5e154, 1e170, 1e300])
+    def test_default_is_finite_past_the_square_range(self, p, a):
+        can = generate_asf("repeated_basis", PNormSpace(2, p), n=2)
+        moved = ASF(space=can.space, functionals=can.functionals,
+                    vectors=can.vectors + np.diag([a, 0.0]))
+        dist = asf_dist(can, moved)
+        assert dist == pytest.approx(a / math.sqrt(2.0), rel=1e-13)
+        assert dist == asf_dist(can, moved, 2.0)
+        near = ASF(space=can.space, functionals=can.functionals,
+                   vectors=can.vectors + np.diag([1e150, 0.0]))
+        dv = pnorm(near.vectors - can.vectors, p)
+        assert asf_dist(can, near) == float(np.sqrt(np.sum(0.5 * dv ** 2)))
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6),
            p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))

@@ -33,7 +33,7 @@ from framelab.lab import (
     SEARCH_CERTIFY_TOL,
     InstanceSpec,
     _polish_layout,
-    _search_terms,
+    _SearchTerms,
     default_certify_tol,
     estimate_paulsen,
     generate_instance,
@@ -1027,12 +1027,13 @@ class TestSearchGradient:
         z_in = np.stack([f - df, tau - dtau])
         q = dual_exponent(p)
         z = np.concatenate([f.ravel(), tau.ravel()])
+        terms = _SearchTerms(z_in, p, q)
 
         def value(x):
-            dist, resid_sq, _ = _search_terms(x, mu, z_in, p, q)
+            dist, resid_sq = terms(x)[:2]
             return dist + mu * resid_sq
 
-        grad = _search_terms(z, mu, z_in, p, q)[2]
+        grad = terms.penalty(z, mu)[1]
         central = np.array([(value(z + e) - value(z - e)) / (2 * GRAD_STEP)
                             for e in GRAD_STEP * np.eye(z.size)])
         assert np.all(np.isfinite(grad))
@@ -1049,9 +1050,10 @@ def _sq_norms_and_grad(x, r):
 
 
 def _four_pass_terms(z, mu, f_in, tau_in, p, q):
-    """_search_terms from one spectral.pnorm pass per row family (tau -
-    tau_in, f - f_in, tau, f), each with its own gradient, instead of one
-    pass over the stacked rows; it shares no code with the kernel."""
+    """_SearchTerms's dist, resid_sq and penalty gradient at mu from one
+    spectral.pnorm pass per row family (tau - tau_in, f - f_in, tau, f),
+    each with its own gradient, instead of one pass over the stacked rows;
+    it shares no code with the kernel."""
     n, d = f_in.shape
     t = d / n
     f, tau = z[: n * d].reshape(n, d), z[n * d:].reshape(n, d)
@@ -1112,10 +1114,57 @@ class TestSearchTermsStacking:
         q = dual_exponent(p)
         z = np.concatenate([f.ravel(), tau.ravel()])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _search_terms(z, mu, np.stack([f_in, tau_in]), p, q)
+            terms = _SearchTerms(np.stack([f_in, tau_in]), p, q)
+            got = (*terms(z)[:2], terms.penalty(z, mu)[1])
             want = _four_pass_terms(z, mu, f_in, tau_in, p, q)
         assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
         assert got[2].tobytes() == want[2].tobytes()
+
+
+class TestSearchTermsMemo:
+    # the kernel evaluates a point once: a point met again, at another mu,
+    # has the bits of a fresh kernel's evaluation, whether it comes from
+    # the stored parts or is evaluated again after another point, and
+    # another point is evaluated, not served the stored parts. The
+    # arrays a call returns are its own: a later call at another point
+    # rewrites the work arrays and leaves them as they were. Extreme rows
+    # take pnorm's path, whose norms and weights go through the work
+    # arrays too
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           p=st.sampled_from([1.25, 1.5, 2.0, 3.0, 4.0]),
+           d=st.integers(1, 3), k=st.integers(1, 3),
+           mus=st.sampled_from([(0.0, 1.0), (1.0, 1e8), (1e8, 0.0)]),
+           extreme=st.sampled_from([None, 1e-160, 1e160]))
+    def test_point_again_has_fresh_bits(self, seed, p, d, k, mus, extreme):
+        n = k * d
+        rng = np.random.default_rng(seed)
+        z_in = rng.standard_normal((2, n, d))
+        z, other = (z_in.ravel() + rng.standard_normal(2 * n * d)
+                    for _ in range(2))
+        if extreme is not None:
+            # an extreme input row, and an extreme row of z
+            z_in[0, 0] = extreme * rng.standard_normal(d)
+            z[:d] = extreme * rng.standard_normal(d)
+        q = dual_exponent(p)
+        mu, new_mu = mus
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _SearchTerms(z_in, p, q)
+            parts = terms(z)
+            grad = terms.penalty(z, mu)[1]
+            kept = [np.copy(a) for a in (*parts[2:], grad)]
+            assert terms(z.copy()) is parts  # the stored parts, not a pass
+            again = terms.penalty(z, new_mu)
+            assert np.array(terms(other)[:2]).tobytes() == np.array(
+                _SearchTerms(z_in, p, q)(other)[:2]).tobytes()
+            for a, b in zip((*parts[2:], grad), kept):
+                assert a.tobytes() == b.tobytes()
+            after_other = terms.penalty(z, new_mu)
+            fresh = _SearchTerms(z_in, p, q).penalty(z, new_mu)
+        for got in (again, after_other):
+            assert np.float64(got[0]).tobytes() == np.float64(
+                fresh[0]).tobytes()
+            assert got[1].tobytes() == fresh[1].tobytes()
 
 
 class TestASFSearch:
@@ -1167,13 +1216,41 @@ class TestASFSearch:
             asf, certify_tol=tol)
         assert certified
         assert len(iterates) == rounds + 1
-        z_in = np.stack([asf.functionals, asf.vectors])
-        resid = [math.sqrt(_search_terms(z, 0.0, z_in, p, asf.space.q)[1])
-                 for z in iterates]
+        terms = _SearchTerms(np.stack([asf.functionals, asf.vectors]), p,
+                             asf.space.q)
+        resid = [math.sqrt(terms(z)[1]) for z in iterates]
         assert resid[-1] <= tol
         assert all(r > tol for r in resid[:-1])
         nd = asf.n * asf.space.dim
         assert np.array_equal(out.vectors, iterates[-1][nd:].reshape(2, 2))
+
+    # the input check and round 1's first L-BFGS-B evaluation, and each
+    # round's certificate check and the next round's first evaluation,
+    # land on one point, which the kernel evaluates once; no point is
+    # evaluated twice in a row
+    def test_round_boundaries_evaluate_once(self, monkeypatch):
+        spec = InstanceSpec(kind="perturbed_asf", d=2, n=2,
+                            epsilon_target=0.05, p=3.0, seed=7)
+        asf = generate_instance(spec).instance
+        calls, evaluated = [], []
+        call, evaluate = _SearchTerms.__call__, _SearchTerms._evaluate
+
+        def recording_call(self, z):
+            calls.append(z.tobytes())
+            return call(self, z)
+
+        def recording_evaluate(self, z):
+            evaluated.append(z.tobytes())
+            return evaluate(self, z)
+
+        monkeypatch.setattr(_SearchTerms, "__call__", recording_call)
+        monkeypatch.setattr(_SearchTerms, "_evaluate", recording_evaluate)
+        rounds = nearest_enp_asf_search(asf, certify_tol=1e-6)[3]
+        z_in = np.stack([asf.functionals, asf.vectors]).tobytes()
+        assert rounds >= 1
+        assert calls[:2] == [z_in, z_in] and evaluated.count(z_in) == 1
+        assert len(calls) - len(evaluated) >= rounds + 1
+        assert all(a != b for a, b in zip(evaluated, evaluated[1:]))
 
     def test_rejects_endpoint_exponents(self):
         for p in (1.0, math.inf):

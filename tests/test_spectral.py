@@ -331,6 +331,22 @@ class TestRowKernels:
             rows = pnorm(x, p)
         assert np.array_equal(rows[normal], ref[normal])
 
+    # a power sum past the float range is recomputed scaled, so pnorm
+    # warns of nothing: the suite turns a RuntimeWarning into an error
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 400.0])
+    def test_overflowing_power_sums_warn_nothing(self, p):
+        x = np.array([[1e250, 0.0], [-3e300, 4e300], [3.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = pnorm(x, p)
+            vector = pnorm(x[0], p)
+            if p == 2.0:
+                assert pnorm(np.array([[1e170, 0.0]]), p)[0] == 1e170
+        five = (3.0 ** p + 4.0 ** p) ** (1.0 / p)
+        assert rows[0] == vector == 1e250
+        assert rows[1] == pytest.approx(1e300 * five, rel=1e-13)
+        assert rows[2] == pytest.approx(five, rel=1e-15)
+
     def test_euclidean_norm_of_extreme_rows(self):
         with np.errstate(over="ignore"):
             assert pnorm([1e200, 0.0], 2) == 1e200
